@@ -31,8 +31,7 @@ def run(args) -> int:
     ens = trajectory_ensemble(
         model, plus, args.t_final, args.n_traj, args.seed, sample_times=times
     )
-    print(f"dephasing gamma={args.gamma}, {args.n_traj} trajectories, "
-          f"dt={ens.dt:g}, seed={args.seed}")
+    print(f"dephasing gamma={args.gamma}, {args.n_traj} trajectories, seed={args.seed}")
     print(f"{'t':>6} {'max |dev|':>12} {'max dev/SE':>12}")
     worst = 0.0
     for k, t in enumerate(times):

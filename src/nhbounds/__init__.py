@@ -50,7 +50,6 @@ from .errors import (
     ShapeError,
     SimulationError,
     StepTooLarge,
-    WindowExceeded,
 )
 from .metrics import (
     ObservableStats,

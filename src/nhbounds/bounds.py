@@ -20,6 +20,7 @@ flip ``applicable`` instead of raising.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -42,7 +43,7 @@ from .propagation import (
     propagator_span,
     trajectory_ensemble,
 )
-from .states import DensityOperator, as_density_matrix
+from .states import DensityOperator, StateVector, as_density_matrix
 
 SLACK_TOL = 1e-8            # a theorem violation is slack below this
 WINDOW_TOL = 1e-7           # round-off allowance at the pi/2 window edge
@@ -84,7 +85,6 @@ class JumpCountObservable:
 
     n_trajectories: int = 10000
     seed: int = 0
-    dt_max: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -605,28 +605,34 @@ def qsl_ml_open(model: LindbladModel, state0, tau: float) -> BoundReport:
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _jump_count_moments(
+    model: LindbladModel, state0, tau: float, spec: JumpCountObservable
+) -> tuple[int, float, float]:
+    """(n, mean, variance) of the jump count at ``tau``.
+
+    Cached for one call so the tur-ml-open and tur-mt-open rows of one time
+    point share one ensemble; models and states hash by identity.
+    """
+    ens = trajectory_ensemble(model, state0, tau, spec.n_trajectories, spec.seed)
+    counts = ens.jump_counts.astype(float)
+    var = float(counts.var(ddof=1)) if counts.size > 1 else 0.0
+    return counts.size, float(counts.mean()), var
+
+
 def _jump_count_ratio_sq(
     model: LindbladModel, state0, tau: float, spec: JumpCountObservable
 ) -> tuple[float, dict]:
     if spec.n_trajectories < 1:
         raise BadParameter("jump-count statistics need at least one trajectory")
-    ens = trajectory_ensemble(
-        model,
-        state0,
-        tau,
-        spec.n_trajectories,
-        spec.seed,
-        dt_max=spec.dt_max,
-        sample_times=[tau],
-    )
-    counts = ens.jump_counts.astype(float)
-    mean = float(counts.mean())
-    var = float(counts.var(ddof=1)) if counts.size > 1 else 0.0
+    moments = _jump_count_moments
+    if not isinstance(state0, (StateVector, DensityOperator)):
+        moments = moments.__wrapped__  # raw arrays do not hash
+    n, mean, var = moments(model, state0, tau, spec)
     if var <= 0.0:
         ratio_sq = 0.0 if abs(mean) <= 1e-14 else float("inf")
     else:
         ratio_sq = mean**2 / var
-    n = counts.size
     se_mean = math.sqrt(var / n) if n > 1 else 0.0
     info = {
         "mc": {

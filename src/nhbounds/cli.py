@@ -64,7 +64,6 @@ class ExperimentConfig:
     fd_step: float
     n_traj: int
     seed: int
-    dt_max: float | None
     out: Path
     echo: dict = field(default_factory=dict)
 
@@ -152,7 +151,7 @@ def _parse_state(spec: str | None, model, initial):
     return serialize.state_from_json(json.loads(Path(spec).read_text()), dim)
 
 
-def _parse_observable(spec: str | None, dim: int, n_traj: int, seed: int, dt_max):
+def _parse_observable(spec: str | None, dim: int, n_traj: int, seed: int):
     if spec is None or spec == f"proj:{dim - 1}" or spec == "proj:last":
         out = np.zeros((dim, dim), dtype=complex)
         out[dim - 1, dim - 1] = 1.0
@@ -168,7 +167,7 @@ def _parse_observable(spec: str | None, dim: int, n_traj: int, seed: int, dt_max
             raise SimulationError(f"diag observable needs {dim} entries")
         return np.diag(vals).astype(complex)
     if spec == "jump-count":
-        return bnd.JumpCountObservable(n_trajectories=n_traj, seed=seed, dt_max=dt_max)
+        return bnd.JumpCountObservable(n_trajectories=n_traj, seed=seed)
     raise SimulationError(f"unknown observable spec {spec!r}")
 
 
@@ -278,7 +277,7 @@ def _run_check(args) -> int:
         window = (args.tau1, args.tau2)
 
     dim = model.dim
-    observable = _parse_observable(args.observable, dim, args.n_traj, args.seed, args.dt_max)
+    observable = _parse_observable(args.observable, dim, args.n_traj, args.seed)
     cfg = ExperimentConfig(
         model=model,
         initial=state,
@@ -290,7 +289,6 @@ def _run_check(args) -> int:
         fd_step=args.fd_step,
         n_traj=args.n_traj,
         seed=args.seed,
-        dt_max=args.dt_max,
         out=Path(args.out),
         echo={"chain": chain, "argv": vars(args).copy()},
     )
@@ -359,10 +357,7 @@ def _run_trajectory(args) -> int:
     if args.t_final <= 0:
         raise SimulationError("--t-final must be positive")
 
-    ens = trajectory_ensemble(
-        model, state, args.t_final, args.n_traj, args.seed,
-        dt_max=args.dt_max, sample_times=[args.t_final],
-    )
+    ens = trajectory_ensemble(model, state, args.t_final, args.n_traj, args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as fh:
@@ -378,7 +373,6 @@ def _run_trajectory(args) -> int:
         "n_trajectories": ens.n_trajectories,
         "t_final": args.t_final,
         "seed": args.seed,
-        "dt": ens.dt,
         "n_steps": ens.n_steps,
         "mean_jump_count": ens.mean_jump_count(),
         "jump_count_std": ens.jump_count_std(),
@@ -447,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--fd-step", type=float, default=1e-4)
     chk.add_argument("--n-traj", type=int, default=2000)
     chk.add_argument("--seed", type=int, default=0)
-    chk.add_argument("--dt-max", type=float, default=None)
     chk.add_argument("--out", required=True)
     chk.set_defaults(func=_run_check)
 
@@ -457,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     trj.add_argument("--t-final", type=float, required=True)
     trj.add_argument("--n-traj", type=int, required=True)
     trj.add_argument("--seed", type=int, default=0)
-    trj.add_argument("--dt-max", type=float, default=None)
     trj.add_argument("--out", required=True)
     trj.set_defaults(func=_run_trajectory)
 

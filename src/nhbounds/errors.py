@@ -46,11 +46,6 @@ class NonPositiveGamma(SimulationError):
     """The Hermitian decay operator has a materially negative eigenvalue."""
 
 
-class WindowExceeded(SimulationError):
-    """An integrated standard deviation left the window where the cosine-type
-    bound is claimed."""
-
-
 class StepTooLarge(SimulationError):
     """A single Kraus step was requested with a step size outside the
     first-order validity regime."""

@@ -3,8 +3,9 @@
 Closed-form non-Hermitian propagation (exact matrix exponential for constant
 generators, midpoint exponential product for time-dependent ones), the
 Lindblad master equation via the exact vectorized-Liouvillian exponential,
-single Kraus steps, quantum-jump trajectory sampling with per-trajectory
-RNG streams, and the no-jump conditioned state with its survival weight.
+single Kraus steps, exact-in-time (waiting-time) quantum-jump trajectory
+sampling with per-trajectory RNG streams, and the no-jump conditioned state
+with its survival weight.
 
 Units: hbar = 1 throughout.
 """
@@ -29,7 +30,8 @@ from .errors import (
 from .states import DensityOperator, StateVector, as_density_matrix, normalize
 
 DEFAULT_TD_STEPS = 2000        # midpoint steps for time-dependent propagation
-MAX_JUMP_PROB = 1e-3           # per-step jump probability cap in trajectories
+_LIFT_LEVELS = 40              # jump times resolve to 2^-40 of a node interval
+_LIFT_FULL = 1 << _LIFT_LEVELS
 
 
 @dataclass(eq=False, frozen=True)
@@ -135,7 +137,9 @@ class TrajectoryEnsemble:
 
     ``mean_states[k]`` is the ensemble mean projector at ``times[k]``;
     ``stderr_real``/``stderr_imag`` hold the entrywise standard errors of the
-    corresponding real and imaginary parts.
+    corresponding real and imaginary parts.  ``n_steps`` counts the exact
+    propagation intervals (between 0, the sample times and the end time) of
+    each trajectory.
     """
 
     n_trajectories: int
@@ -144,7 +148,6 @@ class TrajectoryEnsemble:
     stderr_real: list[np.ndarray]
     stderr_imag: list[np.ndarray]
     jump_counts: np.ndarray
-    dt: float
     n_steps: int
 
     def mean_jump_count(self) -> float:
@@ -356,29 +359,91 @@ def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _step_schedule(model: LindbladModel, tau: float, dt_max: float | None) -> tuple[float, int]:
-    """Step size keeping both the jump probability and dt*||H_eff|| small."""
-    scale = 1e-12
-    if model.n_channels:
-        scale = max(scale, float(np.linalg.eigvalsh(model.jump_rate_operator())[-1]))
-    scale = max(scale, float(np.linalg.norm(model.effective_hamiltonian(), 2)))
-    dt = MAX_JUMP_PROB / scale
-    if dt_max is not None:
-        if dt_max <= 0:
-            raise BadParameter("dt_max must be positive")
-        dt = min(dt, dt_max)
-    dt = min(dt, tau) if tau > 0 else dt
-    n = max(1, math.ceil(tau / dt - 1e-12))
-    return tau / n, n
-
-
-def _snap_sample_indices(sample_times, dt: float, n_steps: int) -> list[tuple[int, float]]:
-    out = []
+def _sample_nodes(tau: float, sample_times: Sequence[float]) -> np.ndarray:
+    """Sorted distinct propagation nodes: 0, every sample time, and ``tau``."""
     for t in sample_times:
-        k = int(round(t / dt)) if dt > 0 else 0
-        k = min(max(k, 0), n_steps)
-        out.append((k, k * dt))
-    return out
+        if not 0.0 <= t <= tau:
+            raise BadParameter(f"sample time {t!r} outside [0, {tau!r}]")
+    return np.unique(np.array([0.0, tau, *sample_times], dtype=float))
+
+
+def _lift_propagators(model: LindbladModel, nodes: np.ndarray) -> list[np.ndarray]:
+    """Per node interval, the stack exp(-i H_eff dt / 2^k).T for k = 0..K."""
+    heff = model.effective_hamiltonian()
+    return [
+        np.stack([linalg.expm(-1j * math.ldexp(dt, -k) * heff).T for k in range(_LIFT_LEVELS + 1)])
+        for dt in np.diff(nodes)
+    ]
+
+
+def _norm_sq(a: np.ndarray) -> np.ndarray:
+    """Squared norms along the last axis of a C-contiguous complex array."""
+    x = a.view(float)
+    return np.einsum("...i,...i->...", x, x)
+
+
+def _unravel(
+    model: LindbladModel,
+    psi: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+    nodes: np.ndarray,
+    lifts: list[np.ndarray],
+    on_node: Callable[[int, np.ndarray], None],
+    events: list[list[tuple[float, int]]] | None = None,
+) -> np.ndarray:
+    """Waiting-time quantum-jump evolution of a chunk of trajectories.
+
+    Row ``i`` carries its no-jump state ``psi[i]`` unnormalized together
+    with a threshold drawn from ``rngs[i]``; the next jump fires where
+    ``||psi||^2`` decays to the threshold.  The jump-rate operator is PSD,
+    so the squared norm only decreases and greedy binary lifting over the
+    steps ``lifts[j][k]`` (interval j split 2^k times) finds that time to
+    2^-K of the interval.  At a jump, channel m is drawn with weight
+    ``||L_m psi||^2`` and a fresh threshold follows, both from the row's own
+    stream, so no row depends on the chunk it runs in.  ``on_node(j, psi)``
+    sees the normalized states at ``nodes[j]``; ``events[i]``, when given,
+    collects the ``(time, channel)`` pairs of row ``i``.  ``psi`` ends
+    holding the normalized states at the last node.  Returns jump counts.
+    """
+    ls = model.jumps
+    c = psi.shape[0]
+    counts = np.zeros(c, dtype=np.int64)
+    # without channels nothing fires and no threshold is drawn
+    r = np.array([g.random() for g in rngs]) if ls else np.zeros(c)
+    on_node(0, psi)
+    for j, lift in enumerate(lifts):
+        pos = np.zeros(c, dtype=np.int64)
+        live = np.arange(c)
+        while live.size:
+            for k in range(_LIFT_LEVELS + 1):
+                stride = _LIFT_FULL >> k
+                rows = live[pos[live] + stride <= _LIFT_FULL]
+                cand = psi[rows] @ lift[k]
+                keep = _norm_sq(cand) >= r[rows]
+                psi[rows[keep]] = cand[keep]
+                pos[rows[keep]] += stride
+            live = live[pos[live] < _LIFT_FULL]
+            if not live.size:
+                break
+            amps = np.stack([psi[live] @ l.T for l in ls])
+            cum = np.cumsum(_norm_sq(amps), axis=0)
+            draws = np.array([rngs[i].random(2) for i in live])
+            ch = np.minimum(np.sum(draws[:, 0] * cum[-1] >= cum, axis=0), len(ls) - 1)
+            chosen = amps[ch, np.arange(live.size)]
+            psi[live] = chosen / np.sqrt(_norm_sq(chosen))[:, None]
+            r[live] = draws[:, 1]
+            counts[live] += 1
+            if events is not None:
+                times = nodes[j] + pos[live] * ((nodes[j + 1] - nodes[j]) / _LIFT_FULL)
+                for i, t, m in zip(live, times, ch):
+                    events[i].append((float(t), int(m)))
+        n2 = _norm_sq(psi)
+        if not np.all(n2 > 0.0):
+            raise NormUnderflow("no-jump branch norm underflowed")
+        r /= n2
+        psi /= np.sqrt(n2)[:, None]
+        on_node(j + 1, psi)
+    return counts
 
 
 def sample_trajectory(
@@ -388,16 +453,14 @@ def sample_trajectory(
     seed: int,
     *,
     traj_index: int = 0,
-    dt_max: float | None = None,
     sample_times: Sequence[float] | None = None,
 ) -> Trajectory:
-    """Sample one quantum-jump trajectory.
+    """Sample one quantum-jump trajectory, exact in time.
 
-    Per step, channel m fires with probability dt * <L_m^dag L_m>; otherwise
-    the state advances with V0 = I - i dt H_eff and is renormalized.  The
-    uniform stream is derived from ``(seed, traj_index)`` so results are
-    reproducible and identical to the matching member of
-    ``trajectory_ensemble``.
+    This is the ensemble kernel run on one row: the uniform stream is
+    derived from ``(seed, traj_index)``, so the result is identical to the
+    matching member of ``trajectory_ensemble``.  Sampled states are returned
+    at exactly the requested times, in the requested order.
     """
     if not psi0.is_normalized(1e-10):
         raise BadParameter("initial state must be normalized")
@@ -405,43 +468,20 @@ def sample_trajectory(
         raise ShapeError("state dimension differs from model dimension")
     if tau < 0:
         raise BadParameter("tau must be nonnegative")
-    dt, n = _step_schedule(model, tau, dt_max)
-    if tau == 0:
-        n = 0
-    v0 = np.eye(model.dim, dtype=complex) - 1j * dt * model.effective_hamiltonian()
-    rng = _trajectory_rng(seed, traj_index)
-    uniforms = rng.random(n)
-    want = _snap_sample_indices(sample_times, dt, n) if sample_times is not None else []
-    sampled: list[tuple[float, StateVector]] = []
-    psi = psi0.amplitudes / psi0.norm
-    for idx, tt in want:
-        if idx == 0:
-            sampled.append((tt, StateVector(psi.copy())))
-    events: list[tuple[float, int]] = []
-    for k in range(n):
-        amps = [l @ psi for l in model.jumps]
-        weights = np.array([dt * float(np.vdot(a, a).real) for a in amps])
-        total = float(weights.sum())
-        r = uniforms[k]
-        if r < total:
-            cum = np.cumsum(weights)
-            ch = int(np.searchsorted(cum, r, side="right"))
-            a = amps[ch]
-            psi = a / np.linalg.norm(a)
-            events.append(((k + 1) * dt, ch))
-        else:
-            nxt = v0 @ psi
-            nn = float(np.linalg.norm(nxt))
-            if nn <= 1e-14:
-                raise NormUnderflow("no-jump branch norm underflowed")
-            psi = nxt / nn
-        for idx, tt in want:
-            if idx == k + 1:
-                sampled.append((tt, StateVector(psi.copy())))
+    wanted = list(sample_times) if sample_times is not None else []
+    nodes = _sample_nodes(tau, wanted)
+    psi = normalize(psi0)[0].amplitudes[None, :].copy()
+    at_node: list[np.ndarray] = []
+    events: list[list[tuple[float, int]]] = [[]]
+    _unravel(
+        model, psi, [_trajectory_rng(seed, traj_index)], nodes, _lift_propagators(model, nodes),
+        lambda _j, rows: at_node.append(rows[0].copy()), events,
+    )
+    sampled = [(t, StateVector(at_node[np.searchsorted(nodes, t)])) for t in wanted]
     return Trajectory(
-        jump_times=events,
-        jump_count=len(events),
-        final_state=StateVector(psi),
+        jump_times=events[0],
+        jump_count=len(events[0]),
+        final_state=StateVector(psi[0]),
         sampled_states=sampled if sample_times is not None else None,
     )
 
@@ -453,7 +493,6 @@ def trajectory_ensemble(
     n_traj: int,
     seed: int,
     *,
-    dt_max: float | None = None,
     sample_times: Sequence[float] | None = None,
     chunk_size: int = 2048,
 ) -> TrajectoryEnsemble:
@@ -462,18 +501,20 @@ def trajectory_ensemble(
     ``state0`` may be a normalized pure state or a unit-trace density
     operator; in the mixed case each trajectory first draws its initial
     eigenstate from the spectral decomposition (one extra uniform, taken
-    before the per-step stream).  Accumulation is in trajectory-index order,
-    so the result is deterministic for a fixed seed regardless of how work
-    would be scheduled.
+    before the waiting-time stream).  Mean states are taken at exactly the
+    requested ``sample_times`` (default ``[tau]``).  Accumulation is in
+    trajectory-index order, so the result is deterministic for a fixed seed
+    regardless of how work would be scheduled.
     """
     if n_traj < 1:
         raise BadParameter("need at least one trajectory")
     if tau < 0:
         raise BadParameter("tau must be nonnegative")
-    dt, n_steps = _step_schedule(model, tau, dt_max)
-    if tau == 0:
-        n_steps = 0
     d = model.dim
+    if not isinstance(state0, (StateVector, DensityOperator)):
+        state0 = StateVector(np.asarray(state0, dtype=complex))
+    if state0.dim != d:
+        raise ShapeError("state dimension differs from model dimension")
 
     mixed = isinstance(state0, DensityOperator)
     if mixed:
@@ -484,79 +525,41 @@ def trajectory_ensemble(
         probs = probs / probs.sum()
         cum_init = np.cumsum(probs)
     else:
-        if not isinstance(state0, StateVector):
-            state0 = StateVector(np.asarray(state0, dtype=complex))
-        unit, _ = normalize(state0)
-        base = unit.amplitudes
+        base = normalize(state0)[0].amplitudes
 
-    if sample_times is None:
-        sample_times = [tau]
-    snap = _snap_sample_indices(sample_times, dt, n_steps)
-    out_times = np.array([tt for _, tt in snap])
-    by_index: dict[int, list[int]] = {}
-    for pos, (idx, _) in enumerate(snap):
-        by_index.setdefault(idx, []).append(pos)
+    times = np.array([tau] if sample_times is None else list(sample_times), dtype=float)
+    nodes = _sample_nodes(tau, times)
+    lifts = _lift_propagators(model, nodes)
+    positions = [np.flatnonzero(np.searchsorted(nodes, times) == j) for j in range(len(nodes))]
 
-    v0 = np.eye(d, dtype=complex) - 1j * dt * model.effective_hamiltonian()
-    ls = list(model.jumps)
-    n_ch = len(ls)
-
-    sum_rho = [np.zeros((d, d), dtype=complex) for _ in snap]
-    sum_sq_re = [np.zeros((d, d)) for _ in snap]
-    sum_sq_im = [np.zeros((d, d)) for _ in snap]
+    sum_rho = [np.zeros((d, d), dtype=complex) for _ in times]
+    sum_sq_re = [np.zeros((d, d)) for _ in times]
+    sum_sq_im = [np.zeros((d, d)) for _ in times]
     jump_counts = np.zeros(n_traj, dtype=np.int64)
 
-    def accumulate(pos: int, psi: np.ndarray) -> None:
+    def accumulate(j: int, psi: np.ndarray) -> None:
+        if not positions[j].size:
+            return
         proj = np.einsum("ci,cj->cij", psi, np.conj(psi))
-        sum_rho[pos] += proj.sum(axis=0)
-        sum_sq_re[pos] += (proj.real**2).sum(axis=0)
-        sum_sq_im[pos] += (proj.imag**2).sum(axis=0)
+        total, sq_re, sq_im = proj.sum(axis=0), (proj.real**2).sum(axis=0), (proj.imag**2).sum(axis=0)
+        for pos in positions[j]:
+            sum_rho[pos] += total
+            sum_sq_re[pos] += sq_re
+            sum_sq_im[pos] += sq_im
 
     for start in range(0, n_traj, chunk_size):
-        idxs = range(start, min(start + chunk_size, n_traj))
-        c = len(idxs)
-        uniforms = np.empty((c, n_steps))
-        psi = np.empty((c, d), dtype=complex)
-        for row, i in enumerate(idxs):
-            rng = _trajectory_rng(seed, i)
-            if mixed:
-                pick = int(np.searchsorted(cum_init, rng.random(), side="right"))
-                pick = min(pick, len(probs) - 1)
-                psi[row] = vecs[:, pick]
-            else:
-                psi[row] = base
-            uniforms[row] = rng.random(n_steps)
-        counts = np.zeros(c, dtype=np.int64)
-        for pos in by_index.get(0, []):
-            accumulate(pos, psi)
-        for k in range(n_steps):
-            if n_ch:
-                amps = np.stack([psi @ l.T for l in ls])          # (m, c, d)
-                w = dt * np.sum(np.abs(amps) ** 2, axis=2)         # (m, c)
-                cum = np.cumsum(w, axis=0)
-                total = cum[-1]
-            else:
-                total = np.zeros(c)
-            r = uniforms[:, k]
-            jumped = r < total
-            nxt = psi @ v0.T
-            nxt /= np.linalg.norm(nxt, axis=1, keepdims=True)
-            if n_ch and np.any(jumped):
-                ch = np.sum(r[None, :] >= cum, axis=0)
-                ch = np.minimum(ch, n_ch - 1)
-                chosen = amps[ch, np.arange(c), :]
-                norms = np.linalg.norm(chosen, axis=1, keepdims=True)
-                chosen = chosen / np.where(norms > 0.0, norms, 1.0)
-                psi = np.where(jumped[:, None], chosen, nxt)
-                counts += jumped
-            else:
-                psi = nxt
-            for pos in by_index.get(k + 1, []):
-                accumulate(pos, psi)
-        jump_counts[start : start + c] = counts
+        rngs = [_trajectory_rng(seed, i) for i in range(start, min(start + chunk_size, n_traj))]
+        if mixed:
+            picks = np.searchsorted(cum_init, [g.random() for g in rngs], side="right")
+            psi = vecs[:, np.minimum(picks, len(probs) - 1)].T.copy()
+        else:
+            psi = np.tile(base, (len(rngs), 1))
+        jump_counts[start : start + len(rngs)] = _unravel(
+            model, psi, rngs, nodes, lifts, accumulate
+        )
 
     means, se_re, se_im = [], [], []
-    for pos in range(len(snap)):
+    for pos in range(len(times)):
         mean = sum_rho[pos] / n_traj
         if n_traj > 1:
             var_re = np.clip(sum_sq_re[pos] / n_traj - mean.real**2, 0.0, None)
@@ -571,13 +574,12 @@ def trajectory_ensemble(
 
     return TrajectoryEnsemble(
         n_trajectories=n_traj,
-        times=out_times,
+        times=times,
         mean_states=means,
         stderr_real=se_re,
         stderr_imag=se_im,
         jump_counts=jump_counts,
-        dt=dt,
-        n_steps=n_steps,
+        n_steps=len(lifts),
     )
 
 

@@ -37,7 +37,9 @@ from nhbounds import (
     tur_ml_open,
     tur_mt,
     tur_mt_open,
+    trajectory_ensemble,
 )
+from nhbounds import bounds
 from nhbounds.errors import CommutatorViolation
 from nhbounds.models import classical_initial_density, random_hermitian
 from conftest import SX, p1_closed
@@ -151,10 +153,28 @@ class TestTurMlOpen:
         rep = tur_ml_open(model, PLUS, tau, spec)
         assert rep.lhs == pytest.approx(math.exp(gamma * tau) - 1.0, abs=1e-12)
         mc = rep.params["mc"]
-        # Bernoulli-binomial count: mean gamma*tau, variance gamma*tau(1 - gamma dt)
+        # Poisson count: mean and variance gamma*tau
         assert abs(mc["mean"] - gamma * tau) <= 4.0 * mc["stderr_mean"]
         assert rep.rhs == pytest.approx(gamma * tau, rel=0.1)
         assert rep.satisfied
+
+    def test_ml_and_mt_rows_share_one_ensemble(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return trajectory_ensemble(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "trajectory_ensemble", counting)
+        model = make_dephasing(1.0)
+        spec = JumpCountObservable(n_trajectories=200, seed=3)
+        ml = tur_ml_open(model, PLUS, 0.5, spec)
+        mt = tur_mt_open(model, PLUS, 0.5, spec)
+        assert calls == [0.5]
+        assert ml.rhs == mt.rhs and ml.params["mc"] == mt.params["mc"]
+        assert ml.params["mc"] is not mt.params["mc"]
+        tur_mt_open(model, PLUS, 0.6, spec)
+        assert calls == [0.5, 0.6]
 
     def test_inapplicable_on_positivity_failure(self):
         model = LindbladModel(

@@ -271,6 +271,25 @@ class TestTrajectoryCommand:
         summary = json.loads(out.with_suffix(".summary.json").read_text())
         assert summary["mean_jump_count"] == pytest.approx(1.0, abs=0.25)
         assert summary["max_abs_deviation_from_lindblad"] <= 0.1
+        assert summary["n_steps"] == 1 and "dt" not in summary
+
+    @pytest.mark.parametrize("command", ["trajectory", "check"])
+    def test_dt_max_is_rejected(self, tmp_path, command):
+        # the sampler is exact in time: there is no step size to cap
+        args = [
+            command,
+            "--model", "builtin:dephasing?gamma=1.0",
+            "--state", "plus",
+            "--t-final", "0.5",
+            "--n-traj", "10",
+            "--dt-max", "1e-3",
+            "--out", str(tmp_path / "x.csv"),
+        ]
+        if command == "check":
+            args += ["--steps", "1", "--bounds", "ml-open", "--observable", "jump-count"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
 
     def test_deterministic(self, tmp_path):
         args = [

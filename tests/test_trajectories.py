@@ -1,17 +1,23 @@
+import math
+
 import numpy as np
+import pytest
 
 from nhbounds import (
+    BadParameter,
     LindbladModel,
+    ShapeError,
     StateVector,
     evolve_lindblad,
     make_dephasing,
+    no_jump_state,
     pure_density,
     random_density,
     sample_trajectory,
     trajectory_ensemble,
 )
 from nhbounds import linalg
-from conftest import SZ
+from conftest import SX, SZ
 
 
 PLUS = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
@@ -24,14 +30,14 @@ class TestSampleTrajectory:
         assert traj.jump_count == 0
         assert traj.jump_times == []
 
-    def test_deterministic_unitary_path_within_first_order(self):
-        # no-jump stepping uses V0 = I - i dt H_eff: O(dt) bias documented
+    def test_deterministic_unitary_path_is_exact(self):
+        # the no-jump branch is propagated with exp(-i H_eff t) itself
         model = LindbladModel(SZ, ())
         psi0 = StateVector(np.array([0.6, 0.8]))
         traj = sample_trajectory(model, psi0, 1.0, seed=2)
         exact = linalg.expm(-1j * SZ) @ psi0.amplitudes
         overlap = abs(np.vdot(exact, traj.final_state.amplitudes))
-        assert overlap >= 1.0 - 5e-3
+        assert overlap >= 1.0 - 1e-10
 
     def test_reproducible_for_fixed_seed(self):
         model = make_dephasing(1.0)
@@ -59,6 +65,15 @@ class TestSampleTrajectory:
         assert len(traj.sampled_states) == 3
         for _t, state in traj.sampled_states:
             assert abs(state.norm - 1.0) <= 1e-10
+
+    def test_sample_times_are_exact(self):
+        model = make_dephasing(1.0)
+        times = [0.7, 0.0, 1.0 / 3.0, 0.7]
+        traj = sample_trajectory(model, PLUS, 1.0, seed=3, sample_times=times)
+        assert [t for t, _state in traj.sampled_states] == times
+        assert np.allclose(traj.sampled_states[1][1].amplitudes, PLUS.amplitudes, rtol=0, atol=1e-15)
+        with pytest.raises(BadParameter):
+            sample_trajectory(model, PLUS, 1.0, seed=3, sample_times=[1.5])
 
 
 class TestTrajectoryEnsemble:
@@ -98,9 +113,8 @@ class TestTrajectoryEnsemble:
             exact = evolve_lindblad(model, pure_density(PLUS), t).matrix
             dev_re = np.abs(ens.mean_states[k].real - exact.real)
             dev_im = np.abs(ens.mean_states[k].imag - exact.imag)
-            tol = 1e-3  # first-order bias floor at dt = 1e-3
-            assert np.all(dev_re <= 5.0 * ens.stderr_real[k] + tol)
-            assert np.all(dev_im <= 5.0 * ens.stderr_imag[k] + tol)
+            assert np.all(dev_re <= 5.0 * ens.stderr_real[k])
+            assert np.all(dev_im <= 5.0 * ens.stderr_imag[k])
 
     def test_mixed_initial_state(self):
         model = make_dephasing(1.0)
@@ -110,7 +124,35 @@ class TestTrajectoryEnsemble:
         exact = evolve_lindblad(model, rho0, tau).matrix
         dev = np.abs(ens.mean_states[0] - exact)
         se = np.sqrt(ens.stderr_real[0] ** 2 + ens.stderr_imag[0] ** 2)
-        assert np.all(dev <= 5.0 * se + 2e-3)
+        assert np.all(dev <= 5.0 * se)
+
+    def test_sample_times_are_exact_nodes(self):
+        model = make_dephasing(1.0)
+        times = [0.1 * math.pi, 1.0 / 3.0, 0.0, 0.9]
+        ens = trajectory_ensemble(model, PLUS, 0.9, 16, seed=4, sample_times=times)
+        assert ens.times.tolist() == times
+        assert ens.n_steps == 3
+        assert np.allclose(ens.mean_states[2], pure_density(PLUS).matrix, rtol=0, atol=1e-15)
+        with pytest.raises(BadParameter):
+            trajectory_ensemble(model, PLUS, 0.9, 4, seed=4, sample_times=[-0.1])
+
+    def test_state_dimension_checked(self):
+        three = StateVector(np.ones(3) / np.sqrt(3.0))
+        with pytest.raises(ShapeError):
+            trajectory_ensemble(make_dephasing(1.0), three, 0.5, 4, seed=1)
+
+    @pytest.mark.parametrize("tau", [0.5, 2.0])
+    def test_zero_jump_fraction_is_survival_weight(self, tau):
+        # driven amplitude damping plus dephasing: P(no jump in [0, tau]) is
+        # the trace of the no-jump branch
+        ls = (np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), 0.5 * SZ)
+        model = LindbladModel(0.8 * SX, ls)
+        n = 20_000
+        ens = trajectory_ensemble(model, PLUS, tau, n, seed=31)
+        frac = float(np.mean(ens.jump_counts == 0))
+        weight = no_jump_state(model, pure_density(PLUS), tau).weight
+        se = math.sqrt(weight * (1.0 - weight) / n)
+        assert abs(frac - weight) <= 5.0 * se
 
     def test_two_channel_model_channels_recorded(self):
         # amplitude damping plus dephasing: both channels must fire
