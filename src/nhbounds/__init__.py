@@ -49,7 +49,6 @@ from .errors import (
     NumericalOverflow,
     ShapeError,
     SimulationError,
-    StepTooLarge,
 )
 from .metrics import (
     ObservableStats,
@@ -57,7 +56,6 @@ from .metrics import (
     fidelity,
     generalized_std,
     observable_stats,
-    overlap_upper_bound,
     renyi_divergence,
     renyi_half,
 )
@@ -79,16 +77,11 @@ from .propagation import (
     NonHermitianModel,
     Trajectory,
     TrajectoryEnsemble,
-    evolve_density_nonhermitian,
     evolve_lindblad,
     evolve_nonhermitian,
-    kraus_operators,
-    kraus_step,
     liouvillian,
-    no_jump_heff_std,
     no_jump_state,
     propagator,
-    propagator_with_error,
     sample_trajectory,
     trajectory_ensemble,
 )

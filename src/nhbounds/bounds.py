@@ -9,6 +9,11 @@ Two families, each in a closed (non-Hermitian generator) and an open
 * deviation-based ("MT") bounds, built from the time-integrated generalized
   standard deviation of the full generator along the normalized trajectory.
 
+The open forms take their floors, std integrals and record-state overlaps
+from the closed code run on ``no_jump_model()``, the non-Hermitian model
+H_S - (i/2) sum L^dag L of the no-jump branch; their Bures angles and
+observable statistics use the Lindblad state.
+
 Each produces a fidelity floor, a speed limit on the Bures angle, and a
 scaled-variance (TUR-style) inequality; the classical Markov special case
 adds a Renyi-divergence speed limit and an activity-based TUR.  All checks
@@ -37,6 +42,7 @@ from .models import ClassicalMarkovModel
 from .propagation import (
     LindbladModel,
     NonHermitianModel,
+    _normalized_density,
     no_jump_state,
     evolve_lindblad,
     propagator,
@@ -149,12 +155,20 @@ def _require_commuting(model: NonHermitianModel) -> float:
     return norm
 
 
-def _evolved_density(model: NonHermitianModel, rho0: np.ndarray, t: float):
-    """(unnormalized rho(t), its trace) under M rho M^dag."""
-    m = propagator(model, t)
-    raw = m @ rho0 @ linalg.dag(m)
-    raw = 0.5 * (raw + linalg.dag(raw))
-    return raw, float(np.trace(raw).real)
+def _inv_sq_minus_one(x: float, scale: float = 1.0) -> float:
+    """(scale / x)^2 - 1, reading +inf where x vanishes or the square overflows."""
+    if x == 0.0:
+        return math.inf
+    q = scale / x
+    return q * q - 1.0
+
+
+def _expm1(x: float) -> float:
+    """exp(x) - 1, reading +inf where it overflows."""
+    try:
+        return math.expm1(x)
+    except OverflowError:
+        return math.inf
 
 
 def normalized_overlap(
@@ -164,65 +178,55 @@ def normalized_overlap(
     rho0 = as_density_matrix(state0)
     m1 = propagator(model, tau1, steps)
     m2 = propagator(model, tau2, steps)
-    num = abs(complex(np.trace(linalg.dag(m1) @ m2 @ rho0)))
-    n1 = math.sqrt(float(np.trace(m1 @ rho0 @ linalg.dag(m1)).real))
-    n2 = math.sqrt(float(np.trace(m2 @ rho0 @ linalg.dag(m2)).real))
-    return num / (n1 * n2)
+    _, tr1 = _normalized_density(m1, rho0)
+    _, tr2 = _normalized_density(m2, rho0)
+    return abs(complex(np.trace(linalg.dag(m1) @ m2 @ rho0))) / math.sqrt(tr1 * tr2)
 
 
 def _generalized_std_integral(
-    model: NonHermitianModel,
-    rho0: np.ndarray,
-    tau1: float,
-    tau2: float,
-    steps: int,
-    substeps: int = 1,
+    model: NonHermitianModel, rho0: np.ndarray, tau1: float, tau2: float, steps: int
 ) -> tuple[float, float]:
     """Simpson integral of the generalized std of the full generator.
 
-    Evaluated along the normalized trajectory between tau1 and tau2, plus
-    the doubling error estimate.
+    Evaluated along the normalized trajectory between tau1 and tau2, all
+    nodes at once, plus the doubling error estimate.
     """
     if steps % 4 != 0 or steps <= 0:
         raise BadParameter("quadrature steps must be a positive multiple of 4")
     if tau2 == tau1:
         return 0.0, 0.0
-    times, mats = propagator_span(model, tau1, tau2, steps, substeps=substeps)
-    constant = not model.is_time_dependent
-    if constant:
+    times, mats = propagator_span(model, tau1, tau2, steps)
+    rho, _ = _normalized_density(mats, rho0)
+    if model.is_time_dependent:
+        gen = np.stack([model.full_generator(t) for t in times])
+    else:
         gen = model.full_generator()
-        gen_sq = linalg.dag(gen) @ gen
-    values = np.empty(steps + 1)
-    for k in range(steps + 1):
-        if not constant:
-            gen = model.full_generator(times[k])
-            gen_sq = linalg.dag(gen) @ gen
-        raw = mats[k] @ rho0 @ linalg.dag(mats[k])
-        tr = float(np.trace(raw).real)
-        second = float(np.trace(gen_sq @ raw).real) / tr
-        mean = complex(np.trace(gen @ raw)) / tr
-        values[k] = math.sqrt(max(second - abs(mean) ** 2, 0.0))
-    return _simpson(values, (tau2 - tau1) / steps)
+    return _simpson(metrics.generalized_std(gen, rho), (tau2 - tau1) / steps)
 
 
 def _scaled_ratio_sq(
     observable: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray
 ) -> tuple[float, dict]:
-    """Squared mean-change-over-total-spread ratio of a Hermitian observable."""
+    """Squared mean-change-over-total-spread ratio of a Hermitian observable.
+
+    Raises:
+        DegenerateObservable: when both spreads vanish but the means differ
+            (the ratio is infinite).
+    """
     s_a = metrics.observable_stats(observable, DensityOperator(rho_a))
     s_b = metrics.observable_stats(observable, DensityOperator(rho_b))
     dm = s_b.mean - s_a.mean
     ds = s_b.std + s_a.std
-    if ds <= 0.0:
-        if abs(dm) <= 1e-14:
-            return 0.0, {"mean_start": s_a.mean, "mean_end": s_b.mean}
-        raise DegenerateObservable("zero spread at both times with distinct means")
     info = {
         "mean_start": s_a.mean,
         "mean_end": s_b.mean,
         "std_start": s_a.std,
         "std_end": s_b.std,
     }
+    if ds <= 0.0:
+        if abs(dm) <= 1e-14:
+            return 0.0, info
+        raise DegenerateObservable("zero spread at both times with distinct means")
     return (dm / ds) ** 2, info
 
 
@@ -230,7 +234,13 @@ def _scaled_ratio_sq(
 # closed system, mean-based (ML) family
 
 
-def _ml_ingredients(model: NonHermitianModel, state0, tau: float) -> dict:
+def _ml_ingredients(model: NonHermitianModel, state0, tau: float) -> tuple[np.ndarray, dict]:
+    """Initial state and the initial-expectation terms of the ML floor.
+
+    The open family calls this on ``no_jump_model()``, whose Gamma is half
+    the jump-rate operator: there ``floor_raw`` is the open floor
+    exp(-activity*tau/2) - tau(<H_S> - E_g).
+    """
     _require_time_independent(model, "the mean-based bound")
     comm_norm = _require_commuting(model)
     if tau < 0:
@@ -239,19 +249,22 @@ def _ml_ingredients(model: NonHermitianModel, state0, tau: float) -> dict:
     mean_h = _expectation(model.h, rho0)
     mean_g = _expectation(model.gamma, rho0)
     e_g = ground_energy(model.h)
-    _, trace_tau = _evolved_density(model, rho0, tau)
-    norm_tau = math.sqrt(max(trace_tau, 0.0))
-    raw = math.exp(-mean_g * tau) - tau * (mean_h - e_g)
-    return {
-        "rho0": rho0,
+    return rho0, {
         "tau": tau,
         "mean_h": mean_h,
         "mean_gamma": mean_g,
         "ground_energy": e_g,
-        "norm_tau": norm_tau,
-        "floor_raw": raw,
+        "floor_raw": math.exp(-mean_g * tau) - tau * (mean_h - e_g),
         "commutator_norm": comm_norm,
     }
+
+
+def _closed_ml(model: NonHermitianModel, state0, tau: float):
+    """ML ingredients plus the normalized state at tau and its norm."""
+    rho0, params = _ml_ingredients(model, state0, tau)
+    rho_tau, tr_tau = _normalized_density(propagator(model, tau), rho0)
+    params["norm_tau"] = math.sqrt(tr_tau)
+    return rho0, rho_tau, params
 
 
 def ml_fidelity_bound(model: NonHermitianModel, state0, tau: float) -> float:
@@ -260,23 +273,20 @@ def ml_fidelity_bound(model: NonHermitianModel, state0, tau: float) -> float:
     Requires a time-independent model with commuting (H, Gamma) and PSD
     Gamma; expectations are taken in the initial state.
     """
-    ing = _ml_ingredients(model, state0, tau)
-    if ing["norm_tau"] <= 1e-14:
-        raise BadParameter("evolved norm underflowed; the bound is meaningless")
-    return ing["floor_raw"] / ing["norm_tau"]
+    _, _, params = _closed_ml(model, state0, tau)
+    return params["floor_raw"] / params["norm_tau"]
 
 
 def fid_ml(model: NonHermitianModel, state0, tau: float) -> BoundReport:
     """Measured normalized overlap against the mean-based floor."""
-    ing = _ml_ingredients(model, state0, tau)
-    floor = ing["floor_raw"] / ing["norm_tau"]
+    _, _, params = _closed_ml(model, state0, tau)
+    floor = params["floor_raw"] / params["norm_tau"]
     measured = normalized_overlap(model, state0, 0.0, tau)
     conditions = (
         ("commuting_h_gamma", True),
         ("gamma_psd", True),
-        ("floor_positive", ing["floor_raw"] > 0.0),
+        ("floor_positive", params["floor_raw"] > 0.0),
     )
-    params = {k: v for k, v in ing.items() if k != "rho0"}
     params["fidelity_floor"] = floor
     return BoundReport(
         kind="fid-ml",
@@ -297,24 +307,20 @@ def qsl_ml(model: NonHermitianModel, state0, tau: float) -> BoundReport:
     ``params["simple"]`` together with the weakest linear-in-tau form and
     the geometric minimum-time estimate it implies.
     """
-    ing = _ml_ingredients(model, state0, tau)
-    raw, norm_tau, tau_ = ing["floor_raw"], ing["norm_tau"], ing["tau"]
-    de = ing["mean_h"] - ing["ground_energy"]
-    lhs = 1.0 - raw / norm_tau
-    raw_t, tr_t = _evolved_density(model, ing["rho0"], tau_)
-    angle = metrics.bures_angle(DensityOperator(ing["rho0"]), DensityOperator(raw_t / tr_t))
+    rho0, rho_tau, params = _closed_ml(model, state0, tau)
+    raw, mean_g = params["floor_raw"], params["mean_gamma"]
+    de = params["mean_h"] - params["ground_energy"]
+    lhs = 1.0 - raw / params["norm_tau"]
+    angle = metrics.bures_angle(DensityOperator(rho0), DensityOperator(rho_tau))
     rhs = 2.0 * math.sin(angle / 2.0) ** 2
     positive = raw > 0.0
-    rate_sum = de + ing["mean_gamma"]
-    simple_lhs = tau_ * de + 1.0 - math.exp(-ing["mean_gamma"] * tau_)
-    weak_lhs = tau_ * rate_sum
-    params = {k: v for k, v in ing.items() if k != "rho0"}
+    rate_sum = de + mean_g
     params.update(
         {
             "bures_angle": angle,
             "simple": {
-                "lhs": simple_lhs,
-                "weak_lhs": weak_lhs,
+                "lhs": tau * de + 1.0 - math.exp(-mean_g * tau),
+                "weak_lhs": tau * rate_sum,
                 "rhs": rhs,
                 "applicable": positive,
             },
@@ -342,21 +348,17 @@ def tur_ml(model: NonHermitianModel, state0, tau: float, observable) -> BoundRep
     ||psi(tau)||^2 / floor^2 - 1; the loose norm-free variant sits under
     ``params["loose"]``.  Applicable only while the floor is positive.
     """
-    ing = _ml_ingredients(model, state0, tau)
-    raw, norm_tau = ing["floor_raw"], ing["norm_tau"]
-    raw_t, tr_t = _evolved_density(model, ing["rho0"], tau)
+    rho0, rho_tau, params = _closed_ml(model, state0, tau)
+    raw = params["floor_raw"]
     ratio_sq, stats = _scaled_ratio_sq(
-        linalg.require_hermitian(observable, "observable"), ing["rho0"], raw_t / tr_t
+        linalg.require_hermitian(observable, "observable"), rho0, rho_tau
     )
     positive = raw > 0.0
-    lhs_tight = (norm_tau**2 / raw**2 - 1.0) if raw != 0.0 else float("inf")
-    lhs_loose = (1.0 / raw**2 - 1.0) if raw != 0.0 else float("inf")
-    params = {k: v for k, v in ing.items() if k != "rho0"}
     params.update(stats)
-    params["loose"] = {"lhs": lhs_loose, "rhs": ratio_sq, "applicable": positive}
+    params["loose"] = {"lhs": _inv_sq_minus_one(raw), "rhs": ratio_sq, "applicable": positive}
     return BoundReport(
         kind="tur-ml",
-        lhs=lhs_tight,
+        lhs=_inv_sq_minus_one(raw, params["norm_tau"]),
         rhs=ratio_sq,
         applicable=positive,
         conditions=(
@@ -413,9 +415,9 @@ def qsl_mt(
     """
     rho0 = as_density_matrix(state0)
     integral, err = _generalized_std_integral(model, rho0, tau1, tau2, steps)
-    raw1, tr1 = _evolved_density(model, rho0, tau1)
-    raw2, tr2 = _evolved_density(model, rho0, tau2)
-    angle = metrics.bures_angle(DensityOperator(raw1 / tr1), DensityOperator(raw2 / tr2))
+    rho1, _ = _normalized_density(propagator(model, tau1), rho0)
+    rho2, _ = _normalized_density(propagator(model, tau2), rho0)
+    angle = metrics.bures_angle(DensityOperator(rho1), DensityOperator(rho2))
     in_window = integral <= math.pi / 2.0 + WINDOW_TOL
     if integral > 0.0:
         tau_min = angle * (tau2 - tau1) / integral
@@ -437,39 +439,27 @@ def qsl_mt(
     )
 
 
-def energy_time_check(
-    model: NonHermitianModel, state0, t: float, observable, h: float = 1e-4
-) -> BoundReport:
+def energy_time_check(model: NonHermitianModel, state0, t: float, observable) -> BoundReport:
     """Energy-time relation: spread(C) * spread(generator) >= |d<C>/dt| / 2.
 
-    The time derivative uses a centered finite difference with step ``h``,
-    taken along the normalized trajectory.
+    The time derivative is exact along the normalized trajectory:
+    d<C>/dt = i<[H, C]> - <{C, Gamma}> + 2<C><Gamma>, with H and Gamma
+    taken at t.
     """
-    if t < h:
-        raise BadParameter("need t >= h for the centered difference")
     obs = linalg.require_hermitian(observable, "observable")
-    rho0 = as_density_matrix(state0)
-
-    def stats_at(tt: float):
-        raw, tr = _evolved_density(model, rho0, tt)
-        return raw / tr
-
-    rho_t = stats_at(t)
+    rho_t, _ = _normalized_density(propagator(model, t), as_density_matrix(state0))
+    h, g = model.parts(t)
     s_c = metrics.observable_stats(obs, DensityOperator(rho_t))
-    gen = model.full_generator(t)
-    second = float(np.trace(linalg.dag(gen) @ gen @ rho_t).real)
-    mean = complex(np.trace(gen @ rho_t))
-    std_gen = math.sqrt(max(second - abs(mean) ** 2, 0.0))
-    mean_plus = metrics.observable_stats(obs, DensityOperator(stats_at(t + h))).mean
-    mean_minus = metrics.observable_stats(obs, DensityOperator(stats_at(t - h))).mean
-    deriv = (mean_plus - mean_minus) / (2.0 * h)
+    std_gen = metrics.generalized_std(h - 1j * g, rho_t)
+    flow = 1j * (h @ obs - obs @ h) - (obs @ g + g @ obs)
+    deriv = _expectation(flow, rho_t) + 2.0 * s_c.mean * _expectation(g, rho_t)
     return BoundReport(
         kind="energy-time",
         lhs=s_c.std * std_gen,
         rhs=abs(deriv) / 2.0,
         applicable=True,
         conditions=(),
-        params={"t": t, "fd_step": h, "observable_std": s_c.std, "generator_std": std_gen,
+        params={"t": t, "observable_std": s_c.std, "generator_std": std_gen,
                 "mean_derivative": deriv},
     )
 
@@ -481,27 +471,25 @@ def tur_mt(
     tau2: float,
     observable,
     steps: int = DEFAULT_QUAD_STEPS,
-    fd_step: float = 1e-4,
 ) -> BoundReport:
     """Deviation-based scaled-variance inequality tan^2(integral) >= ratio^2.
 
     Requires the integral strictly inside the pi/2 window.  The short-time
     energy-time variant evaluated at tau2 is attached under
-    ``params["energy_time"]`` whenever tau2 >= fd_step.
+    ``params["energy_time"]``.
     """
     obs = linalg.require_hermitian(observable, "observable")
     rho0 = as_density_matrix(state0)
     integral, err = _generalized_std_integral(model, rho0, tau1, tau2, steps)
-    raw1, tr1 = _evolved_density(model, rho0, tau1)
-    raw2, tr2 = _evolved_density(model, rho0, tau2)
-    ratio_sq, stats = _scaled_ratio_sq(obs, raw1 / tr1, raw2 / tr2)
+    rho1, _ = _normalized_density(propagator(model, tau1), rho0)
+    rho2, _ = _normalized_density(propagator(model, tau2), rho0)
+    ratio_sq, stats = _scaled_ratio_sq(obs, rho1, rho2)
     in_window = integral < math.pi / 2.0
     lhs = math.tan(integral) ** 2 if in_window else float("inf")
     params = {"tau1": tau1, "tau2": tau2, "quad_err": err, "integral": integral}
     params.update(stats)
-    if tau2 >= fd_step:
-        et = energy_time_check(model, state0, tau2, obs, h=fd_step)
-        params["energy_time"] = {"lhs": et.lhs, "rhs": et.rhs, "slack": et.slack}
+    et = energy_time_check(model, state0, tau2, obs)
+    params["energy_time"] = {"lhs": et.lhs, "rhs": et.rhs, "slack": et.slack}
     return BoundReport(
         kind="tur-mt",
         lhs=lhs,
@@ -524,35 +512,9 @@ def dynamical_activity(model: LindbladModel, state0) -> float:
 
 def open_overlap(model: LindbladModel, state0, tau: float) -> float:
     """|<Psi(0)|Psi(tau)>| of the measurement record state: |Tr[M rho0]|
-    with M the no-jump propagator exp(-i H_eff tau)."""
+    with M = exp(-i H_eff tau) the propagator of ``model.no_jump_model()``."""
     rho0 = as_density_matrix(state0)
-    m = linalg.expm(-1j * tau * model.effective_hamiltonian())
-    return abs(complex(np.trace(m @ rho0)))
-
-
-def _open_ml_ingredients(model: LindbladModel, state0, tau: float) -> dict:
-    rate_op = model.jump_rate_operator()
-    norm, ok = commutator_check(model.h_s, 0.5 * (rate_op + linalg.dag(rate_op)))
-    if not ok:
-        raise CommutatorViolation(
-            f"[H_S, sum L^dag L] norm {norm:.3e} exceeds tolerance"
-        )
-    if tau < 0:
-        raise BadParameter("tau must be nonnegative")
-    rho0 = as_density_matrix(state0)
-    activity = _expectation(rate_op, rho0)
-    mean_h = _expectation(model.h_s, rho0)
-    e_g = ground_energy(model.h_s)
-    floor = math.exp(-0.5 * activity * tau) - tau * (mean_h - e_g)
-    return {
-        "rho0": rho0,
-        "tau": tau,
-        "activity": activity,
-        "mean_h_s": mean_h,
-        "ground_energy": e_g,
-        "floor": floor,
-        "commutator_norm": norm,
-    }
+    return abs(complex(np.trace(propagator(model.no_jump_model(), tau) @ rho0)))
 
 
 def ml_fidelity_bound_open(model: LindbladModel, state0, tau: float) -> float:
@@ -561,22 +523,21 @@ def ml_fidelity_bound_open(model: LindbladModel, state0, tau: float) -> float:
     Requires H_S to commute with the jump-rate operator (satisfied by the
     dephasing model, the refrigerator, and every classical embedding).
     """
-    return _open_ml_ingredients(model, state0, tau)["floor"]
+    return _ml_ingredients(model.no_jump_model(), state0, tau)[1]["floor_raw"]
 
 
 def fid_ml_open(model: LindbladModel, state0, tau: float) -> BoundReport:
     """Measured record-state overlap against the open mean-based floor."""
-    ing = _open_ml_ingredients(model, state0, tau)
-    measured = open_overlap(model, state0, tau)
-    params = {k: v for k, v in ing.items() if k != "rho0"}
+    _, params = _ml_ingredients(model.no_jump_model(), state0, tau)
+    floor = params["floor_raw"]
     return BoundReport(
         kind="fid-ml-open",
-        lhs=measured,
-        rhs=ing["floor"],
+        lhs=open_overlap(model, state0, tau),
+        rhs=floor,
         applicable=True,
         conditions=(
             ("commuting_hs_jumps", True),
-            ("floor_positive", ing["floor"] > 0.0),
+            ("floor_positive", floor > 0.0),
         ),
         params=params,
     )
@@ -585,21 +546,19 @@ def fid_ml_open(model: LindbladModel, state0, tau: float) -> BoundReport:
 def qsl_ml_open(model: LindbladModel, state0, tau: float) -> BoundReport:
     """Open mean-based speed limit against the Bures angle of the Lindblad
     endpoints (the averaged, unconditioned evolution)."""
-    ing = _open_ml_ingredients(model, state0, tau)
-    rho_tau = evolve_lindblad(model, DensityOperator(ing["rho0"]), tau)
-    angle = metrics.bures_angle(DensityOperator(ing["rho0"]), rho_tau)
-    lhs = 1.0 - ing["floor"]
-    rhs = 2.0 * math.sin(angle / 2.0) ** 2
-    params = {k: v for k, v in ing.items() if k != "rho0"}
+    rho0, params = _ml_ingredients(model.no_jump_model(), state0, tau)
+    floor = params["floor_raw"]
+    rho_tau = evolve_lindblad(model, DensityOperator(rho0), tau)
+    angle = metrics.bures_angle(DensityOperator(rho0), rho_tau)
     params["bures_angle"] = angle
     return BoundReport(
         kind="qsl-ml-open",
-        lhs=lhs,
-        rhs=rhs,
+        lhs=1.0 - floor,
+        rhs=2.0 * math.sin(angle / 2.0) ** 2,
         applicable=True,
         conditions=(
             ("commuting_hs_jumps", True),
-            ("floor_positive", ing["floor"] > 0.0),
+            ("floor_positive", floor > 0.0),
         ),
         params=params,
     )
@@ -665,18 +624,17 @@ def tur_ml_open(model: LindbladModel, state0, tau: float, observable) -> BoundRe
     classical embeddings (H_S = 0) the lhs reduces to
     exp(activity * tau) - 1; that specialized value is attached in params.
     """
-    ing = _open_ml_ingredients(model, state0, tau)
-    floor = ing["floor"]
+    _, params = _ml_ingredients(model.no_jump_model(), state0, tau)
+    floor = params["floor_raw"]
     positive = floor > 0.0
     ratio_sq, stats = _open_ratio_sq(model, state0, tau, observable)
-    lhs = (1.0 / floor**2 - 1.0) if floor != 0.0 else float("inf")
-    params = {k: v for k, v in ing.items() if k != "rho0"}
     params.update(stats)
     if linalg.max_abs(model.h_s) <= 1e-12:
-        params["classical_form_lhs"] = math.expm1(ing["activity"] * tau)
+        # the no-jump Gamma is half the jump-rate operator
+        params["classical_form_lhs"] = _expm1(2.0 * params["mean_gamma"] * tau)
     return BoundReport(
         kind="tur-ml-open",
-        lhs=lhs,
+        lhs=_inv_sq_minus_one(floor),
         rhs=ratio_sq,
         applicable=positive,
         conditions=(
@@ -687,25 +645,23 @@ def tur_ml_open(model: LindbladModel, state0, tau: float, observable) -> BoundRe
     )
 
 
-def _no_jump_std_integral(
-    model: LindbladModel, rho0: np.ndarray, tau: float, steps: int
-) -> tuple[float, float]:
-    """Integral of the H_eff standard deviation along the no-jump state.
+def _open_mt_ingredients(model: LindbladModel, state0, tau: float, steps: int):
+    """Initial state, integrated H_eff std with its error, and survival weight.
 
     The no-jump conditioned state is exactly the normalized trajectory of
-    the equivalent non-Hermitian model, so the closed-system quadrature is
-    reused with the full (non-Hermitian) effective generator.
+    ``model.no_jump_model()``, so the closed-system quadrature is reused
+    with the full (non-Hermitian) effective generator.
     """
-    return _generalized_std_integral(model.no_jump_model(), rho0, 0.0, tau, steps)
+    rho0 = as_density_matrix(state0)
+    integral, err = _generalized_std_integral(model.no_jump_model(), rho0, 0.0, tau, steps)
+    return rho0, integral, err, no_jump_state(model, rho0, tau).weight
 
 
 def mt_fidelity_bound_open(
     model: LindbladModel, state0, tau: float, steps: int = DEFAULT_QUAD_STEPS
 ) -> float:
     """Open deviation-based floor sqrt(Z(tau)) * cos(integrated H_eff std)."""
-    rho0 = as_density_matrix(state0)
-    integral, _ = _no_jump_std_integral(model, rho0, tau, steps)
-    z = no_jump_state(model, DensityOperator(rho0), tau).weight
+    _, integral, _, z = _open_mt_ingredients(model, state0, tau, steps)
     return math.sqrt(z) * math.cos(integral)
 
 
@@ -713,9 +669,7 @@ def fid_mt_open(
     model: LindbladModel, state0, tau: float, steps: int = DEFAULT_QUAD_STEPS
 ) -> BoundReport:
     """Measured record-state overlap against the open deviation-based floor."""
-    rho0 = as_density_matrix(state0)
-    integral, err = _no_jump_std_integral(model, rho0, tau, steps)
-    z = no_jump_state(model, DensityOperator(rho0), tau).weight
+    _, integral, err, z = _open_mt_ingredients(model, state0, tau, steps)
     in_window = integral <= math.pi / 2.0 + WINDOW_TOL
     return BoundReport(
         kind="fid-mt-open",
@@ -739,9 +693,7 @@ def qsl_mt_open(
     pre-monotonicity rhs (arccos of the normalized no-jump overlap) is
     always attached in params.
     """
-    rho0 = as_density_matrix(state0)
-    integral, err = _no_jump_std_integral(model, rho0, tau, steps)
-    z = no_jump_state(model, DensityOperator(rho0), tau).weight
+    rho0, integral, err, z = _open_mt_ingredients(model, state0, tau, steps)
     fid = metrics.fidelity(DensityOperator(rho0), evolve_lindblad(model, DensityOperator(rho0), tau))
     ratio = fid / z
     fid_ok = ratio <= 1.0 + 1e-10
@@ -778,9 +730,7 @@ def tur_mt_open(
     pseudo-state alternative is noted in params.  Jump-count statistics work
     as in :func:`tur_ml_open`.
     """
-    rho0 = as_density_matrix(state0)
-    integral, err = _no_jump_std_integral(model, rho0, tau, steps)
-    z = no_jump_state(model, DensityOperator(rho0), tau).weight
+    _, integral, err, z = _open_mt_ingredients(model, state0, tau, steps)
     in_window = integral < math.pi / 2.0
     lhs = (1.0 / (z * math.cos(integral) ** 2) - 1.0) if in_window else float("inf")
     ratio_sq, stats = _open_ratio_sq(model, state0, tau, observable)
@@ -832,38 +782,16 @@ def tur_classical(chain: ClassicalMarkovModel, tau: float, observable) -> BoundR
     c = np.asarray(observable, dtype=float).reshape(-1)
     if c.size != chain.n_states:
         raise BadParameter("observable length differs from the state count")
-    p0 = chain.p0 / chain.p0.sum()
     pt = chain.propagate(tau)
-    pt = pt / pt.sum()
-
-    def stats(p):
-        mean = float(c @ p)
-        var = max(float((c**2) @ p) - mean**2, 0.0)
-        return mean, math.sqrt(var)
-
-    m0, s0 = stats(p0)
-    mt, st = stats(pt)
-    dm, ds = mt - m0, st + s0
-    if ds <= 0.0:
-        if abs(dm) <= 1e-14:
-            ratio_sq = 0.0
-        else:
-            raise DegenerateObservable("zero spread at both times with distinct means")
-    else:
-        ratio_sq = (dm / ds) ** 2
+    ratio_sq, stats = _scaled_ratio_sq(
+        np.diag(c), np.diag(chain.p0 / chain.p0.sum()), np.diag(pt / pt.sum())
+    )
     activity = chain.activity()
     return BoundReport(
         kind="tur-classical",
-        lhs=math.expm1(activity * tau),
+        lhs=_expm1(activity * tau),
         rhs=ratio_sq,
         applicable=True,
         conditions=(),
-        params={
-            "tau": tau,
-            "activity": activity,
-            "mean_start": m0,
-            "mean_end": mt,
-            "std_start": s0,
-            "std_end": st,
-        },
+        params={"tau": tau, "activity": activity, **stats},
     )

@@ -46,11 +46,6 @@ class NonPositiveGamma(SimulationError):
     """The Hermitian decay operator has a materially negative eigenvalue."""
 
 
-class StepTooLarge(SimulationError):
-    """A single Kraus step was requested with a step size outside the
-    first-order validity regime."""
-
-
 class IntegratorDiverged(SimulationError):
     """A propagated density operator failed its trace/positivity checks."""
 

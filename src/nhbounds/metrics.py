@@ -1,9 +1,8 @@
 """Distances and statistics on states and observables.
 
-Uhlmann fidelity, Bures angle, observable moments (Hermitian and the
-generalized non-Hermitian standard deviation), the Hellinger-type overlap
-ceiling built from two sets of moments, and Renyi divergences between
-classical distributions.
+Uhlmann fidelity, Bures angle, observable moments (Hermitian, and the
+generalized standard deviation of a non-Hermitian operator, vectorized over
+stacks of states), and Renyi divergences between classical distributions.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateObservable, HermiticityViolation, NotDistribution
+from .errors import HermiticityViolation, NotDistribution, ShapeError
 from .states import DensityOperator, StateVector, as_density_matrix
 
 
@@ -25,12 +24,20 @@ class ObservableStats:
     std: float
 
 
+def _square(a) -> np.ndarray:
+    """Complex square matrix, or a stack of them along leading axes."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ShapeError(f"expected square matrices, got shape {m.shape}")
+    return m
+
+
 def _rho(state) -> np.ndarray:
     if isinstance(state, DensityOperator):
         return state.matrix
     if isinstance(state, StateVector):
         return as_density_matrix(state)
-    return linalg.as_matrix(state)
+    return _square(state)
 
 
 def fidelity(rho1, rho2) -> float:
@@ -84,40 +91,25 @@ def observable_stats(c, state) -> ObservableStats:
     return ObservableStats(mean=mean_c.real, std=float(np.sqrt(var)))
 
 
-def generalized_std(op, state) -> float:
-    """Standard deviation sqrt(<O^dag O> - |<O>|^2) for an arbitrary operator.
+def generalized_std(op, state):
+    """Standard deviation sqrt(<(O - <O>)^dag (O - <O>)>) of any operator.
 
-    Reduces to ``observable_stats(...).std`` when ``op`` is Hermitian.  The
-    value is invariant under shifts ``op -> op - lam*I`` (the direct formula
-    cancels the shift for any complex ``lam``).
+    Reduces to ``observable_stats(...).std`` when ``op`` is Hermitian and is
+    invariant under shifts ``op -> op - lam*I`` for any complex ``lam``.
+    The centered form has no cancellation: it is exactly 0 up to the
+    rounding of ``<O>`` when the state is an eigenstate, where the one-pass
+    form sqrt(<O^dag O> - |<O>|^2) carries sqrt(machine-eps) noise.
+
+    ``op`` and ``state`` may also be stacks along a leading axis (operators
+    and unit-trace density matrices); the stds then come back as an array.
     """
-    o = linalg.as_matrix(op)
+    o = _square(op)
     rho = _rho(state)
-    second = float(np.trace(linalg.dag(o) @ o @ rho).real)
-    mean = complex(np.trace(o @ rho))
-    var = max(second - abs(mean) ** 2, 0.0)
-    return float(np.sqrt(var))
-
-
-def overlap_upper_bound(stats1: ObservableStats, stats2: ObservableStats) -> float:
-    """Hellinger-type ceiling on the overlap of two states, from moments.
-
-    Returns ``[((m1 - m2) / (s1 + s2))^2 + 1]^(-1/2)``; exactly 1 when the
-    means coincide (including the zero-spread limit).
-
-    Raises:
-        DegenerateObservable: when both spreads vanish but the means differ
-            (the ratio is infinite and the ceiling degenerates to 0).
-    """
-    dm = stats1.mean - stats2.mean
-    ds = stats1.std + stats2.std
-    if ds <= 0.0:
-        if abs(dm) <= 1e-14:
-            return 1.0
-        raise DegenerateObservable(
-            f"zero spread with distinct means ({stats1.mean}, {stats2.mean})"
-        )
-    return float(1.0 / np.sqrt((dm / ds) ** 2 + 1.0))
+    mean = np.einsum("...ij,...ji->...", o, rho)
+    dev = o - mean[..., None, None] * np.eye(o.shape[-1])
+    var = np.einsum("...ki,...ki->...", np.conj(dev), dev @ rho).real
+    std = np.sqrt(np.maximum(var, 0.0))
+    return float(std) if std.ndim == 0 else std
 
 
 def _check_distribution(p) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Time evolution engines.
 
 Closed-form non-Hermitian propagation (exact matrix exponential for constant
-generators, midpoint exponential product for time-dependent ones), the
-Lindblad master equation via the exact vectorized-Liouvillian exponential,
-single Kraus steps, exact-in-time (waiting-time) quantum-jump trajectory
-sampling with per-trajectory RNG streams, and the no-jump conditioned state
-with its survival weight.
+generators, midpoint exponential product for time-dependent ones) and the
+normalized state M rho0 M^dag / Tr it carries, the Lindblad master equation
+via the exact vectorized-Liouvillian exponential, exact-in-time
+(waiting-time) quantum-jump trajectory sampling with per-trajectory RNG
+streams, and the no-jump conditioned state with its survival weight, which
+is the normalized state of the equivalent non-Hermitian model.
 
 Units: hbar = 1 throughout.
 """
@@ -25,7 +26,6 @@ from .errors import (
     NonPositiveGamma,
     NormUnderflow,
     ShapeError,
-    StepTooLarge,
 )
 from .states import DensityOperator, StateVector, as_density_matrix, normalize
 
@@ -201,34 +201,15 @@ def propagator(model: NonHermitianModel, t: float, steps: int | None = None) -> 
     return out
 
 
-def propagator_with_error(
-    model: NonHermitianModel, t: float, steps: int | None = None
-) -> tuple[np.ndarray, float]:
-    """Propagator plus a Richardson step-halving error estimate.
-
-    For constant generators the propagator is exact and the estimate is 0.
-    """
-    full = propagator(model, t, steps)
-    if not model.is_time_dependent or t == 0:
-        return full, 0.0
-    n = int(steps) if steps else DEFAULT_TD_STEPS
-    half = propagator(model, t, max(n // 2, 1))
-    return full, linalg.max_abs(full - half)
-
-
 def propagator_span(
-    model: NonHermitianModel,
-    t1: float,
-    t2: float,
-    n: int,
-    substeps: int = 1,
+    model: NonHermitianModel, t1: float, t2: float, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Propagators from time 0 to each node of a uniform grid over [t1, t2].
 
     Returns ``(times, mats)`` with ``times`` of length ``n + 1`` and
     ``mats[k]`` the propagator at ``times[k]``.  For constant generators the
-    node-to-node factor is one exact exponential; for time-dependent ones
-    each interval is covered by ``substeps`` midpoint steps.
+    node-to-node factor is one exact exponential; for time-dependent ones it
+    is one midpoint exponential per interval.
     """
     if t2 < t1 or t1 < 0:
         raise BadParameter("need 0 <= t1 <= t2")
@@ -240,18 +221,26 @@ def propagator_span(
     dt = (t2 - t1) / n
     if not model.is_time_dependent:
         step = linalg.expm(-1j * dt * model.full_generator())
-        for k in range(n):
-            mats[k + 1] = step @ mats[k]
-        return times, mats
-    sub = max(int(substeps), 1)
-    h = dt / sub
     for k in range(n):
-        acc = mats[k]
-        for j in range(sub):
-            mid = times[k] + (j + 0.5) * h
-            acc = linalg.expm(-1j * h * model.full_generator(mid)) @ acc
-        mats[k + 1] = acc
+        if model.is_time_dependent:
+            step = linalg.expm(-1j * dt * model.full_generator(times[k] + 0.5 * dt))
+        mats[k + 1] = step @ mats[k]
     return times, mats
+
+
+def _normalized_density(m: np.ndarray, rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(M rho0 M^dag / Tr, Tr)`` for one propagator or a stack of them.
+
+    Raises:
+        NormUnderflow: if a trace is at or below 1e-14 (the decaying branch
+            is gone and the normalized state is meaningless).
+    """
+    raw = m @ rho0 @ np.conj(np.swapaxes(m, -1, -2))
+    raw = 0.5 * (raw + np.conj(np.swapaxes(raw, -1, -2)))
+    tr = np.trace(raw, axis1=-2, axis2=-1).real
+    if not np.all(tr > 1e-14):
+        raise NormUnderflow(f"evolved trace {np.min(tr):.3e} underflowed")
+    return raw / tr[..., None, None], tr
 
 
 def evolve_nonhermitian(
@@ -267,21 +256,6 @@ def evolve_nonhermitian(
     if n <= 1e-14:
         raise NormUnderflow(f"evolved state norm {n:.3e} underflowed")
     return StateVector(amp)
-
-
-def evolve_density_nonhermitian(
-    model: NonHermitianModel, rho0: DensityOperator, t: float, steps: int | None = None
-) -> DensityOperator:
-    """Evolve a density operator as M rho0 M^dag (unnormalized output)."""
-    if rho0.dim != model.dim:
-        raise ShapeError("state dimension differs from model dimension")
-    m = propagator(model, t, steps)
-    out = m @ rho0.matrix @ linalg.dag(m)
-    out = 0.5 * (out + linalg.dag(out))
-    tr = float(np.trace(out).real)
-    if tr <= 1e-14:
-        raise NormUnderflow(f"evolved density trace {tr:.3e} underflowed")
-    return DensityOperator(out, trace_normalized=False)
 
 
 # ---------------------------------------------------------------------------
@@ -324,30 +298,6 @@ def evolve_lindblad(model: LindbladModel, rho0: DensityOperator, t: float) -> De
         w2 = np.clip(w2, 0.0, None)
         out = (v * (w2 / w2.sum())) @ linalg.dag(v)
     return DensityOperator(out)
-
-
-def kraus_operators(model: LindbladModel, dt: float) -> list[np.ndarray]:
-    """First-order Kraus set: V0 = I - i dt H_eff, V_m = sqrt(dt) L_m."""
-    if dt <= 0:
-        raise BadParameter("dt must be positive")
-    v0 = np.eye(model.dim, dtype=complex) - 1j * dt * model.effective_hamiltonian()
-    return [v0] + [math.sqrt(dt) * l for l in model.jumps]
-
-
-def kraus_step(model: LindbladModel, rho: DensityOperator, dt: float) -> DensityOperator:
-    """One first-order Kraus map application; trace deviates at O(dt^2).
-
-    Raises:
-        StepTooLarge: if dt * ||H_eff|| exceeds 0.1.
-    """
-    heff = model.effective_hamiltonian()
-    if dt * float(np.linalg.norm(heff, 2)) > 0.1:
-        raise StepTooLarge(f"dt={dt!r} violates dt*||H_eff|| <= 0.1")
-    out = np.zeros((model.dim, model.dim), dtype=complex)
-    for v in kraus_operators(model, dt):
-        out += v @ rho.matrix @ linalg.dag(v)
-    out = 0.5 * (out + linalg.dag(out))
-    return DensityOperator(out, trace_normalized=False)
 
 
 # ---------------------------------------------------------------------------
@@ -590,29 +540,15 @@ def trajectory_ensemble(
 def no_jump_state(model: LindbladModel, rho0: DensityOperator, t: float) -> NoJumpState:
     """No-jump conditioned state M rho0 M^dag / Z with M = exp(-i H_eff t).
 
-    ``Z`` is the survival weight Tr[M rho0 M^dag]; it equals the squared norm
-    of the no-jump branch for pure initial states.
+    This is the normalized state of ``model.no_jump_model()``.  ``Z`` is the
+    survival weight Tr[M rho0 M^dag]; it equals the squared norm of the
+    no-jump branch for pure initial states.
 
     Raises:
-        NormUnderflow: if Z falls below 1e-14.
+        NormUnderflow: if Z falls to 1e-14 or below.
     """
     rho = as_density_matrix(rho0)
     if rho.shape[0] != model.dim:
         raise ShapeError("state dimension differs from model dimension")
-    m = linalg.expm(-1j * t * model.effective_hamiltonian())
-    raw = m @ rho @ linalg.dag(m)
-    raw = 0.5 * (raw + linalg.dag(raw))
-    z = float(np.trace(raw).real)
-    if z <= 1e-14:
-        raise NormUnderflow(f"survival weight {z:.3e} underflowed")
-    return NoJumpState(state=DensityOperator(raw / z), weight=z)
-
-
-def no_jump_heff_std(model: LindbladModel, rho0: DensityOperator, t: float) -> float:
-    """Standard deviation of H_eff in the no-jump conditioned state at time t."""
-    cond = no_jump_state(model, rho0, t)
-    heff = model.effective_hamiltonian()
-    rho = cond.state.matrix
-    second = float(np.trace(linalg.dag(heff) @ heff @ rho).real)
-    mean = complex(np.trace(heff @ rho))
-    return float(np.sqrt(max(second - abs(mean) ** 2, 0.0)))
+    state, z = _normalized_density(propagator(model.no_jump_model(), t), rho)
+    return NoJumpState(state=DensityOperator(state), weight=float(z))

@@ -29,7 +29,8 @@ from nhbounds import (
     tur_mt,
 )
 from nhbounds import linalg
-from nhbounds.errors import BadParameter, CommutatorViolation
+from nhbounds.bounds import _scaled_ratio_sq
+from nhbounds.errors import BadParameter, CommutatorViolation, DegenerateObservable
 from nhbounds.models import random_hermitian
 from conftest import SX, SZ, p1_closed
 
@@ -67,6 +68,20 @@ def test_ground_energy_matches_spectrum():
     rng = np.random.default_rng(41)
     h = random_hermitian(4, rng, 2.0)
     assert ground_energy(h) == pytest.approx(float(np.linalg.eigvalsh(h)[0]), abs=1e-12)
+
+
+class TestScaledRatio:
+    """Zero-spread branch of the mean-change-over-total-spread ratio."""
+
+    def test_zero_spread_equal_means(self):
+        rho = np.diag([0.0, 1.0]).astype(complex)
+        ratio_sq, stats = _scaled_ratio_sq(PROJ1, rho, rho)
+        assert ratio_sq == 0.0
+        assert stats["std_start"] == stats["std_end"] == 0.0
+
+    def test_degenerate(self):
+        with pytest.raises(DegenerateObservable):
+            _scaled_ratio_sq(PROJ1, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
 
 
 class TestMlFidelityBound:
@@ -251,9 +266,9 @@ class TestTurMt:
     def test_energy_time_against_analytic_derivative(self, two_level_model):
         # d<P1>/dt = -p(1-p) for the worked model
         t = 0.25
-        rep = energy_time_check(two_level_model, PLUS, t, PROJ1, h=1e-4)
+        rep = energy_time_check(two_level_model, PLUS, t, PROJ1)
         p = p1_closed(t)
-        assert rep.params["mean_derivative"] == pytest.approx(-p * (1 - p), abs=1e-6)
+        assert rep.params["mean_derivative"] == pytest.approx(-p * (1 - p), abs=1e-12)
         assert rep.lhs == pytest.approx(
             math.sqrt(p * (1 - p)) * math.sqrt(1.25 * p * (1 - p)), abs=1e-9
         )
@@ -264,8 +279,8 @@ class TestTurMt:
         model = rabi_model()
         psi0 = StateVector(np.array([1.0, 0.0]))
         proj0 = np.diag([1.0, 0.0]).astype(complex)
-        rep = energy_time_check(model, psi0, 0.3, proj0, h=1e-5)
-        assert rep.slack == pytest.approx(0.0, abs=1e-8)
+        rep = energy_time_check(model, psi0, 0.3, proj0)
+        assert rep.slack == pytest.approx(0.0, abs=1e-12)
 
     def test_window_exceeded_flagged(self):
         model = rabi_model(omega=4.0)

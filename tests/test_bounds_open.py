@@ -280,6 +280,32 @@ class TestTurMtOpen:
         assert rep.params["observable_convention"] == "lindblad-state"
 
 
+class TestZeroStdQuadrature:
+    """Where the no-jump state is an eigenstate of H_eff the integrand is
+    exactly zero, so the reported integral must lie within its quad_err."""
+
+    @staticmethod
+    def assert_within_quad_err(model, state, tau):
+        for rep in (fid_mt_open(model, state, tau), qsl_mt_open(model, state, tau)):
+            integral = rep.params.get("integral", rep.lhs)
+            assert 0.0 <= integral <= rep.params["quad_err"], (rep.kind, tau, integral)
+
+    def test_dephasing(self):
+        model = make_dephasing(0.817)
+        for tau in (0.4, 1.6):
+            for state in (PLUS, random_density(2, 1), random_density(2, 2)):
+                self.assert_within_quad_err(model, state, tau)
+
+    def test_classical_chain_from_basis_state(self):
+        rates = np.array([[0.0, 0.7, 0.3], [0.4, 0.0, 1.1], [0.9, 0.2, 0.0]])
+        for k in range(3):
+            chain = ClassicalMarkovModel(rates, np.eye(3)[k])
+            for tau in (0.4, 1.6):
+                self.assert_within_quad_err(
+                    make_classical(chain), classical_initial_density(chain), tau
+                )
+
+
 class TestClassicalBounds:
     def test_speed_limit_two_state_values(self):
         chain = two_state_chain()

@@ -163,6 +163,42 @@ class TestCheckCommand:
         mt_ts = [float(r["t"]) for r in rows if r["bound"] == "qsl-mt"]
         assert 0.3 in mt_ts
 
+    def test_short_window_emits_energy_time(self, tmp_path):
+        # the energy-time derivative is exact, so any window end has its row
+        out = tmp_path / "short.csv"
+        code = cli.main(
+            [
+                "check",
+                "--model", "builtin:random-commuting?dim=2&seed=11&gamma_scale=0.3",
+                "--state", "plus",
+                "--bounds", "mt",
+                "--t-final", "0.5",
+                "--steps", "1",
+                "--tau1", "0.0",
+                "--tau2", "5e-5",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        rows = [r for r in read_rows(out) if r["bound"] == "energy-time"]
+        assert sorted(float(r["t"]) for r in rows) == [5e-5, 0.5]
+
+    def test_fd_step_is_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                [
+                    "check",
+                    "--model", "builtin:random-commuting?dim=2&seed=11",
+                    "--state", "plus",
+                    "--bounds", "mt",
+                    "--t-final", "0.5",
+                    "--steps", "1",
+                    "--fd-step", "1e-4",
+                    "--out", str(tmp_path / "x.csv"),
+                ]
+            )
+        assert exc.value.code == 2
+
     def test_vacuous_rows_exit_zero(self, tmp_path):
         # large energy gap: the positivity condition fails at these times
         out = tmp_path / "vacuous.csv"

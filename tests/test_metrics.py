@@ -5,17 +5,15 @@ from hypothesis import strategies as st
 
 from nhbounds import (
     DensityOperator,
-    ObservableStats,
     StateVector,
     bures_angle,
     fidelity,
     generalized_std,
     observable_stats,
-    overlap_upper_bound,
     renyi_divergence,
     renyi_half,
 )
-from nhbounds.errors import DegenerateObservable, HermiticityViolation, NotDistribution
+from nhbounds.errors import HermiticityViolation, NotDistribution
 from nhbounds.models import random_density, random_pure_state
 
 
@@ -118,7 +116,7 @@ class TestObservableStats:
 class TestGeneralizedStd:
     def test_scalar_operator(self):
         psi = random_pure_state(3, 8)
-        assert generalized_std((0.3 - 2.0j) * np.eye(3), psi) == pytest.approx(0.0, abs=1e-7)
+        assert generalized_std((0.3 - 2.0j) * np.eye(3), psi) == pytest.approx(0.0, abs=1e-14)
 
     def test_hermitian_consistency(self):
         rng = np.random.default_rng(12)
@@ -143,33 +141,6 @@ class TestGeneralizedStd:
         base = generalized_std(o, psi)
         for lam in (-2.0, 0.7, 13.5):
             assert generalized_std(o - lam * np.eye(3), psi) == pytest.approx(base, abs=1e-10)
-
-
-class TestOverlapUpperBound:
-    def test_equal_stats(self):
-        s = ObservableStats(0.3, 0.1)
-        assert overlap_upper_bound(s, s) == pytest.approx(1.0)
-
-    def test_unit_ratio(self):
-        out = overlap_upper_bound(ObservableStats(0.0, 0.5), ObservableStats(1.0, 0.5))
-        assert out == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
-        assert out == pytest.approx(0.70711, abs=5e-6)
-
-    def test_worked_example(self):
-        p1 = np.exp(-0.5) / (1.0 + np.exp(-0.5))
-        out = overlap_upper_bound(
-            ObservableStats(0.5, 0.5), ObservableStats(p1, np.sqrt(p1 * (1 - p1)))
-        )
-        ratio_sq = ((0.5 - p1) / (0.5 + np.sqrt(p1 * (1 - p1)))) ** 2
-        assert out == pytest.approx(1.0 / np.sqrt(1.0 + ratio_sq), abs=1e-14)
-        assert out == pytest.approx(0.99236, abs=5e-6)
-
-    def test_zero_spread_equal_means(self):
-        assert overlap_upper_bound(ObservableStats(1.0, 0.0), ObservableStats(1.0, 0.0)) == 1.0
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateObservable):
-            overlap_upper_bound(ObservableStats(0.0, 0.0), ObservableStats(1.0, 0.0))
 
 
 class TestRenyi:

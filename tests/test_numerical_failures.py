@@ -1,0 +1,135 @@
+"""Numerical failures end as a report value or a SimulationError, never a traceback.
+
+Three strong-decay inputs, each at the API and through ``nhbounds check``,
+plus a fuzz test that runs the CLI in-process over closed and Lindblad
+models with decay scales up to 1e3.
+"""
+
+import csv
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from nhbounds import (
+    LindbladModel,
+    NonHermitianModel,
+    StateVector,
+    cli,
+    fid_ml,
+    fid_mt,
+    qsl_ml,
+    qsl_mt,
+    random_diagonal_jump_lindblad,
+    serialize,
+    tur_ml,
+    tur_ml_open,
+)
+from nhbounds.errors import NormUnderflow
+
+PLUS = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
+PROJ1 = np.diag([0.0, 1.0]).astype(complex)
+STRONG_GAMMA = np.diag([0.0, 400.0]).astype(complex)
+# nearly all weight on the fast-decaying level: the trace underflows by t = 2
+DECAYING = StateVector(np.array([1e-200, 1.0]))
+
+
+def flat_decay_model():
+    return NonHermitianModel(np.zeros((2, 2)), STRONG_GAMMA)
+
+
+def strong_jump_model():
+    return LindbladModel(np.zeros((2, 2)), (28.3 * PROJ1,))
+
+
+def run_check(tmp_path, model, bounds, initial=None, state=None):
+    model_file = tmp_path / "model.json"
+    serialize.save_model(model_file, model, initial)
+    out = tmp_path / "out.csv"
+    argv = ["check", "--model", str(model_file), "--bounds", bounds,
+            "--t-final", "2.0", "--steps", "1", "--out", str(out)]
+    if state is not None:
+        argv += ["--state", state]
+    return cli.main(argv), out
+
+
+def row(out, kind):
+    with open(out, newline="") as fh:
+        return next(r for r in csv.DictReader(fh) if r["bound"] == kind)
+
+
+class TestNormUnderflow:
+    """Gamma = diag(0, 400) from [1e-200, 1]: the evolved trace underflows."""
+
+    @pytest.mark.parametrize("report", [fid_ml, qsl_ml])
+    def test_ml_reports_raise(self, report):
+        with pytest.raises(NormUnderflow):
+            report(flat_decay_model(), DECAYING, 2.0)
+
+    @pytest.mark.parametrize("report", [fid_mt, qsl_mt])
+    def test_mt_reports_raise(self, report):
+        with pytest.raises(NormUnderflow):
+            report(flat_decay_model(), DECAYING, 0.0, 2.0)
+
+    def test_cli_exits_two(self, tmp_path, capsys):
+        code, _ = run_check(tmp_path, flat_decay_model(), "ml,mt", initial=DECAYING)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
+
+
+class TestVanishingFloor:
+    """A floor near exp(-400) has an underflowing square: the lhs reads +inf."""
+
+    def test_tur_ml(self):
+        rep = tur_ml(flat_decay_model(), PLUS, 2.0, PROJ1)
+        assert rep.applicable
+        assert rep.lhs == math.inf and rep.params["loose"]["lhs"] == math.inf
+
+    def test_tur_ml_cli(self, tmp_path):
+        code, out = run_check(tmp_path, flat_decay_model(), "ml", state="plus")
+        assert code == 0
+        assert float(row(out, "tur-ml")["lhs"]) == math.inf
+
+    def test_tur_ml_open(self):
+        rep = tur_ml_open(strong_jump_model(), PLUS, 2.0, PROJ1)
+        assert rep.applicable
+        assert rep.lhs == math.inf and rep.params["classical_form_lhs"] == math.inf
+
+    def test_tur_ml_open_cli(self, tmp_path):
+        code, out = run_check(tmp_path, strong_jump_model(), "ml-open", state="plus")
+        assert code == 0
+        assert float(row(out, "tur-ml-open")["lhs"]) == math.inf
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+# the trace at a quadrature node underflows to 0 (ZeroDivisionError in earlier versions)
+@example(lindblad=False, dim=2, seed=378, log_decay=2.786558207555677,
+         t_final=2.786558207555677, state="basis:0")
+@given(
+    lindblad=st.booleans(),
+    dim=st.integers(min_value=2, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**16),
+    log_decay=st.floats(min_value=-3.0, max_value=3.0),
+    t_final=st.floats(min_value=1e-3, max_value=4.0),
+    state=st.sampled_from(["plus", "maxmixed", "basis:0", "basis:1"]),
+)
+def test_check_exits_cleanly(lindblad, dim, seed, log_decay, t_final, state):
+    decay = 10.0**log_decay
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if lindblad:
+            model_file = tmp / "model.json"
+            serialize.save_model(model_file, random_diagonal_jump_lindblad(dim, seed, decay))
+            model, bounds = str(model_file), "ml-open,mt-open"
+        else:
+            model = f"builtin:random-commuting?dim={dim}&seed={seed}&gamma_scale={decay!r}"
+            bounds = "ml,mt"
+        code = cli.main(["check", "--model", model, "--state", state, "--bounds", bounds,
+                         "--t-final", repr(t_final), "--steps", "2",
+                         "--out", str(tmp / "out.csv")])
+    assert code in (0, 1, 2)

@@ -9,27 +9,24 @@ from nhbounds import (
     LindbladModel,
     NonHermitianModel,
     StateVector,
-    evolve_density_nonhermitian,
     evolve_lindblad,
     evolve_nonhermitian,
-    kraus_operators,
-    kraus_step,
+    generalized_std,
     liouvillian,
     make_classical,
     make_dephasing,
     make_refrigerator,
-    no_jump_heff_std,
     no_jump_state,
     propagator,
-    propagator_with_error,
     pure_density,
     purify,
     random_commuting,
     random_density,
 )
 from nhbounds import linalg
-from nhbounds.errors import NonPositiveGamma, NormUnderflow, StepTooLarge
+from nhbounds.errors import NonPositiveGamma, NormUnderflow
 from nhbounds.models import ClassicalMarkovModel
+from nhbounds.propagation import _normalized_density
 from conftest import SX, SZ, expm_2x2, tree_product
 
 
@@ -111,43 +108,30 @@ class TestEvolveNonHermitian:
         got = propagator(model, t_final, steps=1000)
         assert np.max(np.abs(got - oracle)) <= 1e-6
 
-    def test_richardson_estimate_bounds_error(self):
-        def parts(t):
-            h = 0.5 * math.sin(t) * SX
-            g = 0.2 * (1 + math.cos(t) ** 2) * np.diag([1.0, 0.0])
-            return h, g.astype(complex)
-
-        model = NonHermitianModel(*parts(0.0), time_dependence=parts)
-        got, est = propagator_with_error(model, 1.0, steps=400)
-        n = 100_000
-        dt = 1.0 / n
-        mids = (np.arange(n) + 0.5) * dt
-        gens = np.stack([-1j * dt * (parts(s)[0] - 1j * parts(s)[1]) for s in mids])
-        truth = tree_product(expm_2x2(gens))
-        assert np.max(np.abs(got - truth)) <= est + 1e-12
-
 
 class TestEvolveDensityNonHermitian:
+    """M rho0 M^dag, through the normalized state and its trace."""
+
     def test_unitary_conjugation(self):
         model = NonHermitianModel(SZ, np.zeros((2, 2)))
         rho0 = random_density(2, 3)
-        out = evolve_density_nonhermitian(model, rho0, 1.2)
-        assert out.trace() == pytest.approx(1.0, abs=1e-12)
+        out, tr = _normalized_density(propagator(model, 1.2), rho0.matrix)
+        assert tr == pytest.approx(1.0, abs=1e-12)
         u = linalg.expm(-1.2j * SZ)
-        assert np.max(np.abs(out.matrix - u @ rho0.matrix @ u.conj().T)) <= 1e-12
+        assert np.max(np.abs(out - u @ rho0.matrix @ u.conj().T)) <= 1e-12
 
     def test_pure_state_consistency(self, two_level_model, plus_state):
         psi_t = evolve_nonhermitian(two_level_model, plus_state, 0.7)
-        rho_t = evolve_density_nonhermitian(
-            two_level_model, pure_density(plus_state), 0.7
+        rho_t, tr = _normalized_density(
+            propagator(two_level_model, 0.7), pure_density(plus_state).matrix
         )
         outer = np.outer(psi_t.amplitudes, psi_t.amplitudes.conj())
-        assert np.max(np.abs(rho_t.matrix - outer)) <= 1e-10
+        assert np.max(np.abs(tr * rho_t - outer)) <= 1e-10
 
     def test_purification_route(self, two_level_model):
         rho0 = random_density(2, 8)
         t = 0.6
-        direct = evolve_density_nonhermitian(two_level_model, rho0, t)
+        direct, tr = _normalized_density(propagator(two_level_model, t), rho0.matrix)
         psi = purify(rho0)
         da = psi.layout[1]
         big = NonHermitianModel(
@@ -157,7 +141,7 @@ class TestEvolveDensityNonHermitian:
         evolved = propagator(big, t) @ psi.amplitudes
         lifted = np.outer(evolved, evolved.conj())
         traced = linalg.partial_trace(lifted, psi.layout, "S")
-        assert np.max(np.abs(traced - direct.matrix)) <= 1e-9
+        assert np.max(np.abs(traced - tr * direct)) <= 1e-9
 
     def test_norm_monotone_for_commuting_models(self):
         for seed in range(5):
@@ -213,48 +197,6 @@ class TestEvolveLindblad:
             assert linalg.max_abs(off) <= 1e-10
 
 
-class TestKrausStep:
-    def test_small_dt_limit(self, two_level_lindblad):
-        rho0 = random_density(2, 6)
-        dt = 1e-5
-        out = kraus_step(two_level_lindblad, rho0, dt)
-        assert np.max(np.abs(out.matrix - rho0.matrix)) <= 10 * dt
-        assert abs(out.trace() - 1.0) <= 10 * dt**2
-
-    def test_completeness_residue(self, two_level_lindblad):
-        dt = 1e-3
-        ops = kraus_operators(two_level_lindblad, dt)
-        total = sum(v.conj().T @ v for v in ops)
-        assert linalg.max_abs(total - np.eye(2)) <= 10 * dt**2
-
-    def test_dephasing_one_step_off_diagonal(self):
-        # exact one-step factor (1 - gamma dt / 2)^2 - gamma dt = 1 - 2 gamma dt + O(dt^2)
-        gamma, dt = 1.0, 1e-3
-        model = make_dephasing(gamma)
-        rho0 = DensityOperator(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        out = kraus_step(model, rho0, dt)
-        exact = (1.0 - 0.5 * gamma * dt) ** 2 - gamma * dt
-        assert out.matrix[0, 1].real == pytest.approx(0.5 * exact, abs=1e-15)
-        q = gamma * dt
-        assert out.matrix[0, 1].real == pytest.approx(0.5 * (1.0 - 2.0 * q), abs=dt**2)
-
-    def test_repeated_steps_converge_to_lindblad(self, two_level_lindblad):
-        rho0 = random_density(2, 7)
-        t, k = 0.5, 1000
-        dt = t / k
-        rho = rho0
-        for _ in range(k):
-            rho = DensityOperator(
-                kraus_step(two_level_lindblad, rho, dt).matrix, trace_normalized=False
-            )
-        exact = evolve_lindblad(two_level_lindblad, rho0, t)
-        assert np.max(np.abs(rho.matrix - exact.matrix)) <= 20 * dt
-
-    def test_step_too_large(self, two_level_lindblad):
-        with pytest.raises(StepTooLarge):
-            kraus_step(two_level_lindblad, random_density(2, 8), 0.5)
-
-
 class TestNoJumpState:
     def test_no_jumps_is_unitary_weight_one(self):
         model = LindbladModel(SZ, ())
@@ -302,17 +244,23 @@ class TestNoJumpState:
 
 
 class TestNoJumpHeffStd:
+    """Generalized std of H_eff in the no-jump conditioned state."""
+
+    @staticmethod
+    def heff_std(model, rho0, t):
+        return generalized_std(model.effective_hamiltonian(), no_jump_state(model, rho0, t).state)
+
     def test_scalar_effective_hamiltonian(self):
         model = make_dephasing(1.0)
-        assert no_jump_heff_std(model, random_density(2, 14), 0.5) == pytest.approx(0.0, abs=1e-7)
+        assert self.heff_std(model, random_density(2, 14), 0.5) == pytest.approx(0.0, abs=1e-14)
 
     def test_constant_times_identity(self):
         model = LindbladModel(2.5 * np.eye(2), ())
-        assert no_jump_heff_std(model, random_density(2, 15), 0.3) == pytest.approx(0.0, abs=1e-7)
+        assert self.heff_std(model, random_density(2, 15), 0.3) == pytest.approx(0.0, abs=1e-14)
 
     def test_two_level_closed_form(self, two_level_lindblad):
         psi0 = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
-        got = no_jump_heff_std(two_level_lindblad, pure_density(psi0), 0.0)
+        got = self.heff_std(two_level_lindblad, pure_density(psi0), 0.0)
         assert got == pytest.approx(np.sqrt(0.3125), abs=1e-12)
 
 
