@@ -14,6 +14,12 @@ from the closed code run on ``no_jump_model()``, the non-Hermitian model
 H_S - (i/2) sum L^dag L of the no-jump branch; their Bures angles and
 observable statistics use the Lindblad state.
 
+The MT rows of one (model, state, window) read one normalized path, and
+the open rows of one (model, state, tau) one Lindblad state: a one-entry
+memo keyed by model identity (models are immutable), the state's type and
+contents, and the remaining arguments shares them across the rows of a
+time point.
+
 Each produces a fidelity floor, a speed limit on the Bures angle, and a
 scaled-variance (TUR-style) inequality; the classical Markov special case
 adds a Renyi-divergence speed limit and an activity-based TUR.  All checks
@@ -43,7 +49,6 @@ from .propagation import (
     LindbladModel,
     NonHermitianModel,
     _normalized_density,
-    no_jump_state,
     evolve_lindblad,
     propagator,
     propagator_span,
@@ -110,6 +115,42 @@ def ground_energy(h) -> float:
     """Minimum eigenvalue of a Hermitian operator."""
     w, _ = linalg.herm_eig(h)
     return float(w[0])
+
+
+def _state_key(state) -> tuple:
+    """Type and contents of a state: equal keys mean the same state.
+
+    The type is part of the key because the trajectory sampler draws
+    differently for a pure state and the equal rank-one density operator.
+    """
+    if isinstance(state, StateVector):
+        arr = state.amplitudes
+    elif isinstance(state, DensityOperator):
+        arr = state.matrix
+    else:
+        arr = np.asarray(state)
+    return type(state), arr.dtype.str, arr.shape, arr.tobytes()
+
+
+def _memo_last(fn):
+    """One-entry memo of ``fn(model, state, *args)``, shared by the rows of a
+    time point.
+
+    The key holds the model itself (compared by identity; models are
+    immutable), the state's type and contents, and the other arguments, so
+    a state mutated in place or a new model misses.  A call that raises
+    stores nothing.
+    """
+    last: list = [None, None]
+
+    @functools.wraps(fn)
+    def memo(model, state, *args):
+        key = (model, _state_key(state), args)
+        if last[0] != key:
+            last[:] = [key, fn(model, state, *args)]
+        return last[1]
+
+    return memo
 
 
 def _expectation(op: np.ndarray, rho: np.ndarray) -> float:
@@ -183,25 +224,63 @@ def normalized_overlap(
     return abs(complex(np.trace(linalg.dag(m1) @ m2 @ rho0))) / math.sqrt(tr1 * tr2)
 
 
-def _generalized_std_integral(
-    model: NonHermitianModel, rho0: np.ndarray, tau1: float, tau2: float, steps: int
-) -> tuple[float, float]:
-    """Simpson integral of the generalized std of the full generator.
+@dataclass(eq=False, frozen=True)
+class _MTPath:
+    """What the MT rows read from one normalized path over [t1, t2].
 
-    Evaluated along the normalized trajectory between tau1 and tau2, all
-    nodes at once, plus the doubling error estimate.
+    ``integral``/``quad_err``: Simpson integral of the generalized std of
+    the full generator and its error estimate.  ``rho1``/``rho2`` and
+    ``tr1``/``tr2``: normalized states and traces Tr[M rho0 M^dag] at the
+    endpoints.  ``overlap``: |Tr[M(t1)^dag M(t2) rho0]|, unnormalized.
+    """
+
+    integral: float
+    quad_err: float
+    rho1: np.ndarray
+    rho2: np.ndarray
+    tr1: float
+    tr2: float
+    overlap: float
+
+
+@_memo_last
+def _mt_path(
+    model: NonHermitianModel, rho0: np.ndarray, t1: float, t2: float, steps: int
+) -> _MTPath:
+    """Evaluate the normalized trajectory once at every quadrature node.
+
+    A time-dependent model takes its end state from :func:`propagator`,
+    whose midpoint product is finer than the span's.
     """
     if steps % 4 != 0 or steps <= 0:
         raise BadParameter("quadrature steps must be a positive multiple of 4")
-    if tau2 == tau1:
-        return 0.0, 0.0
-    times, mats = propagator_span(model, tau1, tau2, steps)
-    rho, _ = _normalized_density(mats, rho0)
+    n = steps if t2 != t1 else 0
+    times, mats = propagator_span(model, t1, t2, n)
+    rho, tr = _normalized_density(mats, rho0)
     if model.is_time_dependent:
+        m2 = propagator(model, t2)
+        rho2, tr2 = _normalized_density(m2, rho0)
         gen = np.stack([model.full_generator(t) for t in times])
     else:
+        m2, rho2, tr2 = mats[-1], rho[-1].copy(), tr[-1]
         gen = model.full_generator()
-    return _simpson(metrics.generalized_std(gen, rho), (tau2 - tau1) / steps)
+    integral, err = (
+        _simpson(metrics.generalized_std(gen, rho), (t2 - t1) / n) if n else (0.0, 0.0)
+    )
+    rho1 = rho[0].copy()
+    rho1.setflags(write=False)
+    rho2.setflags(write=False)
+    overlap = abs(complex(np.trace(linalg.dag(mats[0]) @ m2 @ rho0)))
+    return _MTPath(integral, err, rho1, rho2, float(tr[0]), float(tr2), overlap)
+
+
+def _generalized_std_integral(
+    model: NonHermitianModel, rho0: np.ndarray, tau1: float, tau2: float, steps: int
+) -> tuple[float, float]:
+    """Simpson integral of the generalized std of the full generator along
+    the normalized trajectory, plus its doubling error estimate."""
+    path = _mt_path(model, rho0, tau1, tau2, steps)
+    return path.integral, path.quad_err
 
 
 def _scaled_ratio_sq(
@@ -391,13 +470,12 @@ def fid_mt(
     model: NonHermitianModel, state0, tau1: float, tau2: float, steps: int = DEFAULT_QUAD_STEPS
 ) -> BoundReport:
     """Measured normalized overlap against the deviation-based floor."""
-    rho0 = as_density_matrix(state0)
-    integral, err = _generalized_std_integral(model, rho0, tau1, tau2, steps)
+    path = _mt_path(model, as_density_matrix(state0), tau1, tau2, steps)
+    integral, err = path.integral, path.quad_err
     in_window = integral <= math.pi / 2.0 + WINDOW_TOL
-    measured = normalized_overlap(model, state0, tau1, tau2)
     return BoundReport(
         kind="fid-mt",
-        lhs=measured,
+        lhs=path.overlap / math.sqrt(path.tr1 * path.tr2),
         rhs=math.cos(integral),
         applicable=in_window,
         conditions=(("window_le_half_pi", in_window),),
@@ -413,11 +491,9 @@ def qsl_mt(
     Also emits the implied minimum time ``tau_min`` = angle / (time-averaged
     std) in the params.
     """
-    rho0 = as_density_matrix(state0)
-    integral, err = _generalized_std_integral(model, rho0, tau1, tau2, steps)
-    rho1, _ = _normalized_density(propagator(model, tau1), rho0)
-    rho2, _ = _normalized_density(propagator(model, tau2), rho0)
-    angle = metrics.bures_angle(DensityOperator(rho1), DensityOperator(rho2))
+    path = _mt_path(model, as_density_matrix(state0), tau1, tau2, steps)
+    integral, err = path.integral, path.quad_err
+    angle = metrics.bures_angle(DensityOperator(path.rho1), DensityOperator(path.rho2))
     in_window = integral <= math.pi / 2.0 + WINDOW_TOL
     if integral > 0.0:
         tau_min = angle * (tau2 - tau1) / integral
@@ -448,6 +524,11 @@ def energy_time_check(model: NonHermitianModel, state0, t: float, observable) ->
     """
     obs = linalg.require_hermitian(observable, "observable")
     rho_t, _ = _normalized_density(propagator(model, t), as_density_matrix(state0))
+    return _energy_time(model, rho_t, t, obs)
+
+
+def _energy_time(model: NonHermitianModel, rho_t: np.ndarray, t: float, obs) -> BoundReport:
+    """:func:`energy_time_check` in the normalized state ``rho_t`` at t."""
     h, g = model.parts(t)
     s_c = metrics.observable_stats(obs, DensityOperator(rho_t))
     std_gen = metrics.generalized_std(h - 1j * g, rho_t)
@@ -479,16 +560,14 @@ def tur_mt(
     ``params["energy_time"]``.
     """
     obs = linalg.require_hermitian(observable, "observable")
-    rho0 = as_density_matrix(state0)
-    integral, err = _generalized_std_integral(model, rho0, tau1, tau2, steps)
-    rho1, _ = _normalized_density(propagator(model, tau1), rho0)
-    rho2, _ = _normalized_density(propagator(model, tau2), rho0)
-    ratio_sq, stats = _scaled_ratio_sq(obs, rho1, rho2)
+    path = _mt_path(model, as_density_matrix(state0), tau1, tau2, steps)
+    integral, err = path.integral, path.quad_err
+    ratio_sq, stats = _scaled_ratio_sq(obs, path.rho1, path.rho2)
     in_window = integral < math.pi / 2.0
     lhs = math.tan(integral) ** 2 if in_window else float("inf")
     params = {"tau1": tau1, "tau2": tau2, "quad_err": err, "integral": integral}
     params.update(stats)
-    et = energy_time_check(model, state0, tau2, obs)
+    et = _energy_time(model, path.rho2, tau2, obs)
     params["energy_time"] = {"lhs": et.lhs, "rhs": et.rhs, "slack": et.slack}
     return BoundReport(
         kind="tur-mt",
@@ -548,8 +627,7 @@ def qsl_ml_open(model: LindbladModel, state0, tau: float) -> BoundReport:
     endpoints (the averaged, unconditioned evolution)."""
     rho0, params = _ml_ingredients(model.no_jump_model(), state0, tau)
     floor = params["floor_raw"]
-    rho_tau = evolve_lindblad(model, DensityOperator(rho0), tau)
-    angle = metrics.bures_angle(DensityOperator(rho0), rho_tau)
+    angle = metrics.bures_angle(DensityOperator(rho0), _lindblad_state(model, rho0, tau))
     params["bures_angle"] = angle
     return BoundReport(
         kind="qsl-ml-open",
@@ -564,15 +642,21 @@ def qsl_ml_open(model: LindbladModel, state0, tau: float) -> BoundReport:
     )
 
 
-@functools.lru_cache(maxsize=1)
+@_memo_last
+def _lindblad_state(model: LindbladModel, rho0: np.ndarray, tau: float) -> DensityOperator:
+    """The Lindblad state at ``tau``, read-only: every open row of a time
+    point reads this one."""
+    out = evolve_lindblad(model, DensityOperator(rho0), tau)
+    out.matrix.setflags(write=False)
+    return out
+
+
+@_memo_last
 def _jump_count_moments(
     model: LindbladModel, state0, tau: float, spec: JumpCountObservable
 ) -> tuple[int, float, float]:
-    """(n, mean, variance) of the jump count at ``tau``.
-
-    Cached for one call so the tur-ml-open and tur-mt-open rows of one time
-    point share one ensemble; models and states hash by identity.
-    """
+    """(n, mean, variance) of the jump count at ``tau``; the tur-ml-open and
+    tur-mt-open rows of one time point share one ensemble."""
     ens = trajectory_ensemble(model, state0, tau, spec.n_trajectories, spec.seed)
     counts = ens.jump_counts.astype(float)
     var = float(counts.var(ddof=1)) if counts.size > 1 else 0.0
@@ -584,10 +668,7 @@ def _jump_count_ratio_sq(
 ) -> tuple[float, dict]:
     if spec.n_trajectories < 1:
         raise BadParameter("jump-count statistics need at least one trajectory")
-    moments = _jump_count_moments
-    if not isinstance(state0, (StateVector, DensityOperator)):
-        moments = moments.__wrapped__  # raw arrays do not hash
-    n, mean, var = moments(model, state0, tau, spec)
+    n, mean, var = _jump_count_moments(model, state0, tau, spec)
     if var <= 0.0:
         ratio_sq = 0.0 if abs(mean) <= 1e-14 else float("inf")
     else:
@@ -611,8 +692,7 @@ def _open_ratio_sq(model: LindbladModel, state0, tau: float, observable):
     if isinstance(observable, JumpCountObservable):
         return _jump_count_ratio_sq(model, state0, tau, observable)
     obs = linalg.require_hermitian(observable, "observable")
-    rho_tau = evolve_lindblad(model, DensityOperator(rho0), tau)
-    return _scaled_ratio_sq(obs, rho0, rho_tau.matrix)
+    return _scaled_ratio_sq(obs, rho0, _lindblad_state(model, rho0, tau).matrix)
 
 
 def tur_ml_open(model: LindbladModel, state0, tau: float, observable) -> BoundReport:
@@ -646,34 +726,35 @@ def tur_ml_open(model: LindbladModel, state0, tau: float, observable) -> BoundRe
 
 
 def _open_mt_ingredients(model: LindbladModel, state0, tau: float, steps: int):
-    """Initial state, integrated H_eff std with its error, and survival weight.
+    """Initial state and the no-jump path over [0, tau].
 
     The no-jump conditioned state is exactly the normalized trajectory of
-    ``model.no_jump_model()``, so the closed-system quadrature is reused
-    with the full (non-Hermitian) effective generator.
+    ``model.no_jump_model()``, so the closed-system path is reused with the
+    full (non-Hermitian) effective generator.  Its trace at tau is the
+    survival weight Z, and its overlap is the record overlap |Tr[M(tau) rho0]|.
     """
     rho0 = as_density_matrix(state0)
-    integral, err = _generalized_std_integral(model.no_jump_model(), rho0, 0.0, tau, steps)
-    return rho0, integral, err, no_jump_state(model, rho0, tau).weight
+    return rho0, _mt_path(model.no_jump_model(), rho0, 0.0, tau, steps)
 
 
 def mt_fidelity_bound_open(
     model: LindbladModel, state0, tau: float, steps: int = DEFAULT_QUAD_STEPS
 ) -> float:
     """Open deviation-based floor sqrt(Z(tau)) * cos(integrated H_eff std)."""
-    _, integral, _, z = _open_mt_ingredients(model, state0, tau, steps)
-    return math.sqrt(z) * math.cos(integral)
+    _, path = _open_mt_ingredients(model, state0, tau, steps)
+    return math.sqrt(path.tr2) * math.cos(path.integral)
 
 
 def fid_mt_open(
     model: LindbladModel, state0, tau: float, steps: int = DEFAULT_QUAD_STEPS
 ) -> BoundReport:
     """Measured record-state overlap against the open deviation-based floor."""
-    _, integral, err, z = _open_mt_ingredients(model, state0, tau, steps)
+    _, path = _open_mt_ingredients(model, state0, tau, steps)
+    integral, err, z = path.integral, path.quad_err, path.tr2
     in_window = integral <= math.pi / 2.0 + WINDOW_TOL
     return BoundReport(
         kind="fid-mt-open",
-        lhs=open_overlap(model, state0, tau),
+        lhs=path.overlap,
         rhs=math.sqrt(z) * math.cos(integral),
         applicable=in_window,
         conditions=(("window_le_half_pi", in_window),),
@@ -693,12 +774,13 @@ def qsl_mt_open(
     pre-monotonicity rhs (arccos of the normalized no-jump overlap) is
     always attached in params.
     """
-    rho0, integral, err, z = _open_mt_ingredients(model, state0, tau, steps)
-    fid = metrics.fidelity(DensityOperator(rho0), evolve_lindblad(model, DensityOperator(rho0), tau))
+    rho0, path = _open_mt_ingredients(model, state0, tau, steps)
+    integral, err, z = path.integral, path.quad_err, path.tr2
+    fid = metrics.fidelity(DensityOperator(rho0), _lindblad_state(model, rho0, tau))
     ratio = fid / z
     fid_ok = ratio <= 1.0 + 1e-10
     rhs = float(np.arccos(np.clip(math.sqrt(min(ratio, 1.0)), 0.0, 1.0))) if fid_ok else float("nan")
-    raw_overlap = open_overlap(model, state0, tau) / math.sqrt(z)
+    raw_overlap = path.overlap / math.sqrt(z)
     underlying = float(np.arccos(np.clip(raw_overlap, 0.0, 1.0)))
     return BoundReport(
         kind="qsl-mt-open",
@@ -730,7 +812,8 @@ def tur_mt_open(
     pseudo-state alternative is noted in params.  Jump-count statistics work
     as in :func:`tur_ml_open`.
     """
-    _, integral, err, z = _open_mt_ingredients(model, state0, tau, steps)
+    _, path = _open_mt_ingredients(model, state0, tau, steps)
+    integral, err, z = path.integral, path.quad_err, path.tr2
     in_window = integral < math.pi / 2.0
     lhs = (1.0 / (z * math.cos(integral) ** 2) - 1.0) if in_window else float("inf")
     ratio_sq, stats = _open_ratio_sq(model, state0, tau, observable)

@@ -1,18 +1,24 @@
 """Time evolution engines.
 
 Closed-form non-Hermitian propagation (exact matrix exponential for constant
-generators, midpoint exponential product for time-dependent ones) and the
-normalized state M rho0 M^dag / Tr it carries, the Lindblad master equation
-via the exact vectorized-Liouvillian exponential, exact-in-time
-(waiting-time) quantum-jump trajectory sampling with per-trajectory RNG
-streams, and the no-jump conditioned state with its survival weight, which
-is the normalized state of the equivalent non-Hermitian model.
+generators, midpoint exponential product for time-dependent ones), the
+propagators at every node of a uniform grid (by repeated squaring of the
+node-to-node exponential for constant generators) and the normalized state
+M rho0 M^dag / Tr they carry, the Lindblad master equation via the exact
+vectorized-Liouvillian exponential, exact-in-time (waiting-time)
+quantum-jump trajectory sampling with per-trajectory RNG streams, and the
+no-jump conditioned state with its survival weight, which is the normalized
+state of the equivalent non-Hermitian model.
+
+Models are immutable: they hold read-only copies of their arrays and build
+their derived operators once, on first use.
 
 Units: hbar = 1 throughout.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -34,14 +40,45 @@ _LIFT_LEVELS = 40              # jump times resolve to 2^-40 of a node interval
 _LIFT_FULL = 1 << _LIFT_LEVELS
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only complex copy of ``a``."""
+    out = np.array(a, dtype=complex)
+    out.setflags(write=False)
+    return out
+
+
+def _built_once(build):
+    """Cache ``build(model)`` on the model instance, arrays made read-only.
+
+    Models are immutable, so the value never goes stale; it lives and dies
+    with its model instead of in a process-wide cache.
+    """
+    slot = f"_built_{build.__name__}"
+
+    @functools.wraps(build)
+    def get(model):
+        try:
+            return model.__dict__[slot]
+        except KeyError:
+            value = build(model)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            model.__dict__[slot] = value  # bypasses the frozen __setattr__
+            return value
+
+    return get
+
+
 @dataclass(eq=False, frozen=True)
 class NonHermitianModel:
     """Generator H - i*Gamma of norm-non-preserving evolution.
 
     ``h`` and ``gamma`` are Hermitian; ``gamma`` is PSD (its eigenvalues set
-    the decay rates).  An optional ``time_dependence`` callback
-    ``t -> (H(t), Gamma(t))`` makes the model time dependent; ``h``/``gamma``
-    then hold the t=0 snapshot used for validation.
+    the decay rates).  Both are stored as read-only copies, so the caller's
+    arrays stay writable and the model never changes.  An optional
+    ``time_dependence`` callback ``t -> (H(t), Gamma(t))`` makes the model
+    time dependent; ``h``/``gamma`` then hold the t=0 snapshot used for
+    validation.
     """
 
     h: np.ndarray
@@ -56,8 +93,8 @@ class NonHermitianModel:
         w = np.linalg.eigvalsh(g)
         if w[0] < linalg.PSD_CLAMP:
             raise NonPositiveGamma(f"Gamma eigenvalue {w[0]:.3e} below tolerance")
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "gamma", g)
+        object.__setattr__(self, "h", _read_only(h))
+        object.__setattr__(self, "gamma", _read_only(g))
 
     @property
     def dim(self) -> int:
@@ -81,7 +118,12 @@ class NonHermitianModel:
 
 @dataclass(eq=False, frozen=True)
 class LindbladModel:
-    """System Hamiltonian plus jump operators of a Markovian open system."""
+    """System Hamiltonian plus jump operators of a Markovian open system.
+
+    ``h_s`` and every jump operator are stored as read-only copies.  The
+    jump-rate operator, the no-jump model and the Liouvillian are built
+    once per model, on first use, and returned read-only.
+    """
 
     h_s: np.ndarray
     jumps: tuple[np.ndarray, ...]
@@ -92,8 +134,8 @@ class LindbladModel:
         for l in ls:
             if l.shape != h.shape:
                 raise ShapeError("jump operator dimension differs from H_S")
-        object.__setattr__(self, "h_s", h)
-        object.__setattr__(self, "jumps", ls)
+        object.__setattr__(self, "h_s", _read_only(h))
+        object.__setattr__(self, "jumps", tuple(_read_only(l) for l in ls))
 
     @property
     def dim(self) -> int:
@@ -103,6 +145,7 @@ class LindbladModel:
     def n_channels(self) -> int:
         return len(self.jumps)
 
+    @_built_once
     def jump_rate_operator(self) -> np.ndarray:
         """Sum of L^dag L over all channels."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
@@ -114,6 +157,7 @@ class LindbladModel:
         """H_S - (i/2) sum L^dag L, the no-jump generator."""
         return self.h_s - 0.5j * self.jump_rate_operator()
 
+    @_built_once
     def no_jump_model(self) -> NonHermitianModel:
         """The equivalent non-Hermitian model (H_S, half the jump-rate operator)."""
         half = 0.5 * self.jump_rate_operator()
@@ -208,8 +252,12 @@ def propagator_span(
 
     Returns ``(times, mats)`` with ``times`` of length ``n + 1`` and
     ``mats[k]`` the propagator at ``times[k]``.  For constant generators the
-    node-to-node factor is one exact exponential; for time-dependent ones it
-    is one midpoint exponential per interval.
+    nodes are filled by repeated squaring of the node-to-node exponential
+    P = exp(-i dt G): with the first m nodes known, ``mats[m:2m] = P^m @
+    mats[:m]`` in one batched product, then P^2m = P^m @ P^m, so n nodes
+    take ceil(log2(n + 1)) products.  Gamma is PSD, so ||P|| <= 1 and no
+    power overflows.  Time-dependent generators take one midpoint
+    exponential per interval, in sequence.
     """
     if t2 < t1 or t1 < 0:
         raise BadParameter("need 0 <= t1 <= t2")
@@ -219,13 +267,20 @@ def propagator_span(
     if n == 0:
         return times, mats
     dt = (t2 - t1) / n
-    if not model.is_time_dependent:
-        step = linalg.expm(-1j * dt * model.full_generator())
-    for k in range(n):
-        if model.is_time_dependent:
+    if model.is_time_dependent:
+        for k in range(n):
             step = linalg.expm(-1j * dt * model.full_generator(times[k] + 0.5 * dt))
-        mats[k + 1] = step @ mats[k]
-    return times, mats
+            mats[k + 1] = step @ mats[k]
+        return times, mats
+    power = linalg.expm(-1j * dt * model.full_generator())
+    filled = 1
+    while True:
+        m = min(filled, n + 1 - filled)
+        mats[filled : filled + m] = power @ mats[:m]
+        filled += m
+        if filled > n:
+            return times, mats
+        power = power @ power
 
 
 def _normalized_density(m: np.ndarray, rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,8 +317,12 @@ def evolve_nonhermitian(
 # Lindblad propagation
 
 
+@_built_once
 def liouvillian(model: LindbladModel) -> np.ndarray:
-    """Dense superoperator L with vec(rho') = L vec(rho), row-major vec."""
+    """Dense superoperator L with vec(rho') = L vec(rho), row-major vec.
+
+    Built once per model and returned read-only.
+    """
     d = model.dim
     eye = np.eye(d, dtype=complex)
     h = model.h_s

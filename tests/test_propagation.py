@@ -26,7 +26,8 @@ from nhbounds import (
 from nhbounds import linalg
 from nhbounds.errors import NonPositiveGamma, NormUnderflow
 from nhbounds.models import ClassicalMarkovModel
-from nhbounds.propagation import _normalized_density
+from nhbounds.models import random_hermitian
+from nhbounds.propagation import _normalized_density, propagator_span
 from conftest import SX, SZ, expm_2x2, tree_product
 
 
@@ -55,6 +56,32 @@ def lindblad_ode_oracle(model, rho0, t):
 
 
 class TestModelTypes:
+    def test_nonhermitian_arrays_are_read_only_copies(self):
+        h = np.diag([0.0, 1.0]).astype(complex)
+        g = np.diag([0.0, 0.5]).astype(complex)
+        model = NonHermitianModel(h, g)
+        for arr in (model.h, model.gamma):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+        h[0, 0] = g[0, 0] = 2.0  # the caller's arrays stay writable
+        assert model.h[0, 0] == 0.0 and model.gamma[0, 0] == 0.0
+
+    def test_lindblad_arrays_and_operators_are_read_only(self):
+        h_s = np.diag([0.0, 1.0]).astype(complex)
+        jump = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        model = LindbladModel(h_s, (jump,))
+        for arr in (model.h_s, model.jumps[0], model.jump_rate_operator(), liouvillian(model)):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+        h_s[0, 0] = jump[0, 0] = 2.0
+        assert model.h_s[0, 0] == 0.0 and model.jumps[0][0, 0] == 0.0
+
+    def test_operators_built_once(self, two_level_lindblad):
+        model = two_level_lindblad
+        assert model.no_jump_model() is model.no_jump_model()
+        assert model.jump_rate_operator() is model.jump_rate_operator()
+        assert liouvillian(model) is liouvillian(model)
+
     def test_gamma_must_be_psd(self):
         with pytest.raises(NonPositiveGamma):
             NonHermitianModel(np.eye(2), np.diag([1.0, -0.5]))
@@ -270,3 +297,60 @@ def test_liouvillian_action_matches_rhs(two_level_lindblad):
     got = (lv @ rho.reshape(-1)).reshape(2, 2)
     want = lindblad_rhs_oracle(two_level_lindblad, rho)
     assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def sequential_span(model, t1, t2, n):
+    """Node-by-node oracle: mats[k + 1] = exp(-i dt G(mid_k)) @ mats[k]."""
+    times = t1 + (t2 - t1) * np.arange(n + 1) / max(n, 1)
+    mats = [propagator(model, t1)]
+    dt = (t2 - t1) / max(n, 1)
+    step = linalg.expm(-1j * dt * model.full_generator())
+    for k in range(n):
+        if model.is_time_dependent:
+            step = linalg.expm(-1j * dt * model.full_generator(times[k] + 0.5 * dt))
+        mats.append(step @ mats[-1])
+    return times, np.stack(mats)
+
+
+def random_decaying_model(dim, seed):
+    """Non-normal H - i Gamma: random H and a random PSD Gamma that do not commute."""
+    rng = np.random.default_rng(seed)
+    g = random_hermitian(dim, rng)
+    return NonHermitianModel(random_hermitian(dim, rng), g @ g / dim), rng
+
+
+def rel_dev(got, want):
+    """Largest per-node max-abs deviation relative to the node's max-abs size."""
+    return float(np.max(np.max(np.abs(got - want), axis=(-2, -1)) / np.max(np.abs(want), axis=(-2, -1))))
+
+
+class TestPropagatorSpan:
+    """Repeated squaring against the sequential product."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 400, 4000])
+    def test_matches_sequential_product(self, n):
+        for dim in range(2, 7):
+            for seed in range(5):
+                model, rng = random_decaying_model(dim, 1000 * dim + seed)
+                t1 = float(rng.uniform(0.0, 1.0))
+                t2 = t1 + float(rng.uniform(0.1, 2.0))
+                times, mats = propagator_span(model, t1, t2, n)
+                want_times, want = sequential_span(model, t1, t2, n)
+                assert np.array_equal(times, want_times)
+                assert times[0] == t1
+                assert rel_dev(mats, want) <= 1e-11
+                if n:
+                    assert rel_dev(mats[-1], propagator(model, t2)) <= 1e-11
+
+    def test_time_dependent_unchanged(self):
+        def parts(t):
+            h = 0.4 * math.cos(1.3 * t) * SX + 0.3 * SZ
+            g = 0.25 * (1.0 + 0.5 * math.sin(0.7 * t)) * np.diag([0.0, 1.0])
+            return h, g.astype(complex)
+
+        model = NonHermitianModel(*parts(0.0), time_dependence=parts)
+        for n in (0, 1, 7, 40):
+            times, mats = propagator_span(model, 0.0, 0.7, n)
+            want_times, want = sequential_span(model, 0.0, 0.7, n)
+            assert np.array_equal(times, want_times)
+            assert np.array_equal(mats, want)
