@@ -19,10 +19,6 @@ from .bounds import (
     fid_mt,
     fid_mt_open,
     ground_energy,
-    ml_fidelity_bound,
-    ml_fidelity_bound_open,
-    mt_fidelity_bound,
-    mt_fidelity_bound_open,
     normalized_overlap,
     open_overlap,
     qsl_classical,

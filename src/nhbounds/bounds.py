@@ -14,11 +14,12 @@ from the closed code run on ``no_jump_model()``, the non-Hermitian model
 H_S - (i/2) sum L^dag L of the no-jump branch; their Bures angles and
 observable statistics use the Lindblad state.
 
-The MT rows of one (model, state, window) read one normalized path, and
-the open rows of one (model, state, tau) one Lindblad state: a one-entry
-memo keyed by model identity (models are immutable), the state's type and
-contents, and the remaining arguments shares them across the rows of a
-time point.
+The ML rows of one (model, state, tau) read one evaluation (initial
+expectations, propagator and overlap), the MT rows of one (model, state,
+window) one normalized path, and the open rows of one (model, state, tau)
+one Lindblad state: a one-entry memo keyed by model identity (models are
+immutable), the state's type and contents, and the remaining arguments
+shares them across the rows of a time point.
 
 Each produces a fidelity floor, a speed limit on the Bures angle, and a
 scaled-variance (TUR-style) inequality; the classical Markov special case
@@ -274,15 +275,6 @@ def _mt_path(
     return _MTPath(integral, err, rho1, rho2, float(tr[0]), float(tr2), overlap)
 
 
-def _generalized_std_integral(
-    model: NonHermitianModel, rho0: np.ndarray, tau1: float, tau2: float, steps: int
-) -> tuple[float, float]:
-    """Simpson integral of the generalized std of the full generator along
-    the normalized trajectory, plus its doubling error estimate."""
-    path = _mt_path(model, rho0, tau1, tau2, steps)
-    return path.integral, path.quad_err
-
-
 def _scaled_ratio_sq(
     observable: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray
 ) -> tuple[float, dict]:
@@ -313,12 +305,31 @@ def _scaled_ratio_sq(
 # closed system, mean-based (ML) family
 
 
-def _ml_ingredients(model: NonHermitianModel, state0, tau: float) -> tuple[np.ndarray, dict]:
-    """Initial state and the initial-expectation terms of the ML floor.
+@dataclass(eq=False, frozen=True)
+class _MLPoint:
+    """What the ML rows read at one time point.
+
+    ``rho0``: the initial density matrix.  ``m``: the propagator M to tau;
+    only the closed rows normalize its state, so the open rows give numbers
+    where that state would underflow.  ``overlap``: |Tr[M rho0]|.
+    ``params``: the initial-expectation terms of the floor; each row copies
+    them before adding its own keys.
+    """
+
+    rho0: np.ndarray
+    m: np.ndarray
+    overlap: float
+    params: dict
+
+
+@_memo_last
+def _ml_point(model: NonHermitianModel, state0, tau: float) -> _MLPoint:
+    """Evaluate the ML ingredients of one time point once.
 
     The open family calls this on ``no_jump_model()``, whose Gamma is half
     the jump-rate operator: there ``floor_raw`` is the open floor
-    exp(-activity*tau/2) - tau(<H_S> - E_g).
+    exp(-activity*tau/2) - tau(<H_S> - E_g) and ``overlap`` is the record
+    overlap.
     """
     _require_time_independent(model, "the mean-based bound")
     comm_norm = _require_commuting(model)
@@ -328,7 +339,7 @@ def _ml_ingredients(model: NonHermitianModel, state0, tau: float) -> tuple[np.nd
     mean_h = _expectation(model.h, rho0)
     mean_g = _expectation(model.gamma, rho0)
     e_g = ground_energy(model.h)
-    return rho0, {
+    params = {
         "tau": tau,
         "mean_h": mean_h,
         "mean_gamma": mean_g,
@@ -336,31 +347,24 @@ def _ml_ingredients(model: NonHermitianModel, state0, tau: float) -> tuple[np.nd
         "floor_raw": math.exp(-mean_g * tau) - tau * (mean_h - e_g),
         "commutator_norm": comm_norm,
     }
+    m = propagator(model, tau)
+    rho0.setflags(write=False)
+    m.setflags(write=False)
+    return _MLPoint(rho0, m, abs(complex(np.trace(m @ rho0))), params)
 
 
-def _closed_ml(model: NonHermitianModel, state0, tau: float):
-    """ML ingredients plus the normalized state at tau and its norm."""
-    rho0, params = _ml_ingredients(model, state0, tau)
-    rho_tau, tr_tau = _normalized_density(propagator(model, tau), rho0)
-    params["norm_tau"] = math.sqrt(tr_tau)
-    return rho0, rho_tau, params
-
-
-def ml_fidelity_bound(model: NonHermitianModel, state0, tau: float) -> float:
-    """Mean-based fidelity floor: [exp(-<Gamma> tau) - tau(<H> - E_g)] / ||psi(tau)||.
+def fid_ml(model: NonHermitianModel, state0, tau: float) -> BoundReport:
+    """Measured normalized overlap against the mean-based fidelity floor
+    [exp(-<Gamma> tau) - tau(<H> - E_g)] / ||psi(tau)||.
 
     Requires a time-independent model with commuting (H, Gamma) and PSD
     Gamma; expectations are taken in the initial state.
     """
-    _, _, params = _closed_ml(model, state0, tau)
-    return params["floor_raw"] / params["norm_tau"]
-
-
-def fid_ml(model: NonHermitianModel, state0, tau: float) -> BoundReport:
-    """Measured normalized overlap against the mean-based floor."""
-    _, _, params = _closed_ml(model, state0, tau)
+    point = _ml_point(model, state0, tau)
+    _, tr_tau = _normalized_density(point.m, point.rho0)
+    tr0 = np.trace(point.rho0).real
+    params = dict(point.params, norm_tau=math.sqrt(tr_tau))
     floor = params["floor_raw"] / params["norm_tau"]
-    measured = normalized_overlap(model, state0, 0.0, tau)
     conditions = (
         ("commuting_h_gamma", True),
         ("gamma_psd", True),
@@ -369,7 +373,7 @@ def fid_ml(model: NonHermitianModel, state0, tau: float) -> BoundReport:
     params["fidelity_floor"] = floor
     return BoundReport(
         kind="fid-ml",
-        lhs=measured,
+        lhs=point.overlap / math.sqrt(tr0 * tr_tau),
         rhs=floor,
         applicable=True,
         conditions=conditions,
@@ -386,11 +390,13 @@ def qsl_ml(model: NonHermitianModel, state0, tau: float) -> BoundReport:
     ``params["simple"]`` together with the weakest linear-in-tau form and
     the geometric minimum-time estimate it implies.
     """
-    rho0, rho_tau, params = _closed_ml(model, state0, tau)
+    point = _ml_point(model, state0, tau)
+    rho_tau, tr_tau = _normalized_density(point.m, point.rho0)
+    params = dict(point.params, norm_tau=math.sqrt(tr_tau))
     raw, mean_g = params["floor_raw"], params["mean_gamma"]
     de = params["mean_h"] - params["ground_energy"]
     lhs = 1.0 - raw / params["norm_tau"]
-    angle = metrics.bures_angle(DensityOperator(rho0), DensityOperator(rho_tau))
+    angle = metrics.bures_angle(DensityOperator(point.rho0), DensityOperator(rho_tau))
     rhs = 2.0 * math.sin(angle / 2.0) ** 2
     positive = raw > 0.0
     rate_sum = de + mean_g
@@ -427,10 +433,12 @@ def tur_ml(model: NonHermitianModel, state0, tau: float, observable) -> BoundRep
     ||psi(tau)||^2 / floor^2 - 1; the loose norm-free variant sits under
     ``params["loose"]``.  Applicable only while the floor is positive.
     """
-    rho0, rho_tau, params = _closed_ml(model, state0, tau)
+    point = _ml_point(model, state0, tau)
+    rho_tau, tr_tau = _normalized_density(point.m, point.rho0)
+    params = dict(point.params, norm_tau=math.sqrt(tr_tau))
     raw = params["floor_raw"]
     ratio_sq, stats = _scaled_ratio_sq(
-        linalg.require_hermitian(observable, "observable"), rho0, rho_tau
+        linalg.require_hermitian(observable, "observable"), point.rho0, rho_tau
     )
     positive = raw > 0.0
     params.update(stats)
@@ -453,23 +461,15 @@ def tur_ml(model: NonHermitianModel, state0, tau: float, observable) -> BoundRep
 # closed system, deviation-based (MT) family
 
 
-def mt_fidelity_bound(
-    model: NonHermitianModel, state0, tau1: float, tau2: float, steps: int = DEFAULT_QUAD_STEPS
-) -> float:
-    """Deviation-based fidelity floor cos(integral of the generalized std).
-
-    The cosine form is only a valid floor while the integral stays within
-    [0, pi/2]; callers get that window through the report builders.
-    """
-    rho0 = as_density_matrix(state0)
-    integral, _ = _generalized_std_integral(model, rho0, tau1, tau2, steps)
-    return math.cos(integral)
-
-
 def fid_mt(
     model: NonHermitianModel, state0, tau1: float, tau2: float, steps: int = DEFAULT_QUAD_STEPS
 ) -> BoundReport:
-    """Measured normalized overlap against the deviation-based floor."""
+    """Measured normalized overlap against the deviation-based fidelity floor
+    cos(integral of the generalized std over [tau1, tau2]).
+
+    The cosine form is only a valid floor while the integral stays within
+    [0, pi/2]; outside that window the report is flagged inapplicable.
+    """
     path = _mt_path(model, as_density_matrix(state0), tau1, tau2, steps)
     integral, err = path.integral, path.quad_err
     in_window = integral <= math.pi / 2.0 + WINDOW_TOL
@@ -596,22 +596,19 @@ def open_overlap(model: LindbladModel, state0, tau: float) -> float:
     return abs(complex(np.trace(propagator(model.no_jump_model(), tau) @ rho0)))
 
 
-def ml_fidelity_bound_open(model: LindbladModel, state0, tau: float) -> float:
-    """Open-system mean-based floor exp(-activity*tau/2) - tau(<H_S> - E_g).
+def fid_ml_open(model: LindbladModel, state0, tau: float) -> BoundReport:
+    """Measured record-state overlap against the open mean-based floor
+    exp(-activity*tau/2) - tau(<H_S> - E_g).
 
     Requires H_S to commute with the jump-rate operator (satisfied by the
     dephasing model, the refrigerator, and every classical embedding).
     """
-    return _ml_ingredients(model.no_jump_model(), state0, tau)[1]["floor_raw"]
-
-
-def fid_ml_open(model: LindbladModel, state0, tau: float) -> BoundReport:
-    """Measured record-state overlap against the open mean-based floor."""
-    _, params = _ml_ingredients(model.no_jump_model(), state0, tau)
+    point = _ml_point(model.no_jump_model(), state0, tau)
+    params = dict(point.params)
     floor = params["floor_raw"]
     return BoundReport(
         kind="fid-ml-open",
-        lhs=open_overlap(model, state0, tau),
+        lhs=point.overlap,
         rhs=floor,
         applicable=True,
         conditions=(
@@ -625,8 +622,10 @@ def fid_ml_open(model: LindbladModel, state0, tau: float) -> BoundReport:
 def qsl_ml_open(model: LindbladModel, state0, tau: float) -> BoundReport:
     """Open mean-based speed limit against the Bures angle of the Lindblad
     endpoints (the averaged, unconditioned evolution)."""
-    rho0, params = _ml_ingredients(model.no_jump_model(), state0, tau)
+    point = _ml_point(model.no_jump_model(), state0, tau)
+    params = dict(point.params)
     floor = params["floor_raw"]
+    rho0 = point.rho0
     angle = metrics.bures_angle(DensityOperator(rho0), _lindblad_state(model, rho0, tau))
     params["bures_angle"] = angle
     return BoundReport(
@@ -703,8 +702,12 @@ def tur_ml_open(model: LindbladModel, state0, tau: float, observable) -> BoundRe
     trajectory ensemble, with Monte Carlo error bars attached).  For
     classical embeddings (H_S = 0) the lhs reduces to
     exp(activity * tau) - 1; that specialized value is attached in params.
+
+    ``state0`` is a :class:`StateVector`, a :class:`DensityOperator` or a
+    raw density matrix, for either observable kind; a raw 1-D array is
+    rejected, as it is for every row kind.
     """
-    _, params = _ml_ingredients(model.no_jump_model(), state0, tau)
+    params = dict(_ml_point(model.no_jump_model(), state0, tau).params)
     floor = params["floor_raw"]
     positive = floor > 0.0
     ratio_sq, stats = _open_ratio_sq(model, state0, tau, observable)
@@ -725,31 +728,18 @@ def tur_ml_open(model: LindbladModel, state0, tau: float, observable) -> BoundRe
     )
 
 
-def _open_mt_ingredients(model: LindbladModel, state0, tau: float, steps: int):
-    """Initial state and the no-jump path over [0, tau].
-
-    The no-jump conditioned state is exactly the normalized trajectory of
-    ``model.no_jump_model()``, so the closed-system path is reused with the
-    full (non-Hermitian) effective generator.  Its trace at tau is the
-    survival weight Z, and its overlap is the record overlap |Tr[M(tau) rho0]|.
-    """
-    rho0 = as_density_matrix(state0)
-    return rho0, _mt_path(model.no_jump_model(), rho0, 0.0, tau, steps)
-
-
-def mt_fidelity_bound_open(
-    model: LindbladModel, state0, tau: float, steps: int = DEFAULT_QUAD_STEPS
-) -> float:
-    """Open deviation-based floor sqrt(Z(tau)) * cos(integrated H_eff std)."""
-    _, path = _open_mt_ingredients(model, state0, tau, steps)
-    return math.sqrt(path.tr2) * math.cos(path.integral)
-
-
 def fid_mt_open(
     model: LindbladModel, state0, tau: float, steps: int = DEFAULT_QUAD_STEPS
 ) -> BoundReport:
-    """Measured record-state overlap against the open deviation-based floor."""
-    _, path = _open_mt_ingredients(model, state0, tau, steps)
+    """Measured record-state overlap against the open deviation-based floor
+    sqrt(Z(tau)) * cos(integrated H_eff std).
+
+    The no-jump conditioned state is exactly the normalized trajectory of
+    ``model.no_jump_model()``, so the closed-system path is read with the
+    full (non-Hermitian) effective generator.  Its trace at tau is the
+    survival weight Z, and its overlap is the record overlap |Tr[M(tau) rho0]|.
+    """
+    path = _mt_path(model.no_jump_model(), as_density_matrix(state0), 0.0, tau, steps)
     integral, err, z = path.integral, path.quad_err, path.tr2
     in_window = integral <= math.pi / 2.0 + WINDOW_TOL
     return BoundReport(
@@ -774,7 +764,8 @@ def qsl_mt_open(
     pre-monotonicity rhs (arccos of the normalized no-jump overlap) is
     always attached in params.
     """
-    rho0, path = _open_mt_ingredients(model, state0, tau, steps)
+    rho0 = as_density_matrix(state0)
+    path = _mt_path(model.no_jump_model(), rho0, 0.0, tau, steps)
     integral, err, z = path.integral, path.quad_err, path.tr2
     fid = metrics.fidelity(DensityOperator(rho0), _lindblad_state(model, rho0, tau))
     ratio = fid / z
@@ -812,7 +803,7 @@ def tur_mt_open(
     pseudo-state alternative is noted in params.  Jump-count statistics work
     as in :func:`tur_ml_open`.
     """
-    _, path = _open_mt_ingredients(model, state0, tau, steps)
+    path = _mt_path(model.no_jump_model(), as_density_matrix(state0), 0.0, tau, steps)
     integral, err, z = path.integral, path.quad_err, path.tr2
     in_window = integral < math.pi / 2.0
     lhs = (1.0 / (z * math.cos(integral) ** 2) - 1.0) if in_window else float("inf")

@@ -21,7 +21,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +65,7 @@ class ExperimentConfig:
     n_traj: int
     seed: int
     out: Path
-    echo: dict = field(default_factory=dict)
+    chain: ClassicalMarkovModel | None = None
 
     def __post_init__(self):
         if not self.times or any(t <= 0 for t in self.times):
@@ -233,24 +233,18 @@ def _rows_for_group(group: str, cfg: ExperimentConfig, t: float, window) -> list
         rows.append(_report_row(t, bnd.qsl_mt_open(model, state, t, cfg.quad_steps)))
         rows.append(_report_row(t, bnd.tur_mt_open(model, state, t, obs, cfg.quad_steps)))
     elif group == "classical":
-        chain = cfg.echo["chain"]
-        rows.append(_report_row(t, bnd.qsl_classical(chain, t)))
+        rows.append(_report_row(t, bnd.qsl_classical(cfg.chain, t)))
         if not isinstance(obs, bnd.JumpCountObservable):
-            rows.append(_report_row(t, bnd.tur_classical(chain, t, np.diag(obs).real)))
+            rows.append(_report_row(t, bnd.tur_classical(cfg.chain, t, np.diag(obs).real)))
     return rows
 
 
 def _run_check(args) -> int:
     model, initial = _load_model(args.model)
-    chain = None
-    if isinstance(model, ClassicalMarkovModel):
-        chain = model
-        state = _parse_state(args.state, model, initial)
+    state = _parse_state(args.state, model, initial)
+    chain = model if isinstance(model, ClassicalMarkovModel) else None
+    if chain is not None:
         model = make_classical(chain)
-        if args.state is None and initial is None:
-            state = classical_initial_density(chain)
-    else:
-        state = _parse_state(args.state, model, initial)
 
     groups = [g.strip() for g in args.bounds.split(",") if g.strip()]
     for g in groups:
@@ -286,7 +280,7 @@ def _run_check(args) -> int:
         n_traj=args.n_traj,
         seed=args.seed,
         out=Path(args.out),
-        echo={"chain": chain, "argv": vars(args).copy()},
+        chain=chain,
     )
 
     rows: list[dict] = []

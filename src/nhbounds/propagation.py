@@ -508,12 +508,14 @@ def trajectory_ensemble(
     """Run ``n_traj`` trajectories and accumulate order-independent statistics.
 
     ``state0`` may be a normalized pure state or a unit-trace density
-    operator; in the mixed case each trajectory first draws its initial
-    eigenstate from the spectral decomposition (one extra uniform, taken
-    before the waiting-time stream).  Mean states are taken at exactly the
-    requested ``sample_times`` (default ``[tau]``).  Accumulation is in
-    trajectory-index order, so the result is deterministic for a fixed seed
-    regardless of how work would be scheduled.
+    operator (a raw 2-D array is read as a density operator, a raw 1-D
+    array as amplitudes); in the mixed case each trajectory first draws its
+    initial eigenstate from the spectral decomposition (one extra uniform,
+    taken before the waiting-time stream).  Mean states are taken at
+    exactly the requested ``sample_times`` (default ``[tau]``).
+    Accumulation is in trajectory-index order, so the result is
+    deterministic for a fixed seed regardless of how work would be
+    scheduled.
     """
     if n_traj < 1:
         raise BadParameter("need at least one trajectory")
@@ -521,7 +523,8 @@ def trajectory_ensemble(
         raise BadParameter("tau must be nonnegative")
     d = model.dim
     if not isinstance(state0, (StateVector, DensityOperator)):
-        state0 = StateVector(np.asarray(state0, dtype=complex))
+        arr = np.asarray(state0, dtype=complex)
+        state0 = DensityOperator(arr) if arr.ndim == 2 else StateVector(arr)
     if state0.dim != d:
         raise ShapeError("state dimension differs from model dimension")
 

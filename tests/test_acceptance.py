@@ -21,8 +21,6 @@ from nhbounds import (
     fid_mt_open,
     make_dephasing,
     make_refrigerator,
-    ml_fidelity_bound_open,
-    mt_fidelity_bound_open,
     open_overlap,
     propagator,
     pure_density,
@@ -43,7 +41,7 @@ from nhbounds import (
     tur_mt_open,
 )
 from nhbounds import linalg
-from nhbounds.bounds import _generalized_std_integral
+from nhbounds.bounds import _mt_path
 from nhbounds.models import random_hermitian
 from nhbounds.states import as_density_matrix
 from conftest import SX, expm_2x2, tree_product
@@ -83,7 +81,7 @@ def test_criterion_1_closed_inequality_battery():
         gap = float(np.trace(model.h @ rho0).real) - float(np.linalg.eigvalsh(model.h)[0])
         decay = float(np.trace(model.gamma @ rho0).real)
         t_pos = _positivity_horizon(decay, max(gap, 1e-9))
-        std0 = _generalized_std_integral(model, rho0, 0.0, 1e-9, 4)[0] / 1e-9
+        std0 = _mt_path(model, rho0, 0.0, 1e-9, 4).integral / 1e-9
         t_window = 0.85 * (math.pi / 2.0) / max(std0, 0.05)
         tau = float(rng.uniform(0.2, 0.9)) * min(t_pos, t_window)
         reports = None
@@ -221,8 +219,8 @@ def test_criterion_5_dephasing_equalities():
     for gt in (0.1, 0.5, 1.0, 2.0):
         want = math.exp(-0.5 * gamma * gt)
         overlap = open_overlap(model, PLUS, gt)
-        ml = ml_fidelity_bound_open(model, PLUS, gt)
-        mt = mt_fidelity_bound_open(model, PLUS, gt)
+        ml = fid_ml_open(model, PLUS, gt).rhs
+        mt = fid_mt_open(model, PLUS, gt).rhs
         for value in (overlap, ml, mt):
             assert abs(value - want) <= 1e-10
             worst = max(worst, abs(value - want))
@@ -400,8 +398,9 @@ def test_criterion_10_oracle_equivalence():
             rho0 = as_density_matrix(random_pure_state(dim, 91_000 + case))
             t1 = float(rng.uniform(0.0, 0.3))
             t2 = t1 + float(rng.uniform(0.1, 1.0))
-            coarse, estimate = _generalized_std_integral(model, rho0, t1, t2, panels)
-            fine, _ = _generalized_std_integral(model, rho0, t1, t2, 10 * panels)
+            path = _mt_path(model, rho0, t1, t2, panels)
+            coarse, estimate = path.integral, path.quad_err
+            fine = _mt_path(model, rho0, t1, t2, 10 * panels).integral
             total += 1
             if abs(coarse - fine) <= estimate:
                 covered += 1

@@ -5,6 +5,7 @@ import pytest
 
 from nhbounds import (
     ClassicalMarkovModel,
+    DensityOperator,
     JumpCountObservable,
     LindbladModel,
     NonHermitianModel,
@@ -17,10 +18,6 @@ from nhbounds import (
     make_classical,
     make_dephasing,
     make_refrigerator,
-    ml_fidelity_bound,
-    ml_fidelity_bound_open,
-    mt_fidelity_bound,
-    mt_fidelity_bound_open,
     open_overlap,
     pure_density,
     qsl_classical,
@@ -40,7 +37,7 @@ from nhbounds import (
     trajectory_ensemble,
 )
 from nhbounds import bounds
-from nhbounds.errors import CommutatorViolation
+from nhbounds.errors import CommutatorViolation, ShapeError
 from nhbounds.models import classical_initial_density, random_hermitian
 from conftest import SX, p1_closed
 
@@ -75,14 +72,14 @@ class TestMlOpenFidelity:
     def test_dephasing_equality(self):
         model = make_dephasing(1.0)
         for tau in (0.1, 0.5, 1.0, 2.0):
-            floor = ml_fidelity_bound_open(model, PLUS, tau)
+            floor = fid_ml_open(model, PLUS, tau).rhs
             assert floor == pytest.approx(math.exp(-tau / 2.0), abs=1e-12)
             rep = fid_ml_open(model, PLUS, tau)
             assert abs(rep.slack) <= 1e-10  # equality case
 
     def test_trivial_when_no_jumps_and_flat_hamiltonian(self):
         model = LindbladModel(0.9 * np.eye(2), ())
-        assert ml_fidelity_bound_open(model, PLUS, 2.0) == pytest.approx(1.0, abs=1e-12)
+        assert fid_ml_open(model, PLUS, 2.0).rhs == pytest.approx(1.0, abs=1e-12)
 
     def test_refrigerator_ground_start(self):
         gamma = 1.0
@@ -92,14 +89,14 @@ class TestMlOpenFidelity:
         tau = 0.8
         # <H_S>(0) = 0 = ground energy, so only the activity term survives
         want = math.exp(-0.5 * gamma * (n1 + n3) * tau)
-        assert ml_fidelity_bound_open(model, ground, tau) == pytest.approx(want, abs=1e-12)
+        assert fid_ml_open(model, ground, tau).rhs == pytest.approx(want, abs=1e-12)
         rep = fid_ml_open(model, pure_density(ground), tau)
         assert rep.satisfied
 
     def test_noncommuting_rejected(self):
         model = LindbladModel(SX, (np.diag([0.0, 1.0]).astype(complex),))
         with pytest.raises(CommutatorViolation):
-            ml_fidelity_bound_open(model, PLUS, 0.5)
+            fid_ml_open(model, PLUS, 0.5)
 
 
 class TestQslMlOpen:
@@ -176,6 +173,14 @@ class TestTurMlOpen:
         tur_mt_open(model, PLUS, 0.6, spec)
         assert calls == [0.5, 0.6]
 
+    def test_jump_count_raw_density_matrix(self):
+        model = make_dephasing(0.5)
+        spec = JumpCountObservable(50, 1)
+        raw = tur_ml_open(model, np.eye(2) / 2, 0.5, spec)
+        assert raw == tur_ml_open(model, DensityOperator(np.eye(2) / 2), 0.5, spec)
+        with pytest.raises(ShapeError):
+            tur_ml_open(model, np.ones(2) / math.sqrt(2.0), 0.5, spec)
+
     def test_inapplicable_on_positivity_failure(self):
         model = LindbladModel(
             np.diag([0.0, 5.0]).astype(complex), (0.1 * np.diag([1.0, 1.0]).astype(complex),)
@@ -191,14 +196,14 @@ class TestMtOpenFidelity:
         open_model = LindbladModel(h, ())
         closed = NonHermitianModel(h, np.zeros((2, 2)))
         for tau in (0.3, 0.8):
-            got = mt_fidelity_bound_open(open_model, PLUS, tau)
-            want = mt_fidelity_bound(closed, PLUS, 0.0, tau)
+            got = fid_mt_open(open_model, PLUS, tau).rhs
+            want = fid_mt(closed, PLUS, 0.0, tau).rhs
             assert got == pytest.approx(want, abs=1e-10)
 
     def test_dephasing_equality(self):
         model = make_dephasing(1.0)
         for tau in (0.1, 0.5, 1.0, 2.0):
-            floor = mt_fidelity_bound_open(model, PLUS, tau)
+            floor = fid_mt_open(model, PLUS, tau).rhs
             assert floor == pytest.approx(math.exp(-tau / 2.0), abs=1e-10)
             rep = fid_mt_open(model, PLUS, tau)
             assert abs(rep.slack) <= 1e-10
@@ -211,7 +216,7 @@ class TestMtOpenFidelity:
         integral = np.trapezoid(np.sqrt(1.25 * p * (1.0 - p)), dx=1e-6)
         z = (1.0 + math.exp(-0.5)) / 2.0
         want = math.sqrt(z) * math.cos(integral)
-        got = mt_fidelity_bound_open(two_level_lindblad, PLUS, 0.5)
+        got = fid_mt_open(two_level_lindblad, PLUS, 0.5).rhs
         assert got == pytest.approx(want, abs=1e-8)
         measured = open_overlap(two_level_lindblad, PLUS, 0.5)
         assert got <= measured + 1e-12
@@ -342,11 +347,11 @@ class TestOpenClosedCollapse:
         closed = NonHermitianModel(h, np.zeros((2, 2)))
         state = random_pure_state(2, 77)
         tau = 0.6
-        assert ml_fidelity_bound_open(open_model, state, tau) == pytest.approx(
-            ml_fidelity_bound(closed, state, tau), abs=1e-10
+        assert fid_ml_open(open_model, state, tau).rhs == pytest.approx(
+            fid_ml(closed, state, tau).rhs, abs=1e-10
         )
-        assert mt_fidelity_bound_open(open_model, state, tau) == pytest.approx(
-            mt_fidelity_bound(closed, state, 0.0, tau), abs=1e-10
+        assert fid_mt_open(open_model, state, tau).rhs == pytest.approx(
+            fid_mt(closed, state, 0.0, tau).rhs, abs=1e-10
         )
         pairs = [
             (qsl_ml_open(open_model, state, tau), qsl_ml(closed, state, tau)),

@@ -1,5 +1,6 @@
-"""One normalized path, one Lindblad state and one jump-count ensemble per
-time point: the one-entry memo in ``bounds`` and the work it saves."""
+"""One ML evaluation, one normalized path, one Lindblad state and one
+jump-count ensemble per time point: the one-entry memo in ``bounds`` and
+the work it saves."""
 
 from collections import Counter
 
@@ -11,16 +12,23 @@ from nhbounds import (
     JumpCountObservable,
     LindbladModel,
     StateVector,
+    fid_ml,
+    fid_ml_open,
     make_dephasing,
+    normalized_overlap,
+    open_overlap,
     pure_density,
+    qsl_ml,
     qsl_mt,
     random_commuting,
+    random_density,
+    random_diagonal_jump_lindblad,
     random_pure_state,
     tur_ml_open,
     tur_mt_open,
 )
 from nhbounds import bounds as bnd
-from nhbounds import cli
+from nhbounds import cli, linalg
 from nhbounds.states import as_density_matrix
 
 PATH_FIELDS = ("integral", "quad_err", "rho1", "rho2", "tr1", "tr2", "overlap")
@@ -93,6 +101,51 @@ def test_changed_argument_misses(closed_case, change):
         assert_same_path(fresh, first)
     else:
         assert fresh.integral != first.integral
+
+
+def test_ml_hit_is_bitwise_equal_to_cold_call(closed_case):
+    model, psi = closed_case
+    cold = bnd._ml_point(model, psi, 0.6)
+    assert bnd._ml_point(model, StateVector(psi.amplitudes.copy()), 0.6) is cold
+    bnd._ml_point(model, psi, 0.7)  # evicts the entry
+    again = bnd._ml_point(model, psi, 0.6)
+    assert again is not cold
+    assert np.array_equal(again.rho0, cold.rho0) and np.array_equal(again.m, cold.m)
+    assert again.overlap == cold.overlap and again.params == cold.params
+
+
+@pytest.mark.parametrize("change", ["tau", "model", "state"])
+def test_ml_rows_miss_on_a_changed_point(closed_case, change, monkeypatch):
+    model, psi = closed_case
+    state = StateVector(psi.amplitudes.copy())
+    tau = 0.6
+    counts = count_calls(monkeypatch, "propagator")
+    fid_ml(model, state, tau)
+    if change == "tau":
+        tau = 0.7
+    elif change == "model":
+        model = random_commuting(3, 7, gamma_scale=0.8)  # equal contents, new model
+    else:
+        state.amplitudes[:] = random_pure_state(3, 9).amplitudes
+    got = qsl_ml(model, state, tau)
+    assert counts["propagator"] == 2
+    bnd._ml_point(model, psi, 0.1)  # evicts the entry
+    want = qsl_ml(model, StateVector(state.amplitudes.copy()), tau)
+    assert got.lhs == want.lhs and got.rhs == want.rhs
+
+
+@pytest.mark.parametrize("case", range(20))
+def test_ml_overlaps_equal_the_reference(case):
+    """The ML rows read the shared point; the public overlaps compute it
+    straight from ``propagator``, and both agree exactly."""
+    rng = np.random.default_rng(4_000 + case)
+    dim = int(rng.integers(2, 5))
+    state = random_pure_state(dim, rng) if case % 2 else random_density(dim, rng)
+    tau = float(rng.uniform(0.0, 2.0))
+    closed = random_commuting(dim, 5_000 + case, gamma_scale=1.5)
+    assert fid_ml(closed, state, tau).lhs == normalized_overlap(closed, state, 0.0, tau)
+    lindblad = random_diagonal_jump_lindblad(dim, 6_000 + case)
+    assert fid_ml_open(lindblad, state, tau).lhs == open_overlap(lindblad, state, tau)
 
 
 @pytest.mark.parametrize("kind", ["vector", "density", "array"])
@@ -171,8 +224,8 @@ def test_jump_count_raw_array_state_shares_one_ensemble(monkeypatch):
     assert first == second
 
 
-def run_check(tmp_path, monkeypatch, argv):
-    counts = count_calls(monkeypatch, "propagator_span", "evolve_lindblad")
+def run_check(tmp_path, monkeypatch, argv, names=("propagator_span", "evolve_lindblad")):
+    counts = count_calls(monkeypatch, *names)
     code = cli.main(["check", *argv, "--out", str(tmp_path / "out.csv")])
     assert code == 0
     return counts
@@ -195,3 +248,26 @@ def test_work_count_closed_window(tmp_path, monkeypatch):
         "--bounds", "mt", "--t-final", "1.0", "--steps", "2", "--tau1", "0.2", "--tau2", "0.7",
     ])
     assert counts == {"propagator_span": 3}
+
+
+def test_work_count_closed_ml(tmp_path, monkeypatch):
+    """One propagator, one matrix exponential and one commutator check per
+    time point (five, four and three without the sharing)."""
+    expm_calls = []
+    expm = linalg.expm
+    monkeypatch.setattr(linalg, "expm", lambda a: expm_calls.append(a) or expm(a))
+    counts = run_check(tmp_path, monkeypatch, [
+        "--model", "builtin:random-commuting?dim=3&seed=4", "--state", "plus",
+        "--bounds", "ml", "--t-final", "1.0", "--steps", "1",
+    ], names=("propagator", "commutator_check"))
+    assert counts == {"propagator": 1, "commutator_check": 1}
+    assert len(expm_calls) == 1
+
+
+def test_work_count_open_ml(tmp_path, monkeypatch):
+    """One commutator check per time point (three without the sharing)."""
+    counts = run_check(tmp_path, monkeypatch, [
+        "--model", "builtin:refrigerator?beta2=1.05&beta3=0.9", "--state", "plus",
+        "--bounds", "ml-open", "--t-final", "1.0", "--steps", "4",
+    ], names=("commutator_check",))
+    assert counts == {"commutator_check": 4}
