@@ -28,7 +28,7 @@ import numpy as np
 
 from . import bounds as bnd
 from . import serialize
-from .errors import SimulationError
+from .errors import BadParameter, SimulationError
 from .models import (
     ClassicalMarkovModel,
     classical_initial_density,
@@ -142,13 +142,20 @@ def _parse_state(spec: str | None, model, initial):
     if spec == "maxmixed":
         return DensityOperator(np.eye(dim, dtype=complex) / dim)
     if spec.startswith("basis:"):
-        k = int(spec.split(":", 1)[1])
         amp = np.zeros(dim, dtype=complex)
-        amp[k] = 1.0
+        amp[_level(spec, dim)] = 1.0
         return StateVector(amp)
     if spec.startswith("{"):
         return serialize.state_from_json(json.loads(spec), dim)
     return serialize.state_from_json(json.loads(Path(spec).read_text()), dim)
+
+
+def _level(spec: str, dim: int) -> int:
+    """The level K of a ``name:K`` spec, checked to lie in [0, dim)."""
+    k = int(spec.split(":", 1)[1])
+    if not 0 <= k < dim:
+        raise BadParameter(f"{spec!r}: level must lie in [0, {dim})")
+    return k
 
 
 def _parse_observable(spec: str | None, dim: int, n_traj: int, seed: int):
@@ -157,7 +164,7 @@ def _parse_observable(spec: str | None, dim: int, n_traj: int, seed: int):
         out[dim - 1, dim - 1] = 1.0
         return out
     if spec.startswith("proj:"):
-        k = int(spec.split(":", 1)[1])
+        k = _level(spec, dim)
         out = np.zeros((dim, dim), dtype=complex)
         out[k, k] = 1.0
         return out
@@ -353,8 +360,7 @@ def _run_trajectory(args) -> int:
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["traj", "jumps"])
-        for i, c in enumerate(ens.jump_counts):
-            writer.writerow([i, int(c)])
+        writer.writerows(enumerate(ens.jump_counts.tolist()))
 
     exact = evolve_lindblad(model, _as_density(state), args.t_final)
     dev = np.abs(ens.mean_states[0] - exact.matrix)

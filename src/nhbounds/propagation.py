@@ -6,9 +6,11 @@ propagators at every node of a uniform grid (by repeated squaring of the
 node-to-node exponential for constant generators) and the normalized state
 M rho0 M^dag / Tr they carry, the Lindblad master equation via the exact
 vectorized-Liouvillian exponential, exact-in-time (waiting-time)
-quantum-jump trajectory sampling with per-trajectory RNG streams, and the
-no-jump conditioned state with its survival weight, which is the normalized
-state of the equivalent non-Hermitian model.
+quantum-jump trajectory sampling, and the no-jump conditioned state with its
+survival weight, which is the normalized state of the equivalent
+non-Hermitian model.  Trajectory randomness is stateless: each uniform is a
+Philox4x32-10 block of (seed; trajectory index, jump number), evaluated
+over a whole chunk at once, so no per-trajectory generator exists.
 
 Models are immutable: they hold read-only copies of their arrays and build
 their derived operators once, on first use.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -363,9 +366,60 @@ def evolve_lindblad(model: LindbladModel, rho0: DensityOperator, t: float) -> De
 # quantum-jump trajectories
 
 
-def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-style stream for one trajectory, independent of scheduling."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+# Philox4x32-10 (Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as
+# easy as 1, 2, 3", SC'11) in numpy uint64 arithmetic: a 32 x 32-bit product
+# fits exactly, its high word is ``p >> 32`` and its low word ``p & _MASK32``.
+_PHILOX_MUL = (0xD2511F53, 0xCD9E8D57)
+_PHILOX_WEYL = (0x9E3779B9, 0xBB67AE85)
+_PHILOX_ROUNDS = 10
+_MASK32 = 0xFFFFFFFF
+
+
+def _philox4x32(ctr, key):
+    """Philox4x32-10 of the counter words ``ctr`` under the key words ``key``.
+
+    ``ctr`` is four uint64 arrays (or scalars) holding 32-bit words, ``key``
+    two Python ints below 2^32; returns the four 32-bit output words as
+    uint64 arrays.
+    """
+    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in ctr)
+    k0, k1 = key
+    m0, m1 = _PHILOX_MUL
+    for _ in range(_PHILOX_ROUNDS):
+        p0, p1 = c0 * m0, c2 * m1
+        c0, c1, c2, c3 = (p1 >> 32) ^ c1 ^ k0, p1 & _MASK32, (p0 >> 32) ^ c3 ^ k1, p0 & _MASK32
+        k0, k1 = (k0 + _PHILOX_WEYL[0]) & _MASK32, (k1 + _PHILOX_WEYL[1]) & _MASK32
+    return c0, c1, c2, c3
+
+
+def _uniform_pairs(seed: int, traj: np.ndarray, block) -> np.ndarray:
+    """The two uniforms in [0, 1) of draw block ``block`` of trajectories ``traj``.
+
+    One Philox4x32-10 block keyed by the 64-bit ``seed``, with counter
+    (block as two 32-bit words, trajectory index as two 32-bit words), gives
+    two 53-bit doubles ``((w0 >> 5) * 2^26 + (w1 >> 6)) / 2^53``.  Every
+    draw is a pure function of (seed, trajectory, block), so no row depends
+    on the chunk it runs in.  ``block`` is a scalar or one value per row.
+    Returns an array of shape ``(len(traj), 2)``.
+    """
+    traj = np.asarray(traj, dtype=np.uint64)
+    block = np.broadcast_to(np.asarray(block, dtype=np.uint64), traj.shape)
+    w = _philox4x32(
+        (block & _MASK32, block >> 32, traj & _MASK32, traj >> 32),
+        (seed & _MASK32, seed >> 32),
+    )
+    out = np.empty(traj.shape + (2,))
+    out[..., 0] = ((w[0] >> 5) << 26 | (w[1] >> 6)) * 2.0**-53
+    out[..., 1] = ((w[2] >> 5) << 26 | (w[3] >> 6)) * 2.0**-53
+    return out
+
+
+def _require_key(name: str, value: int) -> int:
+    """``value`` as an int in [0, 2^64), the range of a Philox key or counter."""
+    value = operator.index(value)
+    if not 0 <= value < 1 << 64:
+        raise BadParameter(f"{name} must lie in [0, 2**64), got {value}")
+    return value
 
 
 def _sample_nodes(tau: float, sample_times: Sequence[float]) -> np.ndarray:
@@ -394,7 +448,8 @@ def _norm_sq(a: np.ndarray) -> np.ndarray:
 def _unravel(
     model: LindbladModel,
     psi: np.ndarray,
-    rngs: Sequence[np.random.Generator],
+    seed: int,
+    traj: np.ndarray,
     nodes: np.ndarray,
     lifts: list[np.ndarray],
     on_node: Callable[[int, np.ndarray], None],
@@ -402,23 +457,26 @@ def _unravel(
 ) -> np.ndarray:
     """Waiting-time quantum-jump evolution of a chunk of trajectories.
 
-    Row ``i`` carries its no-jump state ``psi[i]`` unnormalized together
-    with a threshold drawn from ``rngs[i]``; the next jump fires where
-    ``||psi||^2`` decays to the threshold.  The jump-rate operator is PSD,
-    so the squared norm only decreases and greedy binary lifting over the
-    steps ``lifts[j][k]`` (interval j split 2^k times) finds that time to
-    2^-K of the interval.  At a jump, channel m is drawn with weight
-    ``||L_m psi||^2`` and a fresh threshold follows, both from the row's own
-    stream, so no row depends on the chunk it runs in.  ``on_node(j, psi)``
-    sees the normalized states at ``nodes[j]``; ``events[i]``, when given,
-    collects the ``(time, channel)`` pairs of row ``i``.  ``psi`` ends
-    holding the normalized states at the last node.  Returns jump counts.
+    Row ``i`` is trajectory ``traj[i]``.  It carries its no-jump state
+    ``psi[i]`` unnormalized together with a threshold; the next jump fires
+    where ``||psi||^2`` decays to the threshold.  The jump-rate operator is
+    PSD, so the squared norm only decreases and greedy binary lifting over
+    the steps ``lifts[j][k]`` (interval j split 2^k times) finds that time
+    to 2^-K of the interval.  The first threshold is the second uniform of
+    draw block 0 (the first picks a mixed initial eigenstate).  At jump n,
+    block n gives the channel, drawn with weight ``||L_m psi||^2``, and the
+    next threshold.  Every draw is ``_uniform_pairs(seed, traj[i], n)``, a
+    pure function of the row's trajectory index and jump count, so no row
+    depends on the chunk it runs in.  ``on_node(j, psi)`` sees the
+    normalized states at ``nodes[j]``; ``events[i]``, when given, collects
+    the ``(time, channel)`` pairs of row ``i``.  ``psi`` ends holding the
+    normalized states at the last node.  Returns jump counts.
     """
     ls = model.jumps
     c = psi.shape[0]
     counts = np.zeros(c, dtype=np.int64)
     # without channels nothing fires and no threshold is drawn
-    r = np.array([g.random() for g in rngs]) if ls else np.zeros(c)
+    r = _uniform_pairs(seed, traj, 0)[:, 1] if ls else np.zeros(c)
     on_node(0, psi)
     for j, lift in enumerate(lifts):
         pos = np.zeros(c, dtype=np.int64)
@@ -436,12 +494,12 @@ def _unravel(
                 break
             amps = np.stack([psi[live] @ l.T for l in ls])
             cum = np.cumsum(_norm_sq(amps), axis=0)
-            draws = np.array([rngs[i].random(2) for i in live])
+            counts[live] += 1
+            draws = _uniform_pairs(seed, traj[live], counts[live])
             ch = np.minimum(np.sum(draws[:, 0] * cum[-1] >= cum, axis=0), len(ls) - 1)
             chosen = amps[ch, np.arange(live.size)]
             psi[live] = chosen / np.sqrt(_norm_sq(chosen))[:, None]
             r[live] = draws[:, 1]
-            counts[live] += 1
             if events is not None:
                 times = nodes[j] + pos[live] * ((nodes[j + 1] - nodes[j]) / _LIFT_FULL)
                 for i, t, m in zip(live, times, ch):
@@ -455,9 +513,37 @@ def _unravel(
     return counts
 
 
+def _initial_rows(model: LindbladModel, state0) -> Callable[[int, np.ndarray], np.ndarray]:
+    """``rows(seed, traj)``: the initial states of trajectories ``traj``, one per row.
+
+    ``state0`` is read as ``trajectory_ensemble`` documents.  A mixed state
+    gives each trajectory the eigenstate that the first uniform of its draw
+    block 0 picks, with the eigenvalues as weights.
+    """
+    if not isinstance(state0, (StateVector, DensityOperator)):
+        arr = np.asarray(state0, dtype=complex)
+        state0 = DensityOperator(arr) if arr.ndim == 2 else StateVector(arr)
+    if state0.dim != model.dim:
+        raise ShapeError("state dimension differs from model dimension")
+    if isinstance(state0, StateVector):
+        base = normalize(state0)[0].amplitudes
+        return lambda _seed, traj: np.tile(base, (traj.size, 1))
+    w, v = linalg.herm_eig(state0.matrix)
+    order = np.argsort(w)[::-1]
+    probs = np.clip(w[order], 0.0, None)
+    cum = np.cumsum(probs / probs.sum())
+    vecs = v[:, order]
+
+    def rows(seed: int, traj: np.ndarray) -> np.ndarray:
+        picks = np.searchsorted(cum, _uniform_pairs(seed, traj, 0)[:, 0], side="right")
+        return vecs[:, np.minimum(picks, cum.size - 1)].T.copy()
+
+    return rows
+
+
 def sample_trajectory(
     model: LindbladModel,
-    psi0: StateVector,
+    state0,
     tau: float,
     seed: int,
     *,
@@ -466,24 +552,27 @@ def sample_trajectory(
 ) -> Trajectory:
     """Sample one quantum-jump trajectory, exact in time.
 
-    This is the ensemble kernel run on one row: the uniform stream is
-    derived from ``(seed, traj_index)``, so the result is identical to the
-    matching member of ``trajectory_ensemble``.  Sampled states are returned
-    at exactly the requested times, in the requested order.
+    This is the ensemble kernel run on one row: ``state0`` is read as
+    ``trajectory_ensemble`` reads it (a pure state must be normalized), and
+    the uniforms are functions of ``(seed, traj_index)`` and the jump
+    number alone, so the result is identical to the matching member of
+    ``trajectory_ensemble``.  ``seed`` and ``traj_index`` must lie in
+    [0, 2^64), the Philox key and counter range.  Sampled states are
+    returned at exactly the requested times, in the requested order.
     """
-    if not psi0.is_normalized(1e-10):
+    if isinstance(state0, StateVector) and not state0.is_normalized(1e-10):
         raise BadParameter("initial state must be normalized")
-    if psi0.dim != model.dim:
-        raise ShapeError("state dimension differs from model dimension")
     if tau < 0:
         raise BadParameter("tau must be nonnegative")
+    seed = _require_key("seed", seed)
+    traj = np.array([_require_key("traj_index", traj_index)], dtype=np.uint64)
+    psi = _initial_rows(model, state0)(seed, traj)
     wanted = list(sample_times) if sample_times is not None else []
     nodes = _sample_nodes(tau, wanted)
-    psi = normalize(psi0)[0].amplitudes[None, :].copy()
     at_node: list[np.ndarray] = []
     events: list[list[tuple[float, int]]] = [[]]
     _unravel(
-        model, psi, [_trajectory_rng(seed, traj_index)], nodes, _lift_propagators(model, nodes),
+        model, psi, seed, traj, nodes, _lift_propagators(model, nodes),
         lambda _j, rows: at_node.append(rows[0].copy()), events,
     )
     sampled = [(t, StateVector(at_node[np.searchsorted(nodes, t)])) for t in wanted]
@@ -510,35 +599,20 @@ def trajectory_ensemble(
     ``state0`` may be a normalized pure state or a unit-trace density
     operator (a raw 2-D array is read as a density operator, a raw 1-D
     array as amplitudes); in the mixed case each trajectory first draws its
-    initial eigenstate from the spectral decomposition (one extra uniform,
-    taken before the waiting-time stream).  Mean states are taken at
-    exactly the requested ``sample_times`` (default ``[tau]``).
-    Accumulation is in trajectory-index order, so the result is
-    deterministic for a fixed seed regardless of how work would be
-    scheduled.
+    initial eigenstate from the spectral decomposition.  Mean states are
+    taken at exactly the requested ``sample_times`` (default ``[tau]``).
+    Trajectory i draws its uniforms from ``(seed, i)`` alone and
+    accumulation is in trajectory-index order, so the result is
+    deterministic for a fixed seed regardless of chunking.  ``seed`` must
+    lie in [0, 2^64), the Philox key range.
     """
     if n_traj < 1:
         raise BadParameter("need at least one trajectory")
     if tau < 0:
         raise BadParameter("tau must be nonnegative")
+    seed = _require_key("seed", seed)
     d = model.dim
-    if not isinstance(state0, (StateVector, DensityOperator)):
-        arr = np.asarray(state0, dtype=complex)
-        state0 = DensityOperator(arr) if arr.ndim == 2 else StateVector(arr)
-    if state0.dim != d:
-        raise ShapeError("state dimension differs from model dimension")
-
-    mixed = isinstance(state0, DensityOperator)
-    if mixed:
-        w, v = linalg.herm_eig(state0.matrix)
-        order = np.argsort(w)[::-1]
-        probs, vecs = w[order], v[:, order]
-        probs = np.clip(probs, 0.0, None)
-        probs = probs / probs.sum()
-        cum_init = np.cumsum(probs)
-    else:
-        base = normalize(state0)[0].amplitudes
-
+    initial_rows = _initial_rows(model, state0)
     times = np.array([tau] if sample_times is None else list(sample_times), dtype=float)
     nodes = _sample_nodes(tau, times)
     lifts = _lift_propagators(model, nodes)
@@ -560,14 +634,9 @@ def trajectory_ensemble(
             sum_sq_im[pos] += sq_im
 
     for start in range(0, n_traj, chunk_size):
-        rngs = [_trajectory_rng(seed, i) for i in range(start, min(start + chunk_size, n_traj))]
-        if mixed:
-            picks = np.searchsorted(cum_init, [g.random() for g in rngs], side="right")
-            psi = vecs[:, np.minimum(picks, len(probs) - 1)].T.copy()
-        else:
-            psi = np.tile(base, (len(rngs), 1))
-        jump_counts[start : start + len(rngs)] = _unravel(
-            model, psi, rngs, nodes, lifts, accumulate
+        traj = np.arange(start, min(start + chunk_size, n_traj), dtype=np.uint64)
+        jump_counts[start : start + traj.size] = _unravel(
+            model, initial_rows(seed, traj), seed, traj, nodes, lifts, accumulate
         )
 
     means, se_re, se_im = [], [], []

@@ -63,6 +63,8 @@ def state_to_json(state) -> dict:
 
 
 def state_from_json(spec: dict, dim: int):
+    if not isinstance(spec, dict):
+        raise BadParameter("state JSON must be an object")
     kind = spec.get("type")
     if kind == "pure":
         return StateVector(vector_from_json(spec["data"], dim))
@@ -110,6 +112,8 @@ def model_to_dict(model, initial=None) -> dict:
 
 def model_from_dict(d: dict):
     """Rebuild (model, initial_state_or_None) from the JSON dict."""
+    if not isinstance(d, dict):
+        raise BadParameter("model JSON must be an object")
     kind = d.get("kind")
     dim = int(d.get("dim", 0))
     if kind == "nonhermitian":
@@ -122,7 +126,7 @@ def model_from_dict(d: dict):
     elif kind == "classical":
         rates = np.asarray(d["rates"], dtype=float)
         init = d.get("initial")
-        if init is None or init.get("type") != "mixed":
+        if not isinstance(init, dict) or init.get("type") != "mixed":
             raise BadParameter("classical models need an initial distribution")
         p0 = np.asarray(init["data"], dtype=float)
         if p0.ndim == 2:

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from nhbounds import cli, serialize
-from nhbounds.models import ClassicalMarkovModel, make_refrigerator, random_commuting
-from nhbounds.propagation import LindbladModel, NonHermitianModel
+from nhbounds.models import (
+    ClassicalMarkovModel,
+    make_dephasing,
+    make_refrigerator,
+    random_commuting,
+)
+from nhbounds.propagation import LindbladModel, NonHermitianModel, trajectory_ensemble
 from nhbounds.states import DensityOperator, StateVector
 
 
@@ -326,6 +331,24 @@ class TestTrajectoryCommand:
         with pytest.raises(SystemExit) as exc:
             cli.main(args)
         assert exc.value.code == 2
+
+    def test_csv_bytes(self, tmp_path):
+        # one "index,count" line per trajectory with csv's \r\n terminator
+        out = tmp_path / "traj.csv"
+        args = [
+            "trajectory",
+            "--model", "builtin:dephasing?gamma=1.5",
+            "--state", "plus",
+            "--t-final", "0.7",
+            "--n-traj", "40",
+            "--seed", "6",
+            "--out", str(out),
+        ]
+        assert cli.main(args) == 0
+        plus = StateVector(np.ones(2) / np.sqrt(2.0))
+        counts = trajectory_ensemble(make_dephasing(1.5), plus, 0.7, 40, 6).jump_counts
+        expected = "traj,jumps\r\n" + "".join(f"{i},{int(c)}\r\n" for i, c in enumerate(counts))
+        assert out.read_bytes() == expected.encode()
 
     def test_deterministic(self, tmp_path):
         args = [

@@ -1,8 +1,9 @@
 """Numerical failures end as a report value or a SimulationError, never a traceback.
 
-Three strong-decay inputs, each at the API and through ``nhbounds check``,
-plus a fuzz test that runs the CLI in-process over closed and Lindblad
-models with decay scales up to 1e3.
+Three strong-decay inputs, each at the API and through ``nhbounds check``;
+malformed model, state, observable and seed inputs, which exit 2 with an
+error line; plus a fuzz test that runs the CLI in-process over closed and
+Lindblad models with decay scales up to 1e3.
 """
 
 import csv
@@ -104,6 +105,59 @@ class TestVanishingFloor:
         code, out = run_check(tmp_path, strong_jump_model(), "ml-open", state="plus")
         assert code == 0
         assert float(row(out, "tur-ml-open")["lhs"]) == math.inf
+
+
+def run_cli(argv, capsys):
+    """``(exit code, stderr)`` of one in-process CLI run."""
+    code = cli.main(argv)
+    return code, capsys.readouterr().err
+
+
+class TestMalformedInput:
+    """Inputs that once escaped as AttributeError/IndexError tracebacks (exit 1)."""
+
+    def check_argv(self, tmp_path, model, *extra):
+        return ["check", "--model", model, "--bounds", "ml-open", "--t-final", "0.5",
+                "--steps", "1", *extra, "--out", str(tmp_path / "out.csv")]
+
+    @pytest.mark.parametrize("text", ["null", "[]", '"x"'])
+    def test_model_file_not_an_object(self, tmp_path, capsys, text):
+        model_file = tmp_path / "model.json"
+        model_file.write_text(text)
+        code, err = run_cli(self.check_argv(tmp_path, str(model_file)), capsys)
+        assert code == 2
+        assert "model JSON must be an object" in err and "Traceback" not in err
+
+    def test_state_file_null(self, tmp_path, capsys):
+        state_file = tmp_path / "state.json"
+        state_file.write_text("null")
+        argv = self.check_argv(tmp_path, "builtin:dephasing", "--state", str(state_file))
+        code, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "state JSON must be an object" in err
+
+    @pytest.mark.parametrize("spec", [("--state", "basis:5"), ("--state", "basis:-1"),
+                                      ("--observable", "proj:5"), ("--observable", "proj:-1")])
+    def test_level_outside_model(self, tmp_path, capsys, spec):
+        extra = spec if spec[0] == "--state" else ("--state", "plus", *spec)
+        code, err = run_cli(self.check_argv(tmp_path, "builtin:dephasing", *extra), capsys)
+        assert code == 2
+        assert "level must lie in [0, 2)" in err
+
+    @pytest.mark.parametrize("command", ["trajectory", "check"])
+    @pytest.mark.parametrize("seed, expected", [(-1, 2), (2**64, 2), (2**64 - 1, 0)])
+    def test_seed_is_a_64_bit_key(self, tmp_path, capsys, command, seed, expected):
+        model = "builtin:refrigerator?beta2=1.05&beta3=0.9"
+        if command == "trajectory":
+            argv = ["trajectory", "--model", model, "--state", "plus", "--t-final", "0.5",
+                    "--out", str(tmp_path / "out.csv")]
+        else:
+            argv = self.check_argv(tmp_path, model, "--state", "plus",
+                                   "--observable", "jump-count")
+        code, err = run_cli(argv + ["--n-traj", "20", "--seed", str(seed)], capsys)
+        assert code == expected
+        if expected == 2:
+            assert "seed must lie in [0, 2**64)" in err
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

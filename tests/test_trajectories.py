@@ -10,6 +10,7 @@ from nhbounds import (
     StateVector,
     evolve_lindblad,
     make_dephasing,
+    make_refrigerator,
     no_jump_state,
     pure_density,
     random_density,
@@ -17,10 +18,71 @@ from nhbounds import (
     trajectory_ensemble,
 )
 from nhbounds import linalg
+from nhbounds.propagation import (
+    _initial_rows,
+    _lift_propagators,
+    _philox4x32,
+    _uniform_pairs,
+    _unravel,
+)
 from conftest import SX, SZ
 
 
 PLUS = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
+REFRIGERATOR = make_refrigerator(1.0, 1.0, 1.0, 1.0, 1.05, 0.9)
+# (model, initial state): pure dephasing, mixed dephasing, and the
+# three-channel refrigerator from a mixed state
+STREAM_CASES = [
+    (make_dephasing(1.0), PLUS),
+    (make_dephasing(1.0), random_density(2, 20)),
+    (REFRIGERATOR, random_density(3, 22)),
+]
+
+
+def chunk_events(model, state0, tau, n, seed):
+    """Jump records of trajectories 0..n-1 run as one chunk of the ensemble kernel."""
+    nodes = np.array([0.0, tau])
+    traj = np.arange(n, dtype=np.uint64)
+    events = [[] for _ in range(n)]
+    _unravel(model, _initial_rows(model, state0)(seed, traj), seed, traj, nodes,
+             _lift_propagators(model, nodes), lambda _j, _psi: None, events)
+    return events
+
+
+class TestPhilox:
+    # Random123 kat_vectors: counter words, key words -> output words
+    @pytest.mark.parametrize(
+        "ctr, key, out",
+        [
+            ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+            ((0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2, (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+            (
+                (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
+                (0xA4093822, 0x299F31D0),
+                (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1),
+            ),
+        ],
+    )
+    def test_known_answers(self, ctr, key, out):
+        assert tuple(int(w) for w in _philox4x32(ctr, key)) == out
+
+    def test_uniform_moments(self):
+        n = 1_000_000
+        u = _uniform_pairs(2**64 - 1, np.arange(n // 2), 3).ravel()
+        assert u.size == n
+        assert 0.0 <= u.min() and u.max() < 1.0
+        # U(0,1): mean 1/2 with variance 1/(12 n); variance 1/12 with
+        # variance (1/80 - 1/144)/n = 1/(180 n)
+        assert abs(u.mean() - 0.5) <= 5.0 * math.sqrt(1.0 / (12.0 * n))
+        assert abs(u.var() - 1.0 / 12.0) <= 5.0 * math.sqrt(1.0 / (180.0 * n))
+
+    def test_draws_are_functions_of_seed_trajectory_and_block(self):
+        traj = np.arange(6)
+        a = _uniform_pairs(9, traj, 2)
+        assert np.array_equal(a[3:], _uniform_pairs(9, traj[3:], 2))
+        assert np.array_equal(a, _uniform_pairs(9, traj, np.full(6, 2)))
+        for other in (_uniform_pairs(10, traj, 2), _uniform_pairs(9, traj, 3)):
+            assert not np.any(a == other)
 
 
 class TestSampleTrajectory:
@@ -66,6 +128,13 @@ class TestSampleTrajectory:
         for _t, state in traj.sampled_states:
             assert abs(state.norm - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize("key", ["seed", "traj_index"])
+    @pytest.mark.parametrize("value", [-1, 2**64])
+    def test_key_outside_64_bits_rejected(self, key, value):
+        args = {"seed": 0, "traj_index": 0, key: value}
+        with pytest.raises(BadParameter):
+            sample_trajectory(make_dephasing(1.0), PLUS, 1.0, **args)
+
     def test_sample_times_are_exact(self):
         model = make_dephasing(1.0)
         times = [0.7, 0.0, 1.0 / 3.0, 0.7]
@@ -78,11 +147,14 @@ class TestSampleTrajectory:
 
 class TestTrajectoryEnsemble:
     def test_matches_single_trajectory_streams(self):
-        model = make_dephasing(1.0)
-        ens = trajectory_ensemble(model, PLUS, 1.0, 8, seed=5)
-        for i in range(8):
-            single = sample_trajectory(model, PLUS, 1.0, seed=5, traj_index=i)
-            assert ens.jump_counts[i] == single.jump_count
+        for model, state0 in STREAM_CASES:
+            ens = trajectory_ensemble(model, state0, 1.0, 8, seed=5)
+            events = chunk_events(model, state0, 1.0, 8, seed=5)
+            for i in range(8):
+                single = sample_trajectory(model, state0, 1.0, seed=5, traj_index=i)
+                assert ens.jump_counts[i] == single.jump_count
+                assert events[i] == single.jump_times
+            assert ens.jump_counts.sum() > 0
 
     def test_deterministic_across_runs(self):
         model = make_dephasing(1.0)
@@ -92,11 +164,11 @@ class TestTrajectoryEnsemble:
         assert np.array_equal(a.mean_states[0], b.mean_states[0])
 
     def test_chunking_does_not_change_results(self):
-        model = make_dephasing(1.0)
-        a = trajectory_ensemble(model, PLUS, 0.5, 50, seed=10, chunk_size=7)
-        b = trajectory_ensemble(model, PLUS, 0.5, 50, seed=10, chunk_size=50)
-        assert np.array_equal(a.jump_counts, b.jump_counts)
-        assert np.max(np.abs(a.mean_states[0] - b.mean_states[0])) <= 1e-15
+        for model, state0 in STREAM_CASES:
+            a = trajectory_ensemble(model, state0, 0.5, 50, seed=10, chunk_size=7)
+            b = trajectory_ensemble(model, state0, 0.5, 50, seed=10, chunk_size=50)
+            assert np.array_equal(a.jump_counts, b.jump_counts)
+            assert np.max(np.abs(a.mean_states[0] - b.mean_states[0])) <= 1e-15
 
     def test_dephasing_jump_rate(self):
         # <L^dag L> = gamma for every state, so the mean count is gamma*tau
