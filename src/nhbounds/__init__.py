@@ -75,6 +75,7 @@ from .propagation import (
     TrajectoryEnsemble,
     evolve_lindblad,
     evolve_nonhermitian,
+    jump_count_moments,
     liouvillian,
     no_jump_state,
     propagator,

@@ -12,13 +12,14 @@ Two families, each in a closed (non-Hermitian generator) and an open
 The open forms take their floors, std integrals and record-state overlaps
 from the closed code run on ``no_jump_model()``, the non-Hermitian model
 H_S - (i/2) sum L^dag L of the no-jump branch; their Bures angles and
-observable statistics use the Lindblad state.
+observable statistics use the Lindblad state, and their jump-count
+statistics are exact (full counting statistics, no sampling).
 
 The ML rows of one (model, state, tau) read one evaluation (initial
 expectations, propagator and overlap), the MT rows of one (model, state,
 window) one normalized path, and the open rows of one (model, state, tau)
 one Lindblad state: a one-entry memo keyed by model identity (models are
-immutable), the state's type and contents, and the remaining arguments
+immutable), the state's contents, and the remaining arguments
 shares them across the rows of a time point.
 
 Each produces a fidelity floor, a speed limit on the Bures angle, and a
@@ -51,9 +52,9 @@ from .propagation import (
     NonHermitianModel,
     _normalized_density,
     evolve_lindblad,
+    jump_count_moments,
     propagator,
     propagator_span,
-    trajectory_ensemble,
 )
 from .states import DensityOperator, StateVector, as_density_matrix
 
@@ -92,11 +93,9 @@ class JumpCountObservable:
     """Marker selecting the jump-count observable for open-system TURs.
 
     By the vacuum convention the count has zero mean and zero spread at
-    t = 0; statistics at the end time come from a trajectory ensemble.
+    t = 0; its exact mean and variance at the end time come from full
+    counting statistics (:func:`~nhbounds.propagation.jump_count_moments`).
     """
-
-    n_trajectories: int = 10000
-    seed: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -119,18 +118,14 @@ def ground_energy(h) -> float:
 
 
 def _state_key(state) -> tuple:
-    """Type and contents of a state: equal keys mean the same state.
-
-    The type is part of the key because the trajectory sampler draws
-    differently for a pure state and the equal rank-one density operator.
-    """
+    """Contents of a state: equal keys mean the same state."""
     if isinstance(state, StateVector):
         arr = state.amplitudes
     elif isinstance(state, DensityOperator):
         arr = state.matrix
     else:
         arr = np.asarray(state)
-    return type(state), arr.dtype.str, arr.shape, arr.tobytes()
+    return arr.dtype.str, arr.shape, arr.tobytes()
 
 
 def _memo_last(fn):
@@ -138,7 +133,7 @@ def _memo_last(fn):
     time point.
 
     The key holds the model itself (compared by identity; models are
-    immutable), the state's type and contents, and the other arguments, so
+    immutable), the state's contents, and the other arguments, so
     a state mutated in place or a new model misses.  A call that raises
     stores nothing.
     """
@@ -650,46 +645,19 @@ def _lindblad_state(model: LindbladModel, rho0: np.ndarray, tau: float) -> Densi
     return out
 
 
-@_memo_last
-def _jump_count_moments(
-    model: LindbladModel, state0, tau: float, spec: JumpCountObservable
-) -> tuple[int, float, float]:
-    """(n, mean, variance) of the jump count at ``tau``; the tur-ml-open and
-    tur-mt-open rows of one time point share one ensemble."""
-    ens = trajectory_ensemble(model, state0, tau, spec.n_trajectories, spec.seed)
-    counts = ens.jump_counts.astype(float)
-    var = float(counts.var(ddof=1)) if counts.size > 1 else 0.0
-    return counts.size, float(counts.mean()), var
-
-
-def _jump_count_ratio_sq(
-    model: LindbladModel, state0, tau: float, spec: JumpCountObservable
-) -> tuple[float, dict]:
-    if spec.n_trajectories < 1:
-        raise BadParameter("jump-count statistics need at least one trajectory")
-    n, mean, var = _jump_count_moments(model, state0, tau, spec)
+def _jump_count_ratio_sq(model: LindbladModel, rho0: np.ndarray, tau: float) -> tuple[float, dict]:
+    mean, var = jump_count_moments(model, rho0, tau)
     if var <= 0.0:
         ratio_sq = 0.0 if abs(mean) <= 1e-14 else float("inf")
     else:
         ratio_sq = mean**2 / var
-    se_mean = math.sqrt(var / n) if n > 1 else 0.0
-    info = {
-        "mc": {
-            "n_trajectories": n,
-            "mean": mean,
-            "var": var,
-            "stderr_mean": se_mean,
-            "stderr_var": var * math.sqrt(2.0 / (n - 1)) if n > 1 else 0.0,
-            "seed": spec.seed,
-        }
-    }
-    return ratio_sq, info
+    return ratio_sq, {"jump_count": {"mean": mean, "var": var}}
 
 
 def _open_ratio_sq(model: LindbladModel, state0, tau: float, observable):
     rho0 = as_density_matrix(state0)
     if isinstance(observable, JumpCountObservable):
-        return _jump_count_ratio_sq(model, state0, tau, observable)
+        return _jump_count_ratio_sq(model, rho0, tau)
     obs = linalg.require_hermitian(observable, "observable")
     return _scaled_ratio_sq(obs, rho0, _lindblad_state(model, rho0, tau).matrix)
 
@@ -698,8 +666,9 @@ def tur_ml_open(model: LindbladModel, state0, tau: float, observable) -> BoundRe
     """Open mean-based scaled-variance inequality 1/floor^2 - 1 >= ratio^2.
 
     ``observable`` is either a Hermitian system operator (statistics from
-    the Lindblad state) or :class:`JumpCountObservable` (statistics from a
-    trajectory ensemble, with Monte Carlo error bars attached).  For
+    the Lindblad state) or :class:`JumpCountObservable` (the exact mean
+    and variance of the jump count from full counting statistics, attached
+    under ``params["jump_count"]``).  For
     classical embeddings (H_S = 0) the lhs reduces to
     exp(activity * tau) - 1; that specialized value is attached in params.
 

@@ -7,8 +7,9 @@ Subcommands:
   row satisfies its inequality within tolerance, 1 on a violation, and 2 on
   a configuration error or a numerical ``SimulationError``.
 * ``trajectory``: run a quantum-jump ensemble, write per-trajectory jump
-  counts plus a summary comparing the ensemble mean against the Lindblad
-  solution.
+  counts plus a summary comparing the ensemble mean state against the
+  Lindblad solution and the sampled mean jump count against its exact
+  value (as a z-score).
 * ``models``: construct a built-in model and emit its JSON description.
 
 Outputs are deterministic for a fixed configuration and master seed.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -37,7 +39,14 @@ from .models import (
     make_refrigerator,
     random_commuting,
 )
-from .propagation import LindbladModel, NonHermitianModel, evolve_lindblad, trajectory_ensemble
+from .propagation import (
+    LindbladModel,
+    NonHermitianModel,
+    _require_key,
+    evolve_lindblad,
+    jump_count_moments,
+    trajectory_ensemble,
+)
 from .states import DensityOperator, StateVector
 
 GROUPS = {
@@ -62,8 +71,6 @@ class ExperimentConfig:
     window: tuple[float, float] | None
     observable: object
     quad_steps: int
-    n_traj: int
-    seed: int
     out: Path
     chain: ClassicalMarkovModel | None = None
 
@@ -72,8 +79,6 @@ class ExperimentConfig:
             raise SimulationError("time grid must be strictly positive")
         if sorted(self.times) != list(self.times):
             raise SimulationError("time grid must be ordered")
-        if isinstance(self.observable, bnd.JumpCountObservable) and self.n_traj < 1:
-            raise SimulationError("trajectory-backed observable needs --n-traj >= 1")
 
 
 def _parse_scalar(text: str):
@@ -158,7 +163,7 @@ def _level(spec: str, dim: int) -> int:
     return k
 
 
-def _parse_observable(spec: str | None, dim: int, n_traj: int, seed: int):
+def _parse_observable(spec: str | None, dim: int):
     if spec is None or spec == f"proj:{dim - 1}" or spec == "proj:last":
         out = np.zeros((dim, dim), dtype=complex)
         out[dim - 1, dim - 1] = 1.0
@@ -174,7 +179,7 @@ def _parse_observable(spec: str | None, dim: int, n_traj: int, seed: int):
             raise SimulationError(f"diag observable needs {dim} entries")
         return np.diag(vals).astype(complex)
     if spec == "jump-count":
-        return bnd.JumpCountObservable(n_trajectories=n_traj, seed=seed)
+        return bnd.JumpCountObservable()
     raise SimulationError(f"unknown observable spec {spec!r}")
 
 
@@ -247,6 +252,7 @@ def _rows_for_group(group: str, cfg: ExperimentConfig, t: float, window) -> list
 
 
 def _run_check(args) -> int:
+    _require_key("seed", args.seed)
     model, initial = _load_model(args.model)
     state = _parse_state(args.state, model, initial)
     chain = model if isinstance(model, ClassicalMarkovModel) else None
@@ -274,8 +280,7 @@ def _run_check(args) -> int:
             raise SimulationError("--tau1/--tau2 must satisfy 0 <= tau1 < tau2")
         window = (args.tau1, args.tau2)
 
-    dim = model.dim
-    observable = _parse_observable(args.observable, dim, args.n_traj, args.seed)
+    observable = _parse_observable(args.observable, model.dim)
     cfg = ExperimentConfig(
         model=model,
         initial=state,
@@ -284,8 +289,6 @@ def _run_check(args) -> int:
         window=window,
         observable=observable,
         quad_steps=args.quad_panels,
-        n_traj=args.n_traj,
-        seed=args.seed,
         out=Path(args.out),
         chain=chain,
     )
@@ -365,6 +368,8 @@ def _run_trajectory(args) -> int:
     exact = evolve_lindblad(model, _as_density(state), args.t_final)
     dev = np.abs(ens.mean_states[0] - exact.matrix)
     se = np.sqrt(ens.stderr_real[0] ** 2 + ens.stderr_imag[0] ** 2)
+    exact_mean, exact_var = jump_count_moments(model, state, args.t_final)
+    gap, count_se = ens.mean_jump_count() - exact_mean, ens.jump_count_stderr()
     summary = {
         "n_trajectories": ens.n_trajectories,
         "t_final": args.t_final,
@@ -375,6 +380,10 @@ def _run_trajectory(args) -> int:
         "jump_count_stderr": ens.jump_count_stderr(),
         "max_abs_deviation_from_lindblad": float(dev.max()),
         "max_entry_stderr": float(se.max()),
+        "exact_mean_jump_count": exact_mean,
+        "exact_jump_count_var": exact_var,
+        # null when the sampled counts have no spread but miss the exact mean
+        "jump_count_z": gap / count_se if count_se > 0 else (0.0 if gap == 0 else None),
     }
     out.with_suffix(".summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
     print(f"wrote {ens.n_trajectories} trajectories to {out}")
@@ -434,8 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--tau2", type=float, default=None)
     chk.add_argument("--observable", default=None, help="proj:K | diag:a,b,... | jump-count")
     chk.add_argument("--quad-panels", type=int, default=bnd.DEFAULT_QUAD_STEPS)
-    chk.add_argument("--n-traj", type=int, default=2000)
-    chk.add_argument("--seed", type=int, default=0)
+    chk.add_argument("--n-traj", type=int, default=2000,
+                     help="unused: jump-count statistics are exact")
+    chk.add_argument("--seed", type=int, default=0,
+                     help="in [0, 2**64); unused by the exact rows, echoed in the summary")
     chk.add_argument("--out", required=True)
     chk.set_defaults(func=_run_check)
 
@@ -467,9 +478,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SimulationError as exc:

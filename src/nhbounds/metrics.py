@@ -77,7 +77,11 @@ def observable_stats(c, state) -> ObservableStats:
     """Mean and standard deviation of a Hermitian observable.
 
     ``state`` may be a normalized StateVector or a unit-trace
-    DensityOperator.  The variance is clamped at zero against round-off.
+    DensityOperator.  The variance is the centered <(C - <C>)^2>, which has
+    no cancellation where the one-pass <C^2> - <C>^2 loses the digits of a
+    small spread.  It is taken for C - C_00 I (the variance is
+    shift-invariant), so a multiple of the identity has exactly zero spread
+    instead of one set by the rounding of Tr rho.
     """
     op = linalg.require_hermitian(c, "observable")
     rho = _rho(state)
@@ -86,8 +90,10 @@ def observable_stats(c, state) -> ObservableStats:
         raise HermiticityViolation(
             f"observable mean has imaginary residue {mean_c.imag:.3e}"
         )
-    second = float(np.trace(op @ op @ rho).real)
-    var = max(second - mean_c.real**2, 0.0)
+    eye = np.eye(op.shape[0])
+    shifted = op - op[0, 0].real * eye
+    dev = shifted - np.trace(shifted @ rho).real * eye
+    var = max(float(np.trace(dev @ dev @ rho).real), 0.0)
     return ObservableStats(mean=mean_c.real, std=float(np.sqrt(var)))
 
 

@@ -5,7 +5,8 @@ generators, midpoint exponential product for time-dependent ones), the
 propagators at every node of a uniform grid (by repeated squaring of the
 node-to-node exponential for constant generators) and the normalized state
 M rho0 M^dag / Tr they carry, the Lindblad master equation via the exact
-vectorized-Liouvillian exponential, exact-in-time (waiting-time)
+vectorized-Liouvillian exponential, the exact mean and variance of the jump
+count (full counting statistics), exact-in-time (waiting-time)
 quantum-jump trajectory sampling, and the no-jump conditioned state with its
 survival weight, which is the normalized state of the equivalent
 non-Hermitian model.  Trajectory randomness is stateless: each uniform is a
@@ -335,6 +336,45 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
         out += np.kron(l, np.conj(l))
         out -= 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
     return out
+
+
+@_built_once
+def _counting_generator(model: LindbladModel) -> np.ndarray:
+    """The block generator [[L, J, 0], [0, L, J], [0, 0, L]] of the jump count.
+
+    L is the Liouvillian and J = sum_m L_m (x) conj(L_m) its jump part, so
+    J vec(rho) = vec(sum_m L_m rho L_m^dag) in the row-major vec of
+    :func:`liouvillian`.  Built once per model and returned read-only.
+    """
+    lv = liouvillian(model)
+    zero = np.zeros_like(lv)
+    jump = sum((np.kron(l, np.conj(l)) for l in model.jumps), zero)
+    return np.block([[lv, jump, zero], [zero, lv, jump], [zero, zero, lv]])
+
+
+def jump_count_moments(model: LindbladModel, state0, tau: float) -> tuple[float, float]:
+    """Exact mean and variance of the number of jumps in [0, tau].
+
+    Full counting statistics: with G(z) = Tr exp((L + (z - 1) J) tau) rho0,
+    E[N] = G'(1) and E[N(N-1)] = G''(1).  Both are blocks of one matrix
+    exponential of the block upper-triangular counting generator (Van Loan,
+    IEEE TAC 23, 395 (1978)): E[N] = Tr E_01 rho0 and
+    E[N(N-1)] = 2 Tr E_02 rho0, so Var[N] = E[N(N-1)] + E[N] - E[N]^2.
+    ``state0`` is a :class:`StateVector`, a :class:`DensityOperator` or a
+    raw density matrix.
+    """
+    if tau < 0:
+        raise BadParameter("tau must be nonnegative")
+    rho = as_density_matrix(state0)
+    d = model.dim
+    if rho.shape[0] != d:
+        raise ShapeError("state dimension differs from model dimension")
+    n = d * d
+    blocks = linalg.expm(tau * _counting_generator(model))[:n, n:]
+    diag = np.arange(d) * (d + 1)  # row-major vec positions of the diagonal
+    e01, e02 = (blocks[diag].sum(axis=0).reshape(2, n) @ rho.reshape(-1)).real
+    mean = float(e01)
+    return mean, float(2.0 * e02 + mean - mean * mean)
 
 
 def evolve_lindblad(model: LindbladModel, rho0: DensityOperator, t: float) -> DensityOperator:

@@ -115,13 +115,18 @@ def model_from_dict(d: dict):
     if not isinstance(d, dict):
         raise BadParameter("model JSON must be an object")
     kind = d.get("kind")
-    dim = int(d.get("dim", 0))
+    dim = d.get("dim", 0)
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise BadParameter(f"model JSON 'dim' must be an integer, got {dim!r}")
     if kind == "nonhermitian":
         model = NonHermitianModel(
             matrix_from_json(d["H"], dim), matrix_from_json(d["Gamma"], dim)
         )
     elif kind == "lindblad":
-        jumps = tuple(matrix_from_json(j, dim) for j in d.get("jumps", []))
+        jumps = d.get("jumps", [])
+        if not isinstance(jumps, list):
+            raise BadParameter("model JSON 'jumps' must be a list of matrices")
+        jumps = tuple(matrix_from_json(j, dim) for j in jumps)
         model = LindbladModel(matrix_from_json(d["H_S"], dim), jumps)
     elif kind == "classical":
         rates = np.asarray(d["rates"], dtype=float)

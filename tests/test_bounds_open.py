@@ -36,7 +36,7 @@ from nhbounds import (
     tur_mt_open,
     trajectory_ensemble,
 )
-from nhbounds import bounds
+from nhbounds import propagation
 from nhbounds.errors import CommutatorViolation, ShapeError
 from nhbounds.models import classical_initial_density, random_hermitian
 from conftest import SX, p1_closed
@@ -146,36 +146,38 @@ class TestTurMlOpen:
     def test_jump_count_poisson(self):
         gamma, tau = 1.0, 1.0
         model = make_dephasing(gamma)
-        spec = JumpCountObservable(n_trajectories=20_000, seed=3)
-        rep = tur_ml_open(model, PLUS, tau, spec)
+        rep = tur_ml_open(model, PLUS, tau, JumpCountObservable())
         assert rep.lhs == pytest.approx(math.exp(gamma * tau) - 1.0, abs=1e-12)
-        mc = rep.params["mc"]
-        # Poisson count: mean and variance gamma*tau
-        assert abs(mc["mean"] - gamma * tau) <= 4.0 * mc["stderr_mean"]
-        assert rep.rhs == pytest.approx(gamma * tau, rel=0.1)
+        counts = rep.params["jump_count"]
+        # Poisson count: mean and variance gamma*tau, exactly
+        assert counts["mean"] == pytest.approx(gamma * tau, rel=1e-12)
+        assert counts["var"] == pytest.approx(gamma * tau, rel=1e-12)
+        assert rep.rhs == pytest.approx(gamma * tau, rel=1e-12)
         assert rep.satisfied
 
-    def test_ml_and_mt_rows_share_one_ensemble(self, monkeypatch):
+    def test_ml_and_mt_rows_read_equal_exact_moments(self, monkeypatch):
         calls = []
+        unravel = propagation._unravel
 
         def counting(*args, **kwargs):
-            calls.append(args[2])
-            return trajectory_ensemble(*args, **kwargs)
+            calls.append(args[3])
+            return unravel(*args, **kwargs)
 
-        monkeypatch.setattr(bounds, "trajectory_ensemble", counting)
+        # every trajectory sampler runs this kernel
+        monkeypatch.setattr(propagation, "_unravel", counting)
         model = make_dephasing(1.0)
-        spec = JumpCountObservable(n_trajectories=200, seed=3)
+        spec = JumpCountObservable()
         ml = tur_ml_open(model, PLUS, 0.5, spec)
         mt = tur_mt_open(model, PLUS, 0.5, spec)
-        assert calls == [0.5]
-        assert ml.rhs == mt.rhs and ml.params["mc"] == mt.params["mc"]
-        assert ml.params["mc"] is not mt.params["mc"]
-        tur_mt_open(model, PLUS, 0.6, spec)
-        assert calls == [0.5, 0.6]
+        assert calls == []
+        assert ml.rhs == mt.rhs and ml.params["jump_count"] == mt.params["jump_count"]
+        assert ml.params["jump_count"] is not mt.params["jump_count"]
+        assert mt.params["jump_count"] == {"mean": pytest.approx(0.5, rel=1e-12),
+                                           "var": pytest.approx(0.5, rel=1e-12)}
 
     def test_jump_count_raw_density_matrix(self):
         model = make_dephasing(0.5)
-        spec = JumpCountObservable(50, 1)
+        spec = JumpCountObservable()
         raw = tur_ml_open(model, np.eye(2) / 2, 0.5, spec)
         assert raw == tur_ml_open(model, DensityOperator(np.eye(2) / 2), 0.5, spec)
         with pytest.raises(ShapeError):
@@ -267,11 +269,10 @@ class TestTurMtOpen:
     def test_dephasing_jump_count(self):
         gamma, tau = 1.0, 0.8
         model = make_dephasing(gamma)
-        spec = JumpCountObservable(n_trajectories=20_000, seed=5)
-        rep = tur_mt_open(model, PLUS, tau, spec)
+        rep = tur_mt_open(model, PLUS, tau, JumpCountObservable())
         # Z = e^(-gamma tau) and the integrand vanishes: lhs = e^(gamma tau) - 1
         assert rep.lhs == pytest.approx(math.exp(gamma * tau) - 1.0, abs=1e-6)
-        assert rep.rhs == pytest.approx(gamma * tau, rel=0.1)
+        assert rep.rhs == pytest.approx(gamma * tau, rel=1e-12)
         assert rep.satisfied
 
     def test_two_level_sweep(self, two_level_lindblad):

@@ -363,3 +363,19 @@ class TestTrajectoryCommand:
         assert cli.main(args + ["--out", str(a)]) == 0
         assert cli.main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli._parser() is cli._parser()
+
+    def test_reuse_carries_no_state_between_calls(self, tmp_path):
+        base = ["check", "--model", "builtin:dephasing?gamma=1.0", "--state", "plus",
+                "--bounds", "ml-open", "--t-final", "0.5", "--steps", "1"]
+        out = tmp_path / "out.csv"
+        assert cli.main(base + ["--seed", "5", "--out", str(out)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(base + ["--no-such-flag"])
+        assert exc.value.code == 2
+        assert cli.main(base + ["--out", str(out)]) == 0
+        assert json.loads(out.with_suffix(".summary.json").read_text())["seed"] == 0

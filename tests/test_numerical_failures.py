@@ -7,6 +7,7 @@ Lindblad models with decay scales up to 1e3.
 """
 
 import csv
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -17,14 +18,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nhbounds import (
+    DensityOperator,
     LindbladModel,
     NonHermitianModel,
     StateVector,
     cli,
+    evolve_lindblad,
     fid_ml,
     fid_mt,
+    make_dephasing,
+    observable_stats,
     qsl_ml,
     qsl_mt,
+    random_density,
     random_diagonal_jump_lindblad,
     serialize,
     tur_ml,
@@ -107,6 +113,46 @@ class TestVanishingFloor:
         assert float(row(out, "tur-ml-open")["lhs"]) == math.inf
 
 
+class TestCenteredVariance:
+    """A spread of 1.9e-7 on a population of 1 - 3.5e-14.
+
+    The one-pass variance <C^2> - <C>^2 lost its digits there and broke a
+    saturated TUR: slack -1.26e11 at lhs 2.85e13 in earlier versions.
+    """
+
+    def test_nearly_pure_population(self):
+        model = random_diagonal_jump_lindblad(2, 2, 10**1.4510592121707866)
+        rho = evolve_lindblad(model, DensityOperator(np.diag([1.0, 0.0])), 1.451).matrix
+        p0, p1 = rho[0, 0].real, rho[1, 1].real
+        assert np.count_nonzero(rho - np.diag(np.diag(rho))) == 0 and p0 < 1e-13
+        stats = observable_stats(PROJ1, DensityOperator(rho))
+        assert stats.std**2 == pytest.approx(p0 * p1 / (p0 + p1) ** 2, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.3, -7.1])
+    def test_identity_multiple_has_zero_spread(self, scale):
+        assert observable_stats(scale * np.eye(3), random_density(3, 2)).std == 0.0
+
+    def test_saturated_open_turs(self, tmp_path):
+        model_file = tmp_path / "model.json"
+        serialize.save_model(model_file,
+                             random_diagonal_jump_lindblad(2, 2, 10**1.4510592121707866))
+        out = tmp_path / "out.csv"
+        # still exits 1: qsl-mt-open's arccos amplification, and these rows'
+        # round-off slack read against the absolute SLACK_TOL at a 2.8e13 value
+        cli.main(["check", "--model", str(model_file), "--state", "basis:0",
+                  "--bounds", "ml-open,mt-open", "--t-final", "1.451", "--steps", "2",
+                  "--out", str(out)])
+        with open(out, newline="") as fh:
+            rows = [r for r in csv.DictReader(fh)
+                    if r["t"] == "1.451" and r["bound"] in ("tur-ml-open", "tur-mt-open")]
+        assert len(rows) == 2
+        for r in rows:
+            # lhs = rhs in theory: they agree to round-off of a 2.8e13 value
+            lhs, slack = float(r["lhs"]), float(r["slack"])
+            assert lhs == pytest.approx(2.8468e13, rel=1e-4)
+            assert abs(slack) <= 1e-12 * lhs
+
+
 def run_cli(argv, capsys):
     """``(exit code, stderr)`` of one in-process CLI run."""
     code = cli.main(argv)
@@ -119,6 +165,17 @@ class TestMalformedInput:
     def check_argv(self, tmp_path, model, *extra):
         return ["check", "--model", model, "--bounds", "ml-open", "--t-final", "0.5",
                 "--steps", "1", *extra, "--out", str(tmp_path / "out.csv")]
+
+    @pytest.mark.parametrize("field, value", [("jumps", None), ("dim", None), ("dim", [2])])
+    def test_model_field_of_wrong_type(self, tmp_path, capsys, field, value):
+        # these escaped as TypeError tracebacks (exit 1) in earlier versions
+        data = serialize.model_to_dict(make_dephasing(1.0))
+        data[field] = value
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps(data))
+        code, err = run_cli(self.check_argv(tmp_path, str(model_file), "--state", "plus"), capsys)
+        assert code == 2
+        assert f"model JSON '{field}' must be" in err
 
     @pytest.mark.parametrize("text", ["null", "[]", '"x"'])
     def test_model_file_not_an_object(self, tmp_path, capsys, text):
