@@ -38,7 +38,7 @@ def run(args) -> int:
     worst = np.inf
     for k in range(1, args.steps + 1):
         t = args.t_final * k / args.steps
-        rho_t = evolve_lindblad(model, pure_density(psi0), t).matrix
+        rho_t = evolve_lindblad(model, pure_density(psi0), t)
         coh = np.max(np.abs(rho_t - np.diag(np.diagonal(rho_t))))
         rows = (
             qsl_ml_open(model, psi0, t),

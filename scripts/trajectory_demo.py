@@ -35,7 +35,7 @@ def run(args) -> int:
     print(f"{'t':>6} {'max |dev|':>12} {'max dev/SE':>12}")
     worst = 0.0
     for k, t in enumerate(times):
-        exact = evolve_lindblad(model, pure_density(plus), t).matrix
+        exact = evolve_lindblad(model, pure_density(plus), t)
         dev_re = np.abs(ens.mean_states[k].real - exact.real)
         dev_im = np.abs(ens.mean_states[k].imag - exact.imag)
         sigmas = []

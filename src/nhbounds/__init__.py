@@ -52,13 +52,11 @@ from .metrics import (
     fidelity,
     generalized_std,
     observable_stats,
-    renyi_divergence,
     renyi_half,
 )
 from .models import (
     ClassicalMarkovModel,
     classical_initial_density,
-    is_classical_embedding,
     make_classical,
     make_dephasing,
     make_refrigerator,
@@ -74,7 +72,6 @@ from .propagation import (
     Trajectory,
     TrajectoryEnsemble,
     evolve_lindblad,
-    evolve_nonhermitian,
     jump_count_moments,
     liouvillian,
     no_jump_state,
@@ -82,6 +79,6 @@ from .propagation import (
     sample_trajectory,
     trajectory_ensemble,
 )
-from .states import DensityOperator, StateVector, normalize, pure_density, purify, reduced_density
+from .states import DensityOperator, StateVector, normalize, pure_density
 
 __all__ = [name for name in dir() if not name.startswith("_")]

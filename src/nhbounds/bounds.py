@@ -40,19 +40,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, metrics
-from .errors import (
-    BadParameter,
-    CommutatorViolation,
-    DegenerateObservable,
-    NonPositiveGamma,
-)
+from .errors import BadParameter, CommutatorViolation, DegenerateObservable
 from .models import ClassicalMarkovModel
 from .propagation import (
     LindbladModel,
     NonHermitianModel,
+    _evolve_lindblad,
+    _jump_count_moments,
     _normalized_density,
-    evolve_lindblad,
-    jump_count_moments,
     propagator,
     propagator_span,
 )
@@ -183,12 +178,10 @@ def _require_time_independent(model: NonHermitianModel, what: str) -> None:
 
 
 def _require_commuting(model: NonHermitianModel) -> float:
+    """The [H, Gamma] norm; Gamma is PSD already, as the model checks it."""
     norm, ok = commutator_check(model.h, model.gamma)
     if not ok:
         raise CommutatorViolation(f"[H, Gamma] norm {norm:.3e} exceeds tolerance")
-    w = np.linalg.eigvalsh(model.gamma)
-    if w[0] < linalg.PSD_CLAMP:
-        raise NonPositiveGamma(f"Gamma eigenvalue {w[0]:.3e} below tolerance")
     return norm
 
 
@@ -273,14 +266,15 @@ def _mt_path(
 def _scaled_ratio_sq(
     observable: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray
 ) -> tuple[float, dict]:
-    """Squared mean-change-over-total-spread ratio of a Hermitian observable.
+    """Squared mean-change-over-total-spread ratio of a Hermitian observable
+    between the unit-trace density matrices ``rho_a`` and ``rho_b``.
 
     Raises:
         DegenerateObservable: when both spreads vanish but the means differ
             (the ratio is infinite).
     """
-    s_a = metrics.observable_stats(observable, DensityOperator(rho_a))
-    s_b = metrics.observable_stats(observable, DensityOperator(rho_b))
+    s_a = metrics.observable_stats(observable, rho_a)
+    s_b = metrics.observable_stats(observable, rho_b)
     dm = s_b.mean - s_a.mean
     ds = s_b.std + s_a.std
     info = {
@@ -391,7 +385,7 @@ def qsl_ml(model: NonHermitianModel, state0, tau: float) -> BoundReport:
     raw, mean_g = params["floor_raw"], params["mean_gamma"]
     de = params["mean_h"] - params["ground_energy"]
     lhs = 1.0 - raw / params["norm_tau"]
-    angle = metrics.bures_angle(DensityOperator(point.rho0), DensityOperator(rho_tau))
+    angle = metrics.bures_angle(point.rho0, rho_tau)
     rhs = 2.0 * math.sin(angle / 2.0) ** 2
     positive = raw > 0.0
     rate_sum = de + mean_g
@@ -488,7 +482,7 @@ def qsl_mt(
     """
     path = _mt_path(model, as_density_matrix(state0), tau1, tau2, steps)
     integral, err = path.integral, path.quad_err
-    angle = metrics.bures_angle(DensityOperator(path.rho1), DensityOperator(path.rho2))
+    angle = metrics.bures_angle(path.rho1, path.rho2)
     in_window = integral <= math.pi / 2.0 + WINDOW_TOL
     if integral > 0.0:
         tau_min = angle * (tau2 - tau1) / integral
@@ -525,7 +519,7 @@ def energy_time_check(model: NonHermitianModel, state0, t: float, observable) ->
 def _energy_time(model: NonHermitianModel, rho_t: np.ndarray, t: float, obs) -> BoundReport:
     """:func:`energy_time_check` in the normalized state ``rho_t`` at t."""
     h, g = model.parts(t)
-    s_c = metrics.observable_stats(obs, DensityOperator(rho_t))
+    s_c = metrics.observable_stats(obs, rho_t)
     std_gen = metrics.generalized_std(h - 1j * g, rho_t)
     flow = 1j * (h @ obs - obs @ h) - (obs @ g + g @ obs)
     deriv = _expectation(flow, rho_t) + 2.0 * s_c.mean * _expectation(g, rho_t)
@@ -620,8 +614,7 @@ def qsl_ml_open(model: LindbladModel, state0, tau: float) -> BoundReport:
     point = _ml_point(model.no_jump_model(), state0, tau)
     params = dict(point.params)
     floor = params["floor_raw"]
-    rho0 = point.rho0
-    angle = metrics.bures_angle(DensityOperator(rho0), _lindblad_state(model, rho0, tau))
+    angle = metrics.bures_angle(point.rho0, _lindblad_state(model, point.rho0, tau))
     params["bures_angle"] = angle
     return BoundReport(
         kind="qsl-ml-open",
@@ -637,16 +630,14 @@ def qsl_ml_open(model: LindbladModel, state0, tau: float) -> BoundReport:
 
 
 @_memo_last
-def _lindblad_state(model: LindbladModel, rho0: np.ndarray, tau: float) -> DensityOperator:
+def _lindblad_state(model: LindbladModel, rho0: np.ndarray, tau: float) -> np.ndarray:
     """The Lindblad state at ``tau``, read-only: every open row of a time
     point reads this one."""
-    out = evolve_lindblad(model, DensityOperator(rho0), tau)
-    out.matrix.setflags(write=False)
-    return out
+    return _evolve_lindblad(model, rho0, tau)
 
 
 def _jump_count_ratio_sq(model: LindbladModel, rho0: np.ndarray, tau: float) -> tuple[float, dict]:
-    mean, var = jump_count_moments(model, rho0, tau)
+    mean, var = _jump_count_moments(model, rho0, tau)
     if var <= 0.0:
         ratio_sq = 0.0 if abs(mean) <= 1e-14 else float("inf")
     else:
@@ -654,12 +645,11 @@ def _jump_count_ratio_sq(model: LindbladModel, rho0: np.ndarray, tau: float) -> 
     return ratio_sq, {"jump_count": {"mean": mean, "var": var}}
 
 
-def _open_ratio_sq(model: LindbladModel, state0, tau: float, observable):
-    rho0 = as_density_matrix(state0)
+def _open_ratio_sq(model: LindbladModel, rho0: np.ndarray, tau: float, observable):
     if isinstance(observable, JumpCountObservable):
         return _jump_count_ratio_sq(model, rho0, tau)
     obs = linalg.require_hermitian(observable, "observable")
-    return _scaled_ratio_sq(obs, rho0, _lindblad_state(model, rho0, tau).matrix)
+    return _scaled_ratio_sq(obs, rho0, _lindblad_state(model, rho0, tau))
 
 
 def tur_ml_open(model: LindbladModel, state0, tau: float, observable) -> BoundReport:
@@ -676,10 +666,11 @@ def tur_ml_open(model: LindbladModel, state0, tau: float, observable) -> BoundRe
     raw density matrix, for either observable kind; a raw 1-D array is
     rejected, as it is for every row kind.
     """
-    params = dict(_ml_point(model.no_jump_model(), state0, tau).params)
+    point = _ml_point(model.no_jump_model(), state0, tau)
+    params = dict(point.params)
     floor = params["floor_raw"]
     positive = floor > 0.0
-    ratio_sq, stats = _open_ratio_sq(model, state0, tau, observable)
+    ratio_sq, stats = _open_ratio_sq(model, point.rho0, tau, observable)
     params.update(stats)
     if linalg.max_abs(model.h_s) <= 1e-12:
         # the no-jump Gamma is half the jump-rate operator
@@ -736,7 +727,7 @@ def qsl_mt_open(
     rho0 = as_density_matrix(state0)
     path = _mt_path(model.no_jump_model(), rho0, 0.0, tau, steps)
     integral, err, z = path.integral, path.quad_err, path.tr2
-    fid = metrics.fidelity(DensityOperator(rho0), _lindblad_state(model, rho0, tau))
+    fid = metrics.fidelity(rho0, _lindblad_state(model, rho0, tau))
     ratio = fid / z
     fid_ok = ratio <= 1.0 + 1e-10
     rhs = float(np.arccos(np.clip(math.sqrt(min(ratio, 1.0)), 0.0, 1.0))) if fid_ok else float("nan")
@@ -772,11 +763,12 @@ def tur_mt_open(
     pseudo-state alternative is noted in params.  Jump-count statistics work
     as in :func:`tur_ml_open`.
     """
-    path = _mt_path(model.no_jump_model(), as_density_matrix(state0), 0.0, tau, steps)
+    rho0 = as_density_matrix(state0)
+    path = _mt_path(model.no_jump_model(), rho0, 0.0, tau, steps)
     integral, err, z = path.integral, path.quad_err, path.tr2
     in_window = integral < math.pi / 2.0
     lhs = (1.0 / (z * math.cos(integral) ** 2) - 1.0) if in_window else float("inf")
-    ratio_sq, stats = _open_ratio_sq(model, state0, tau, observable)
+    ratio_sq, stats = _open_ratio_sq(model, rho0, tau, observable)
     params = {
         "tau": tau,
         "integral": integral,

@@ -23,7 +23,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,27 +57,6 @@ GROUPS = {
 }
 
 CSV_COLUMNS = ["t", "bound", "lhs", "rhs", "slack", "applicable", "cond_failures", "quad_err"]
-
-
-@dataclass
-class ExperimentConfig:
-    """Validated sweep configuration."""
-
-    model: object
-    initial: object
-    groups: list[str]
-    times: list[float]
-    window: tuple[float, float] | None
-    observable: object
-    quad_steps: int
-    out: Path
-    chain: ClassicalMarkovModel | None = None
-
-    def __post_init__(self):
-        if not self.times or any(t <= 0 for t in self.times):
-            raise SimulationError("time grid must be strictly positive")
-        if sorted(self.times) != list(self.times):
-            raise SimulationError("time grid must be ordered")
 
 
 def _parse_scalar(text: str):
@@ -218,8 +196,9 @@ def _sub_row(t: float, kind: str, sub: dict, quad_err=None) -> dict:
     }
 
 
-def _rows_for_group(group: str, cfg: ExperimentConfig, t: float, window) -> list[dict]:
-    model, state, obs = cfg.model, cfg.initial, cfg.observable
+def _rows_for_group(
+    group: str, model, state, obs, chain, quad_steps: int, t: float, window
+) -> list[dict]:
     t1, t2 = window if window else (0.0, t)
     rows: list[dict] = []
     if group == "ml":
@@ -230,10 +209,10 @@ def _rows_for_group(group: str, cfg: ExperimentConfig, t: float, window) -> list
         if not isinstance(obs, bnd.JumpCountObservable):
             rows.append(_report_row(t, bnd.tur_ml(model, state, t, obs)))
     elif group == "mt":
-        rows.append(_report_row(t2, bnd.fid_mt(model, state, t1, t2, cfg.quad_steps)))
-        rows.append(_report_row(t2, bnd.qsl_mt(model, state, t1, t2, cfg.quad_steps)))
+        rows.append(_report_row(t2, bnd.fid_mt(model, state, t1, t2, quad_steps)))
+        rows.append(_report_row(t2, bnd.qsl_mt(model, state, t1, t2, quad_steps)))
         if not isinstance(obs, bnd.JumpCountObservable):
-            rep = bnd.tur_mt(model, state, t1, t2, obs, cfg.quad_steps)
+            rep = bnd.tur_mt(model, state, t1, t2, obs, quad_steps)
             rows.append(_report_row(t2, rep))
             rows.append(_sub_row(t2, "energy-time", rep.params["energy_time"]))
     elif group == "ml-open":
@@ -241,17 +220,26 @@ def _rows_for_group(group: str, cfg: ExperimentConfig, t: float, window) -> list
         rows.append(_report_row(t, bnd.qsl_ml_open(model, state, t)))
         rows.append(_report_row(t, bnd.tur_ml_open(model, state, t, obs)))
     elif group == "mt-open":
-        rows.append(_report_row(t, bnd.fid_mt_open(model, state, t, cfg.quad_steps)))
-        rows.append(_report_row(t, bnd.qsl_mt_open(model, state, t, cfg.quad_steps)))
-        rows.append(_report_row(t, bnd.tur_mt_open(model, state, t, obs, cfg.quad_steps)))
+        rows.append(_report_row(t, bnd.fid_mt_open(model, state, t, quad_steps)))
+        rows.append(_report_row(t, bnd.qsl_mt_open(model, state, t, quad_steps)))
+        rows.append(_report_row(t, bnd.tur_mt_open(model, state, t, obs, quad_steps)))
     elif group == "classical":
-        rows.append(_report_row(t, bnd.qsl_classical(cfg.chain, t)))
+        rows.append(_report_row(t, bnd.qsl_classical(chain, t)))
         if not isinstance(obs, bnd.JumpCountObservable):
-            rows.append(_report_row(t, bnd.tur_classical(cfg.chain, t, np.diag(obs).real)))
+            rows.append(_report_row(t, bnd.tur_classical(chain, t, np.diag(obs).real)))
     return rows
 
 
+def _require_finite(args, *flags: str) -> None:
+    """Reject a non-finite value of any of the float ``flags`` that was given."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and not math.isfinite(value):
+            raise BadParameter(f"{flag} must be finite, got {value!r}")
+
+
 def _run_check(args) -> int:
+    _require_finite(args, "--t-final", "--tau1", "--tau2")
     _require_key("seed", args.seed)
     model, initial = _load_model(args.model)
     state = _parse_state(args.state, model, initial)
@@ -274,6 +262,8 @@ def _run_check(args) -> int:
     if n < 1 or args.t_final <= 0:
         raise SimulationError("need --t-final > 0 and --steps >= 1")
     times = [args.t_final * (k + 1) / n for k in range(n)]
+    if times[0] <= 0:  # t_final / n underflowed to 0
+        raise SimulationError("time grid must be strictly positive")
     window = None
     if args.tau1 is not None or args.tau2 is not None:
         if args.tau1 is None or args.tau2 is None or not 0 <= args.tau1 < args.tau2:
@@ -281,29 +271,19 @@ def _run_check(args) -> int:
         window = (args.tau1, args.tau2)
 
     observable = _parse_observable(args.observable, model.dim)
-    cfg = ExperimentConfig(
-        model=model,
-        initial=state,
-        groups=groups,
-        times=times,
-        window=window,
-        observable=observable,
-        quad_steps=args.quad_panels,
-        out=Path(args.out),
-        chain=chain,
-    )
-
+    inputs = (model, state, observable, chain, args.quad_panels)
     rows: list[dict] = []
-    for t in cfg.times:
-        for g in cfg.groups:
-            rows.extend(_rows_for_group(g, cfg, t, None))
+    for t in times:
+        for g in groups:
+            rows.extend(_rows_for_group(g, *inputs, t, None))
     if window is not None:
-        for g in cfg.groups:
+        for g in groups:
             if g == "mt":
-                rows.extend(_rows_for_group(g, cfg, window[1], window))
+                rows.extend(_rows_for_group(g, *inputs, window[1], window))
 
-    cfg.out.parent.mkdir(parents=True, exist_ok=True)
-    with open(cfg.out, "w", newline="") as fh:
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    with open(out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
@@ -336,13 +316,14 @@ def _run_check(args) -> int:
         "slack_tolerance": bnd.SLACK_TOL,
         "all_applicable_hold": not violations,
     }
-    summary_path = cfg.out.with_suffix(".summary.json")
+    summary_path = out.with_suffix(".summary.json")
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True, default=str))
-    print(f"wrote {len(rows)} rows to {cfg.out}; summary in {summary_path}")
+    print(f"wrote {len(rows)} rows to {out}; summary in {summary_path}")
     return 0 if not violations else 1
 
 
 def _run_trajectory(args) -> int:
+    _require_finite(args, "--t-final")
     model, initial = _load_model(args.model)
     if isinstance(model, ClassicalMarkovModel):
         chain = model
@@ -365,8 +346,8 @@ def _run_trajectory(args) -> int:
         writer.writerow(["traj", "jumps"])
         writer.writerows(enumerate(ens.jump_counts.tolist()))
 
-    exact = evolve_lindblad(model, _as_density(state), args.t_final)
-    dev = np.abs(ens.mean_states[0] - exact.matrix)
+    exact = evolve_lindblad(model, state, args.t_final)
+    dev = np.abs(ens.mean_states[0] - exact)
     se = np.sqrt(ens.stderr_real[0] ** 2 + ens.stderr_imag[0] ** 2)
     exact_mean, exact_var = jump_count_moments(model, state, args.t_final)
     gap, count_se = ens.mean_jump_count() - exact_mean, ens.jump_count_stderr()
@@ -388,14 +369,6 @@ def _run_trajectory(args) -> int:
     out.with_suffix(".summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
     print(f"wrote {ens.n_trajectories} trajectories to {out}")
     return 0
-
-
-def _as_density(state) -> DensityOperator:
-    if isinstance(state, DensityOperator):
-        return state
-    from .states import pure_density
-
-    return pure_density(state)
 
 
 def _run_models(args) -> int:
@@ -443,8 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--tau2", type=float, default=None)
     chk.add_argument("--observable", default=None, help="proj:K | diag:a,b,... | jump-count")
     chk.add_argument("--quad-panels", type=int, default=bnd.DEFAULT_QUAD_STEPS)
-    chk.add_argument("--n-traj", type=int, default=2000,
-                     help="unused: jump-count statistics are exact")
     chk.add_argument("--seed", type=int, default=0,
                      help="in [0, 2**64); unused by the exact rows, echoed in the summary")
     chk.add_argument("--out", required=True)

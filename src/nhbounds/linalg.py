@@ -106,31 +106,3 @@ def sqrtm_psd(a) -> np.ndarray:
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ dag(v)
 
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two square matrices."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def partial_trace(m, dims: tuple[int, int], keep: str = "S") -> np.ndarray:
-    """Partial trace on a bipartite space ordered system (x) ancilla.
-
-    Args:
-        m: square matrix on the product space, row-major with index
-           ``s * d_a + a``.
-        dims: ``(d_s, d_a)`` factor dimensions.
-        keep: ``"S"`` to trace out the ancilla, ``"A"`` to trace out the
-           system.
-    """
-    mat = as_matrix(m)
-    ds, da = int(dims[0]), int(dims[1])
-    if ds <= 0 or da <= 0 or mat.shape[0] != ds * da:
-        raise ShapeError(
-            f"matrix of dim {mat.shape[0]} does not factor as {ds} x {da}"
-        )
-    four = mat.reshape(ds, da, ds, da)
-    if keep == "S":
-        return np.einsum("iaja->ij", four)
-    if keep == "A":
-        return np.einsum("iaib->ab", four)
-    raise ValueError(f"keep must be 'S' or 'A', got {keep!r}")

@@ -2,7 +2,8 @@
 
 Uhlmann fidelity, Bures angle, observable moments (Hermitian, and the
 generalized standard deviation of a non-Hermitian operator, vectorized over
-stacks of states), and Renyi divergences between classical distributions.
+stacks of states), and the Renyi divergence D_1/2 between classical
+distributions.
 """
 
 from __future__ import annotations
@@ -129,14 +130,12 @@ def _check_distribution(p) -> np.ndarray:
     return np.clip(v, 0.0, None)
 
 
-def renyi_divergence(p, q, alpha: float = 0.5) -> float:
-    """Renyi divergence D_alpha(P||Q) = ln(sum P^a Q^(1-a)) / (a - 1).
+def renyi_half(p, q) -> float:
+    """D_{1/2}(P||Q) = -2 ln sum sqrt(P Q); symmetric in its arguments.
 
-    Implemented for 0 < alpha < 1 as stated; terms where either entry
-    vanishes contribute zero, and disjoint support yields +inf.
+    Terms where either entry vanishes contribute zero, and disjoint support
+    yields +inf.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
     pv = _check_distribution(p)
     qv = _check_distribution(q)
     if pv.size != qv.size:
@@ -144,12 +143,7 @@ def renyi_divergence(p, q, alpha: float = 0.5) -> float:
     mask = (pv > 0.0) & (qv > 0.0)
     if not np.any(mask):
         return float("inf")
-    s = float(np.sum(pv[mask] ** alpha * qv[mask] ** (1.0 - alpha)))
+    s = float(np.sum(np.sqrt(pv[mask]) * np.sqrt(qv[mask])))
     if s <= 0.0:
         return float("inf")
-    return max(float(np.log(s) / (alpha - 1.0)), 0.0)
-
-
-def renyi_half(p, q) -> float:
-    """D_{1/2}(P||Q) = -2 ln sum sqrt(P Q); symmetric in its arguments."""
-    return renyi_divergence(p, q, alpha=0.5)
+    return max(-2.0 * float(np.log(s)), 0.0)

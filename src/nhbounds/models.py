@@ -150,22 +150,6 @@ def classical_initial_density(chain: ClassicalMarkovModel) -> DensityOperator:
     return DensityOperator(np.diag(chain.p0).astype(complex))
 
 
-def is_classical_embedding(model: LindbladModel, tol: float = 1e-12) -> bool:
-    """True when H_S vanishes and every jump is a single off-diagonal unit."""
-    if linalg.max_abs(model.h_s) > tol:
-        return False
-    for l in model.jumps:
-        nz = np.argwhere(np.abs(l) > tol)
-        if len(nz) != 1:
-            return False
-        nu, mu = nz[0]
-        if nu == mu:
-            return False
-        if abs(l[nu, mu].imag) > tol or l[nu, mu].real <= 0:
-            return False
-    return True
-
-
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR with the standard phase fix."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -250,7 +234,3 @@ def random_density(dim: int, seed_or_rng, rank: int | None = None) -> DensityOpe
     rho /= np.trace(rho).real
     return DensityOperator(0.5 * (rho + linalg.dag(rho)))
 
-
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return scale * 0.5 * (g + linalg.dag(g)) / np.sqrt(dim)

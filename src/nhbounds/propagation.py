@@ -210,14 +210,14 @@ class TrajectoryEnsemble:
 
 @dataclass(frozen=True)
 class NoJumpState:
-    """No-jump conditioned state and its survival weight.
+    """No-jump conditioned state (a read-only matrix) and its survival weight.
 
     ``weight`` is the trace of the unnormalized no-jump branch (the paper's
     normalization of the conditional state); it is non-increasing in time
     when the jump-rate operator is PSD.
     """
 
-    state: DensityOperator
+    state: np.ndarray
     weight: float
 
 
@@ -302,21 +302,6 @@ def _normalized_density(m: np.ndarray, rho0: np.ndarray) -> tuple[np.ndarray, np
     return raw / tr[..., None, None], tr
 
 
-def evolve_nonhermitian(
-    model: NonHermitianModel, psi0: StateVector, t: float, steps: int | None = None
-) -> StateVector:
-    """Evolve a normalized pure state; the result is generally unnormalized."""
-    if not psi0.is_normalized(1e-10):
-        raise BadParameter("initial state must be normalized")
-    if psi0.dim != model.dim:
-        raise ShapeError("state dimension differs from model dimension")
-    amp = propagator(model, t, steps) @ psi0.amplitudes
-    n = float(np.linalg.norm(amp))
-    if n <= 1e-14:
-        raise NormUnderflow(f"evolved state norm {n:.3e} underflowed")
-    return StateVector(amp)
-
-
 # ---------------------------------------------------------------------------
 # Lindblad propagation
 
@@ -360,12 +345,15 @@ def jump_count_moments(model: LindbladModel, state0, tau: float) -> tuple[float,
     exponential of the block upper-triangular counting generator (Van Loan,
     IEEE TAC 23, 395 (1978)): E[N] = Tr E_01 rho0 and
     E[N(N-1)] = 2 Tr E_02 rho0, so Var[N] = E[N(N-1)] + E[N] - E[N]^2.
-    ``state0`` is a :class:`StateVector`, a :class:`DensityOperator` or a
-    raw density matrix.
+    ``state0`` is anything :func:`~nhbounds.states.as_density_matrix` reads.
     """
+    return _jump_count_moments(model, as_density_matrix(state0), tau)
+
+
+def _jump_count_moments(model: LindbladModel, rho: np.ndarray, tau: float) -> tuple[float, float]:
+    """:func:`jump_count_moments` of a unit-trace density matrix ``rho``."""
     if tau < 0:
         raise BadParameter("tau must be nonnegative")
-    rho = as_density_matrix(state0)
     d = model.dim
     if rho.shape[0] != d:
         raise ShapeError("state dimension differs from model dimension")
@@ -377,11 +365,24 @@ def jump_count_moments(model: LindbladModel, state0, tau: float) -> tuple[float,
     return mean, float(2.0 * e02 + mean - mean * mean)
 
 
-def evolve_lindblad(model: LindbladModel, rho0: DensityOperator, t: float) -> DensityOperator:
-    """Exact Lindblad evolution via the vectorized-Liouvillian exponential."""
+def evolve_lindblad(model: LindbladModel, rho0, t: float) -> np.ndarray:
+    """Exact Lindblad evolution via the vectorized-Liouvillian exponential.
+
+    ``rho0`` is anything :func:`~nhbounds.states.as_density_matrix` reads;
+    the state at ``t`` comes back as a read-only unit-trace matrix.
+    """
+    return _evolve_lindblad(model, as_density_matrix(rho0), t)
+
+
+def _evolve_lindblad(model: LindbladModel, rho: np.ndarray, t: float) -> np.ndarray:
+    """:func:`evolve_lindblad` of a unit-trace density matrix ``rho``.
+
+    Raises:
+        IntegratorDiverged: if the trace drifts from 1 by more than 1e-8 or
+            an eigenvalue falls below -1e-8.
+    """
     if t < 0:
         raise BadParameter("propagation time must be nonnegative")
-    rho = as_density_matrix(rho0)
     if rho.shape[0] != model.dim:
         raise ShapeError("state dimension differs from model dimension")
     vec = linalg.expm(liouvillian(model) * t) @ rho.reshape(-1)
@@ -399,7 +400,9 @@ def evolve_lindblad(model: LindbladModel, rho0: DensityOperator, t: float) -> De
         w2, v = np.linalg.eigh(out)
         w2 = np.clip(w2, 0.0, None)
         out = (v * (w2 / w2.sum())) @ linalg.dag(v)
-    return DensityOperator(out)
+        out = 0.5 * (out + linalg.dag(out))  # exactly Hermitian, as in the unclamped branch
+    out.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -708,12 +711,13 @@ def trajectory_ensemble(
 # no-jump conditioned state
 
 
-def no_jump_state(model: LindbladModel, rho0: DensityOperator, t: float) -> NoJumpState:
+def no_jump_state(model: LindbladModel, rho0, t: float) -> NoJumpState:
     """No-jump conditioned state M rho0 M^dag / Z with M = exp(-i H_eff t).
 
-    This is the normalized state of ``model.no_jump_model()``.  ``Z`` is the
-    survival weight Tr[M rho0 M^dag]; it equals the squared norm of the
-    no-jump branch for pure initial states.
+    This is the normalized state of ``model.no_jump_model()``, returned
+    read-only.  ``Z`` is the survival weight Tr[M rho0 M^dag]; it equals the
+    squared norm of the no-jump branch for pure initial states.  ``rho0`` is
+    anything :func:`~nhbounds.states.as_density_matrix` reads.
 
     Raises:
         NormUnderflow: if Z falls to 1e-14 or below.
@@ -722,4 +726,5 @@ def no_jump_state(model: LindbladModel, rho0: DensityOperator, t: float) -> NoJu
     if rho.shape[0] != model.dim:
         raise ShapeError("state dimension differs from model dimension")
     state, z = _normalized_density(propagator(model.no_jump_model(), t), rho)
-    return NoJumpState(state=DensityOperator(state), weight=float(z))
+    state.setflags(write=False)
+    return NoJumpState(state=state, weight=float(z))

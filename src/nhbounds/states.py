@@ -1,10 +1,11 @@
 """State containers and conversions between them.
 
 ``StateVector`` holds a pure state, possibly unnormalized (non-Hermitian
-evolution does not preserve the norm) and possibly living on a
-system (x) ancilla product space.  ``DensityOperator`` holds a positive
-Hermitian matrix, unit-trace unless flagged otherwise.  ``purify`` /
-``reduced_density`` move between the two pictures.
+evolution does not preserve the norm).  ``DensityOperator`` holds a
+unit-trace positive Hermitian matrix.  Both validate their input once, where
+it enters the program; states the program computes itself travel as plain
+read-only arrays.  ``as_density_matrix`` reads either container, or a raw
+matrix, as a unit-trace density matrix.
 """
 
 from __future__ import annotations
@@ -14,34 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import BadParameter, NormUnderflow, NotPSD, ShapeError
+from .errors import BadParameter, NormUnderflow, NotPSD
 
 NORM_FLOOR = 1e-14
-RANK_CUTOFF = 1e-12  # eigenvalues below this carry no ancilla dimension
 
 
 @dataclass(eq=False)
 class StateVector:
-    """A pure state vector with norm tracking.
-
-    Attributes:
-        amplitudes: complex amplitudes, flattened.
-        layout: ``(d_system, d_ancilla)`` when the vector lives on a product
-            space (index ``s * d_a + a``), else ``None``.
-    """
+    """A pure state vector with norm tracking; amplitudes are flattened."""
 
     amplitudes: np.ndarray
-    layout: tuple[int, int] | None = None
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if self.layout is not None:
-            ds, da = int(self.layout[0]), int(self.layout[1])
-            if ds * da != amp.size:
-                raise ShapeError(
-                    f"layout {self.layout} inconsistent with {amp.size} amplitudes"
-                )
-            self.layout = (ds, da)
         n = float(np.linalg.norm(amp))
         if not np.isfinite(n):
             raise ValueError("state vector has non-finite amplitudes")
@@ -67,10 +53,9 @@ class StateVector:
 
 @dataclass(eq=False)
 class DensityOperator:
-    """Hermitian PSD operator; unit trace unless ``trace_normalized=False``."""
+    """Unit-trace Hermitian PSD operator."""
 
     matrix: np.ndarray
-    trace_normalized: bool = True
 
     def __post_init__(self):
         m = linalg.require_hermitian(self.matrix, "density operator")
@@ -78,21 +63,14 @@ class DensityOperator:
         w = np.linalg.eigvalsh(m)
         if w[0] < linalg.PSD_CLAMP:
             raise NotPSD(f"density operator eigenvalue {w[0]:.3e} below tolerance")
-        if self.trace_normalized:
-            tr = float(np.trace(m).real)
-            if abs(tr - 1.0) > 1e-10:
-                raise BadParameter(f"trace {tr!r} is not 1 within 1e-10")
+        tr = float(np.trace(m).real)
+        if abs(tr - 1.0) > 1e-10:
+            raise BadParameter(f"trace {tr!r} is not 1 within 1e-10")
         self.matrix = m
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
 
 
 def pure_density(psi: StateVector) -> DensityOperator:
@@ -102,7 +80,8 @@ def pure_density(psi: StateVector) -> DensityOperator:
 
 
 def as_density_matrix(state) -> np.ndarray:
-    """Unit-trace density matrix from a StateVector or DensityOperator."""
+    """Unit-trace density matrix from a StateVector, a DensityOperator or a
+    raw matrix; a raw matrix is validated as a :class:`DensityOperator`."""
     if isinstance(state, StateVector):
         unit, _ = normalize(state)
         return unit.density()
@@ -126,40 +105,4 @@ def normalize(psi: StateVector) -> tuple[StateVector, float]:
     n = psi.norm
     if n <= NORM_FLOOR:
         raise NormUnderflow(f"cannot normalize state with norm {n:.3e}")
-    return StateVector(psi.amplitudes / n, layout=psi.layout), n
-
-
-def purify(rho: DensityOperator) -> StateVector:
-    """Purify a unit-trace density operator onto system (x) ancilla.
-
-    The ancilla dimension equals the rank of ``rho`` (eigenvalues above
-    ``RANK_CUTOFF``); ancilla basis states are indexed by descending
-    eigenvalue so the construction is deterministic.
-    """
-    if not rho.trace_normalized:
-        raise BadParameter("purification requires a unit-trace density operator")
-    w, v = linalg.herm_eig(rho.matrix)
-    order = np.argsort(w)[::-1]
-    w, v = w[order], v[:, order]
-    keep = w > RANK_CUTOFF
-    w, v = w[keep], v[:, keep]
-    if w.size == 0:
-        raise NotPSD("density operator has no positive eigenvalues")
-    ds = rho.dim
-    da = w.size
-    amp = np.zeros(ds * da, dtype=complex)
-    for l in range(da):
-        amp[l::da] = np.sqrt(w[l]) * v[:, l]
-    return StateVector(amp, layout=(ds, da))
-
-
-def reduced_density(psi: StateVector) -> DensityOperator:
-    """System-side reduced state of a normalized product-space vector."""
-    if psi.layout is None:
-        raise ShapeError("state vector carries no system/ancilla layout")
-    if not psi.is_normalized(1e-8):
-        raise BadParameter(f"state norm {psi.norm!r} is not 1; normalize first")
-    unit, _ = normalize(psi)
-    red = linalg.partial_trace(unit.density(), psi.layout, keep="S")
-    red = 0.5 * (red + linalg.dag(red))
-    return DensityOperator(red)
+    return StateVector(psi.amplitudes / n), n

@@ -34,6 +34,12 @@ def two_level_lindblad():
     )
 
 
+def random_hermitian(dim, rng, scale=1.0):
+    """Random Hermitian matrix with entries of size about ``scale``."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return scale * 0.5 * (g + g.conj().T) / np.sqrt(dim)
+
+
 def p1_closed(t):
     """Excited population of the worked two-level example."""
     return np.exp(-t) / (1.0 + np.exp(-t))

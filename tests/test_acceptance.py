@@ -42,9 +42,8 @@ from nhbounds import (
 )
 from nhbounds import linalg
 from nhbounds.bounds import _mt_path
-from nhbounds.models import random_hermitian
 from nhbounds.states import as_density_matrix
-from conftest import SX, expm_2x2, tree_product
+from conftest import SX, expm_2x2, random_hermitian, tree_product
 
 PLUS = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
 
@@ -256,7 +255,7 @@ def test_criterion_7_trajectory_consistency():
     ens = trajectory_ensemble(model, PLUS, tau, n, seed=99, sample_times=[0.5, tau])
     worst_sigma = 0.0
     for k, t in enumerate([0.5, tau]):
-        exact = evolve_lindblad(model, pure_density(PLUS), t).matrix
+        exact = evolve_lindblad(model, pure_density(PLUS), t)
         for dev, se in (
             (np.abs(ens.mean_states[k].real - exact.real), ens.stderr_real[k]),
             (np.abs(ens.mean_states[k].imag - exact.imag), ens.stderr_imag[k]),

@@ -38,8 +38,8 @@ from nhbounds import (
 )
 from nhbounds import propagation
 from nhbounds.errors import CommutatorViolation, ShapeError
-from nhbounds.models import classical_initial_density, random_hermitian
-from conftest import SX, p1_closed
+from nhbounds.models import classical_initial_density
+from conftest import SX, p1_closed, random_hermitian
 
 PLUS = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
 PROJ1 = np.diag([0.0, 1.0]).astype(complex)

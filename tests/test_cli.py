@@ -204,6 +204,14 @@ class TestCheckCommand:
             )
         assert exc.value.code == 2
 
+    def test_n_traj_is_rejected(self, tmp_path):
+        # jump-count rows are exact: check samples no trajectories
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "--model", "builtin:dephasing?gamma=1.0", "--state", "plus",
+                      "--bounds", "ml-open", "--observable", "jump-count", "--t-final", "0.5",
+                      "--steps", "1", "--n-traj", "10", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+
     def test_vacuous_rows_exit_zero(self, tmp_path):
         # large energy gap: the positivity condition fails at these times
         out = tmp_path / "vacuous.csv"
@@ -255,7 +263,6 @@ class TestCheckCommand:
             "--t-final", "1.0",
             "--steps", "3",
             "--observable", "jump-count",
-            "--n-traj", "500",
             "--seed", "7",
         ]
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -322,12 +329,13 @@ class TestTrajectoryCommand:
             "--model", "builtin:dephasing?gamma=1.0",
             "--state", "plus",
             "--t-final", "0.5",
-            "--n-traj", "10",
             "--dt-max", "1e-3",
             "--out", str(tmp_path / "x.csv"),
         ]
         if command == "check":
             args += ["--steps", "1", "--bounds", "ml-open", "--observable", "jump-count"]
+        else:
+            args += ["--n-traj", "10"]
         with pytest.raises(SystemExit) as exc:
             cli.main(args)
         assert exc.value.code == 2

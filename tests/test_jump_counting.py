@@ -204,9 +204,9 @@ class TestCheckJumpCount:
         assert cli.main(argv) == 0
         assert calls == []
 
-    def test_output_does_not_depend_on_seed_or_n_traj(self, tmp_path):
+    def test_output_does_not_depend_on_seed(self, tmp_path):
         outs = []
-        for i, extra in enumerate([["--seed", "0"], ["--seed", "17", "--n-traj", "5"]]):
+        for i, extra in enumerate([["--seed", "0"], ["--seed", "17"]]):
             argv = check_argv(tmp_path, 0)[:-2] + extra + ["--out", str(tmp_path / f"{i}.csv")]
             assert cli.main(argv) == 0
             outs.append((tmp_path / f"{i}.csv").read_bytes())

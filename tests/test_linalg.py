@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhbounds import linalg
-from nhbounds.errors import HermiticityViolation, NotPSD, NumericalOverflow, ShapeError
+from nhbounds.errors import HermiticityViolation, NotPSD, NumericalOverflow
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -119,57 +119,3 @@ class TestSqrtmPsd:
         with pytest.raises(NotPSD):
             linalg.sqrtm_psd(np.diag([1.0, -1.0]))
 
-
-class TestPartialTrace:
-    def test_product_state(self):
-        rng = np.random.default_rng(5)
-        rho = random_hermitian(rng, 2)
-        sigma = random_hermitian(rng, 3)
-        full = np.kron(rho, sigma)
-        assert np.allclose(
-            linalg.partial_trace(full, (2, 3), "S"), rho * np.trace(sigma), atol=1e-12
-        )
-        assert np.allclose(
-            linalg.partial_trace(full, (2, 3), "A"), sigma * np.trace(rho), atol=1e-12
-        )
-
-    def test_bell_state(self):
-        bell = np.zeros(4, dtype=complex)
-        bell[0] = bell[3] = 1 / np.sqrt(2)
-        rho = np.outer(bell, bell.conj())
-        assert np.allclose(linalg.partial_trace(rho, (2, 2), "S"), np.eye(2) / 2, atol=1e-14)
-
-    def test_index_sum_oracle(self):
-        rng = np.random.default_rng(9)
-        g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        m = g @ g.conj().T
-        ds, da = 2, 3
-        ref = np.zeros((ds, ds), dtype=complex)
-        for s1 in range(ds):
-            for s2 in range(ds):
-                ref[s1, s2] = sum(m[s1 * da + a, s2 * da + a] for a in range(da))
-        assert np.max(np.abs(linalg.partial_trace(m, (ds, da), "S") - ref)) <= 1e-12
-        assert abs(np.trace(linalg.partial_trace(m, (ds, da), "S")) - np.trace(m)) <= 1e-12
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            linalg.partial_trace(np.eye(5), (2, 3), "S")
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.allclose(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diagonal(self):
-        assert np.allclose(
-            linalg.kron(np.diag([1.0, 2.0]), np.eye(2)), np.diag([1.0, 1.0, 2.0, 2.0])
-        )
-
-    def test_mixed_product(self):
-        rng = np.random.default_rng(13)
-        a, b, c, d = (
-            rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(4)
-        )
-        lhs = linalg.kron(a, b) @ linalg.kron(c, d)
-        rhs = linalg.kron(a @ c, b @ d)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12

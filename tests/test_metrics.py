@@ -10,7 +10,6 @@ from nhbounds import (
     fidelity,
     generalized_std,
     observable_stats,
-    renyi_divergence,
     renyi_half,
 )
 from nhbounds.errors import HermiticityViolation, NotDistribution
@@ -70,18 +69,21 @@ class TestBuresAngle:
 
     def test_monotone_under_partial_trace(self):
         # distances cannot grow when the ancilla is discarded
-        from nhbounds.states import reduced_density
+        def reduced(psi):
+            """System state of a 2 (x) 2 vector: trace out the ancilla."""
+            m = psi.amplitudes.reshape(2, 2)
+            return DensityOperator(m @ m.conj().T)
 
         rng = np.random.default_rng(17)
         for _ in range(20):
             amp1 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             amp2 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            psi1 = StateVector(amp1 / np.linalg.norm(amp1), layout=(2, 2))
-            psi2 = StateVector(amp2 / np.linalg.norm(amp2), layout=(2, 2))
+            psi1 = StateVector(amp1 / np.linalg.norm(amp1))
+            psi2 = StateVector(amp2 / np.linalg.norm(amp2))
             full = bures_angle(
                 DensityOperator(psi1.density()), DensityOperator(psi2.density())
             )
-            red = bures_angle(reduced_density(psi1), reduced_density(psi2))
+            red = bures_angle(reduced(psi1), reduced(psi2))
             assert full - red >= -1e-9
 
 
@@ -156,11 +158,10 @@ class TestRenyi:
         got = renyi_half([1.0, 0.0], [q1, 1.0 - q1])
         assert got == pytest.approx(-np.log(q1), abs=1e-12)
 
-    def test_general_alpha_matches_direct_formula(self):
+    def test_half_matches_direct_formula(self):
         p, q = dists(3, 5), dists(4, 5)
-        for alpha in (0.25, 0.5, 0.75):
-            direct = np.log(np.sum(p**alpha * q ** (1 - alpha))) / (alpha - 1.0)
-            assert renyi_divergence(p, q, alpha) == pytest.approx(direct, abs=1e-12)
+        direct = -2.0 * np.log(np.sum(np.sqrt(p * q)))
+        assert renyi_half(p, q) == pytest.approx(direct, abs=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=6))

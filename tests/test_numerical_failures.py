@@ -10,6 +10,7 @@ import csv
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -122,7 +123,7 @@ class TestCenteredVariance:
 
     def test_nearly_pure_population(self):
         model = random_diagonal_jump_lindblad(2, 2, 10**1.4510592121707866)
-        rho = evolve_lindblad(model, DensityOperator(np.diag([1.0, 0.0])), 1.451).matrix
+        rho = evolve_lindblad(model, DensityOperator(np.diag([1.0, 0.0])), 1.451)
         p0, p1 = rho[0, 0].real, rho[1, 1].real
         assert np.count_nonzero(rho - np.diag(np.diag(rho))) == 0 and p0 < 1e-13
         stats = observable_stats(PROJ1, DensityOperator(rho))
@@ -207,14 +208,35 @@ class TestMalformedInput:
         model = "builtin:refrigerator?beta2=1.05&beta3=0.9"
         if command == "trajectory":
             argv = ["trajectory", "--model", model, "--state", "plus", "--t-final", "0.5",
-                    "--out", str(tmp_path / "out.csv")]
+                    "--n-traj", "20", "--out", str(tmp_path / "out.csv")]
         else:
             argv = self.check_argv(tmp_path, model, "--state", "plus",
                                    "--observable", "jump-count")
-        code, err = run_cli(argv + ["--n-traj", "20", "--seed", str(seed)], capsys)
+        code, err = run_cli(argv + ["--seed", str(seed)], capsys)
         assert code == expected
         if expected == 2:
             assert "seed must lie in [0, 2**64)" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command, flag", [
+        ("check", "--t-final"), ("check", "--tau1"), ("check", "--tau2"),
+        ("trajectory", "--t-final"),
+    ])
+    def test_non_finite_time_names_its_flag(self, tmp_path, capsys, command, flag, value):
+        model = "builtin:random-commuting?dim=2&seed=3"
+        if command == "trajectory":
+            argv = ["trajectory", "--model", "builtin:dephasing", "--state", "plus",
+                    "--t-final", "0.5", "--n-traj", "10", "--out", str(tmp_path / "out.csv")]
+        else:
+            argv = ["check", "--model", model, "--state", "plus", "--bounds", "mt",
+                    "--t-final", "0.5", "--steps", "1", "--tau1", "0.1", "--tau2", "0.3",
+                    "--out", str(tmp_path / "out.csv")]
+        argv[argv.index(flag) + 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            code, err = run_cli(argv, capsys)
+        assert code == 2
+        assert f"{flag} must be finite" in err
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

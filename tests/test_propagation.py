@@ -10,7 +10,6 @@ from nhbounds import (
     NonHermitianModel,
     StateVector,
     evolve_lindblad,
-    evolve_nonhermitian,
     generalized_std,
     liouvillian,
     make_classical,
@@ -19,16 +18,14 @@ from nhbounds import (
     no_jump_state,
     propagator,
     pure_density,
-    purify,
     random_commuting,
     random_density,
 )
 from nhbounds import linalg
 from nhbounds.errors import NonPositiveGamma, NormUnderflow
 from nhbounds.models import ClassicalMarkovModel
-from nhbounds.models import random_hermitian
 from nhbounds.propagation import _normalized_density, propagator_span
-from conftest import SX, SZ, expm_2x2, tree_product
+from conftest import SX, SZ, expm_2x2, random_hermitian, tree_product
 
 
 def lindblad_rhs_oracle(model, rho):
@@ -99,25 +96,27 @@ class TestModelTypes:
 
 
 class TestEvolveNonHermitian:
+    """Pure states evolved by the propagator: psi(t) = M(t) psi0."""
+
     def test_unitary_limit_preserves_norm(self):
         rng = np.random.default_rng(2)
         h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         model = NonHermitianModel(0.5 * (h + h.conj().T), np.zeros((3, 3)))
-        psi0 = StateVector(np.array([1.0, 0.0, 0.0]))
-        out = evolve_nonhermitian(model, psi0, 2.5)
-        assert abs(out.norm - 1.0) <= 1e-10
+        out = propagator(model, 2.5) @ np.array([1.0, 0.0, 0.0])
+        assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
 
     def test_diagonal_closed_form(self, two_level_model, plus_state):
-        out = evolve_nonhermitian(two_level_model, plus_state, 0.5)
+        out = propagator(two_level_model, 0.5) @ plus_state.amplitudes
         want = np.array([1.0, np.exp(-0.5j - 0.25)]) / np.sqrt(2.0)
-        assert np.max(np.abs(out.amplitudes - want)) <= 1e-12
-        assert out.norm == pytest.approx(np.sqrt((1 + np.exp(-0.5)) / 2.0), abs=1e-12)
-        assert out.norm == pytest.approx(0.896251, abs=1e-6)
+        assert np.max(np.abs(out - want)) <= 1e-12
+        norm = np.linalg.norm(out)
+        assert norm == pytest.approx(np.sqrt((1 + np.exp(-0.5)) / 2.0), abs=1e-12)
+        assert norm == pytest.approx(0.896251, abs=1e-6)
 
     def test_norm_underflow(self):
         model = NonHermitianModel(np.zeros((2, 2)), np.diag([40.0, 40.0]))
         with pytest.raises(NormUnderflow):
-            evolve_nonhermitian(model, StateVector(np.array([1.0, 0.0])), 1.0)
+            StateVector(propagator(model, 1.0) @ np.array([1.0, 0.0]))
 
     def test_time_dependent_vs_product_oracle(self):
         def parts(t):
@@ -148,26 +147,27 @@ class TestEvolveDensityNonHermitian:
         assert np.max(np.abs(out - u @ rho0.matrix @ u.conj().T)) <= 1e-12
 
     def test_pure_state_consistency(self, two_level_model, plus_state):
-        psi_t = evolve_nonhermitian(two_level_model, plus_state, 0.7)
+        psi_t = propagator(two_level_model, 0.7) @ plus_state.amplitudes
         rho_t, tr = _normalized_density(
             propagator(two_level_model, 0.7), pure_density(plus_state).matrix
         )
-        outer = np.outer(psi_t.amplitudes, psi_t.amplitudes.conj())
+        outer = np.outer(psi_t, psi_t.conj())
         assert np.max(np.abs(tr * rho_t - outer)) <= 1e-10
 
     def test_purification_route(self, two_level_model):
         rho0 = random_density(2, 8)
         t = 0.6
         direct, tr = _normalized_density(propagator(two_level_model, t), rho0.matrix)
-        psi = purify(rho0)
-        da = psi.layout[1]
+        # purification sum_l sqrt(w_l) |v_l>|l> on system (x) ancilla
+        w, v = np.linalg.eigh(rho0.matrix)
+        da = w.size
+        psi = (v * np.sqrt(np.clip(w, 0.0, None))).reshape(-1)
         big = NonHermitianModel(
-            linalg.kron(two_level_model.h, np.eye(da)),
-            linalg.kron(two_level_model.gamma, np.eye(da)),
+            np.kron(two_level_model.h, np.eye(da)),
+            np.kron(two_level_model.gamma, np.eye(da)),
         )
-        evolved = propagator(big, t) @ psi.amplitudes
-        lifted = np.outer(evolved, evolved.conj())
-        traced = linalg.partial_trace(lifted, psi.layout, "S")
+        evolved = (propagator(big, t) @ psi).reshape(2, da)
+        traced = evolved @ evolved.conj().T  # partial trace over the ancilla
         assert np.max(np.abs(traced - tr * direct)) <= 1e-9
 
     def test_norm_monotone_for_commuting_models(self):
@@ -175,7 +175,7 @@ class TestEvolveDensityNonHermitian:
             model = random_commuting(4, seed, gamma_scale=0.8)
             psi0 = StateVector(np.ones(4) / 2.0)
             norms = [
-                evolve_nonhermitian(model, psi0, t).norm
+                np.linalg.norm(propagator(model, t) @ psi0.amplitudes)
                 for t in np.linspace(0.0, 2.0, 21)[1:]
             ]
             assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
@@ -187,7 +187,12 @@ class TestEvolveLindblad:
         rho0 = random_density(2, 5)
         out = evolve_lindblad(model, rho0, 0.8)
         u = linalg.expm(-0.8j * SZ)
-        assert np.max(np.abs(out.matrix - u @ rho0.matrix @ u.conj().T)) <= 1e-12
+        assert np.max(np.abs(out - u @ rho0.matrix @ u.conj().T)) <= 1e-12
+
+    def test_returns_read_only_matrix(self):
+        out = evolve_lindblad(make_dephasing(1.0), StateVector(np.ones(2) / np.sqrt(2.0)), 0.5)
+        assert isinstance(out, np.ndarray) and not out.flags.writeable
+        assert np.array_equal(out, out.conj().T)
 
     def test_dephasing_closed_form_and_ode_oracle(self):
         gamma = 1.0
@@ -196,9 +201,9 @@ class TestEvolveLindblad:
         for t in (0.3, 1.0):
             out = evolve_lindblad(model, rho0, t)
             # coherence decays at rate 2*gamma in this normalization
-            assert out.matrix[0, 1] == pytest.approx(0.5 * np.exp(-2 * gamma * t), abs=1e-10)
+            assert out[0, 1] == pytest.approx(0.5 * np.exp(-2 * gamma * t), abs=1e-10)
             oracle = lindblad_ode_oracle(model, rho0.matrix, t)
-            assert np.max(np.abs(out.matrix - oracle)) <= 1e-8
+            assert np.max(np.abs(out - oracle)) <= 1e-8
 
     def test_refrigerator_vs_ode_oracle(self):
         model = make_refrigerator(1.0, 1.0, 0.5, 1.0, 2.0, 0.7)
@@ -206,8 +211,8 @@ class TestEvolveLindblad:
         rho0 = pure_density(StateVector(amp))
         out = evolve_lindblad(model, rho0, 0.4)
         oracle = lindblad_ode_oracle(model, rho0.matrix, 0.4)
-        assert np.max(np.abs(out.matrix - oracle)) <= 1e-8
-        assert out.trace() == pytest.approx(1.0, abs=1e-8)
+        assert np.max(np.abs(out - oracle)) <= 1e-8
+        assert np.trace(out).real == pytest.approx(1.0, abs=1e-8)
 
     def test_classical_embedding_matches_classical_ode(self):
         chain = ClassicalMarkovModel(
@@ -219,8 +224,8 @@ class TestEvolveLindblad:
         for t in (0.5, 1.5):
             out = evolve_lindblad(model, rho0, t)
             p_t = chain.propagate(t)
-            assert np.max(np.abs(np.diagonal(out.matrix).real - p_t)) <= 1e-8
-            off = out.matrix - np.diag(np.diagonal(out.matrix))
+            assert np.max(np.abs(np.diagonal(out).real - p_t)) <= 1e-8
+            off = out - np.diag(np.diagonal(out))
             assert linalg.max_abs(off) <= 1e-10
 
 
@@ -231,7 +236,7 @@ class TestNoJumpState:
         cond = no_jump_state(model, rho0, 1.1)
         assert cond.weight == pytest.approx(1.0, abs=1e-12)
         u = linalg.expm(-1.1j * SZ)
-        assert np.max(np.abs(cond.state.matrix - u @ rho0.matrix @ u.conj().T)) <= 1e-12
+        assert np.max(np.abs(cond.state - u @ rho0.matrix @ u.conj().T)) <= 1e-12
 
     def test_dephasing_scalar_form(self):
         gamma, t = 1.0, 0.7
@@ -239,7 +244,7 @@ class TestNoJumpState:
         rho0 = random_density(2, 10)
         cond = no_jump_state(model, rho0, t)
         assert cond.weight == pytest.approx(np.exp(-gamma * t), abs=1e-12)
-        assert np.max(np.abs(cond.state.matrix - rho0.matrix)) <= 1e-12
+        assert np.max(np.abs(cond.state - rho0.matrix)) <= 1e-12
 
     def test_weight_equals_branch_norm_for_pure_states(self, two_level_lindblad):
         psi0 = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
@@ -256,8 +261,12 @@ class TestNoJumpState:
         m = linalg.expm(-1j * t * model.effective_hamiltonian())
         raw = m @ rho0.matrix @ m.conj().T
         z = np.trace(raw).real
-        assert np.max(np.abs(cond.state.matrix - raw / z)) <= 1e-10
+        assert np.max(np.abs(cond.state - raw / z)) <= 1e-10
         assert cond.weight == pytest.approx(z, abs=1e-10)
+
+    def test_state_is_read_only(self, two_level_lindblad):
+        cond = no_jump_state(two_level_lindblad, random_density(2, 17), 0.4)
+        assert isinstance(cond.state, np.ndarray) and not cond.state.flags.writeable
 
     def test_weight_underflow(self):
         model = make_dephasing(1.0)

@@ -1,12 +1,16 @@
-"""The example scripts run end to end at small sizes."""
+"""The example scripts and the README's library example run end to end."""
 
+import contextlib
+import io
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 @pytest.mark.parametrize(
@@ -24,3 +28,13 @@ def test_script_exits_zero(tmp_path, name, args):
         cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_readme_quick_start_runs():
+    """The README's library example uses only names the package exports."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(compile(block, "README.md", "exec"), {})
+    assert "qsl-ml" in out.getvalue()

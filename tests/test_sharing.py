@@ -175,14 +175,14 @@ def test_state_mutated_in_place_misses(closed_case, kind):
 def test_lindblad_state_shared_by_the_open_rows(monkeypatch):
     model = make_dephasing(0.7)
     psi = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
-    counts = count_calls(monkeypatch, "evolve_lindblad", "propagator_span")
+    counts = count_calls(monkeypatch, "_evolve_lindblad", "propagator_span")
     obs = np.diag([0.0, 1.0]).astype(complex)
     bnd.qsl_ml_open(model, psi, 0.6)
     bnd.tur_ml_open(model, psi, 0.6, obs)
     bnd.fid_mt_open(model, psi, 0.6)
     bnd.qsl_mt_open(model, psi, 0.6)
     bnd.tur_mt_open(model, psi, 0.6, obs)
-    assert counts == {"evolve_lindblad": 1, "propagator_span": 1}
+    assert counts == {"_evolve_lindblad": 1, "propagator_span": 1}
 
 
 def decay_model():
@@ -201,7 +201,7 @@ def test_jump_count_state_mutated_between_rows_gets_fresh_moments():
     assert mt.params["jump_count"]["mean"] == 0.0
 
 
-def run_check(tmp_path, monkeypatch, argv, names=("propagator_span", "evolve_lindblad")):
+def run_check(tmp_path, monkeypatch, argv, names=("propagator_span", "_evolve_lindblad")):
     counts = count_calls(monkeypatch, *names)
     code = cli.main(["check", *argv, "--out", str(tmp_path / "out.csv")])
     assert code == 0
@@ -215,7 +215,7 @@ def test_work_count_open_sweep(tmp_path, monkeypatch):
         "--model", "builtin:refrigerator?beta2=1.05&beta3=0.9", "--state", "plus",
         "--bounds", "ml-open,mt-open", "--t-final", "1.0", "--steps", "4",
     ])
-    assert counts == {"propagator_span": 4, "evolve_lindblad": 4}
+    assert counts == {"propagator_span": 4, "_evolve_lindblad": 4}
 
 
 def test_work_count_closed_window(tmp_path, monkeypatch):
@@ -248,3 +248,23 @@ def test_work_count_open_ml(tmp_path, monkeypatch):
         "--bounds", "ml-open", "--t-final", "1.0", "--steps", "4",
     ], names=("commutator_check",))
     assert counts == {"commutator_check": 4}
+
+
+@pytest.mark.parametrize("argv, parsed", [
+    (["--model", "builtin:refrigerator?beta2=1.05&beta3=0.9", "--state", "maxmixed",
+      "--bounds", "ml-open,mt-open"], 1),
+    (["--model", "builtin:refrigerator?beta2=1.05&beta3=0.9", "--state", "plus",
+      "--bounds", "ml-open,mt-open", "--observable", "jump-count"], 0),
+    (["--model", "builtin:random-commuting?dim=3&seed=4", "--state", "plus",
+      "--bounds", "ml,mt"], 0),
+])
+def test_states_validated_once_at_the_boundary(tmp_path, monkeypatch, argv, parsed):
+    """Only the CLI parse builds a DensityOperator (one for ``maxmixed``, none
+    for ``plus``); the rows pass the states they compute on as arrays."""
+    built = []
+    post_init = DensityOperator.__post_init__
+    monkeypatch.setattr(
+        DensityOperator, "__post_init__", lambda self: built.append(self) or post_init(self)
+    )
+    run_check(tmp_path, monkeypatch, [*argv, "--t-final", "1.0", "--steps", "8"], names=())
+    assert len(built) == parsed

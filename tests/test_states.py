@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from nhbounds import (
     DensityOperator,
     StateVector,
+    evolve_lindblad,
+    jump_count_moments,
+    make_dephasing,
+    no_jump_state,
     normalize,
     pure_density,
-    purify,
-    reduced_density,
+    qsl_mt_open,
+    tur_ml,
 )
-from nhbounds import linalg
-from nhbounds.errors import BadParameter, NormUnderflow, NotPSD, ShapeError
-from nhbounds.models import random_density
+from nhbounds.errors import BadParameter, HermiticityViolation, NormUnderflow, NotPSD
+from nhbounds.models import random_commuting
 
 
 class TestStateVector:
@@ -25,10 +26,6 @@ class TestStateVector:
     def test_zero_state_rejected(self):
         with pytest.raises(NormUnderflow):
             StateVector(np.zeros(2))
-
-    def test_layout_mismatch(self):
-        with pytest.raises(ShapeError):
-            StateVector(np.ones(3), layout=(2, 2))
 
 
 class TestNormalize:
@@ -56,8 +53,6 @@ class TestNormalize:
 
 class TestDensityOperator:
     def test_rejects_non_hermitian(self):
-        from nhbounds.errors import HermiticityViolation
-
         with pytest.raises(HermiticityViolation):
             DensityOperator(np.array([[0.5, 0.5], [0.0, 0.5]]))
 
@@ -69,79 +64,30 @@ class TestDensityOperator:
         with pytest.raises(BadParameter):
             DensityOperator(np.diag([0.7, 0.7]))
 
-    def test_unnormalized_allowed(self):
-        rho = DensityOperator(np.diag([0.3, 0.3]), trace_normalized=False)
-        assert rho.trace() == pytest.approx(0.6)
-
-
-class TestPurify:
-    def test_rank_one(self):
-        rho = DensityOperator(np.diag([1.0, 0.0]))
-        psi = purify(rho)
-        assert psi.layout == (2, 1)
-        assert np.allclose(np.abs(psi.amplitudes), [1.0, 0.0])
-
-    def test_maximally_mixed_schmidt(self):
-        psi = purify(DensityOperator(np.eye(2) / 2.0))
-        assert psi.layout == (2, 2)
-        # Schmidt coefficients are the square roots of the eigenvalues
-        mat = psi.amplitudes.reshape(2, 2)
-        s = np.linalg.svd(mat, compute_uv=False)
-        assert np.allclose(s, [1.0 / np.sqrt(2.0)] * 2, atol=1e-12)
-
-    def test_round_trip_random_qubit(self):
-        rho = random_density(2, 21)
-        back = reduced_density(purify(rho))
-        assert np.max(np.abs(back.matrix - rho.matrix)) <= 1e-10
-
-    def test_ancilla_dimension_equals_rank(self):
-        rho = random_density(3, 22, rank=2)
-        psi = purify(rho)
-        assert psi.layout == (3, 2)
-        back = reduced_density(psi)
-        assert np.max(np.abs(back.matrix - rho.matrix)) <= 1e-10
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=4))
-    def test_round_trip_property(self, seed, dim):
-        rho = random_density(dim, seed)
-        psi = purify(rho)
-        assert abs(psi.norm - 1.0) <= 1e-12
-        back = reduced_density(psi)
-        assert np.max(np.abs(back.matrix - rho.matrix)) <= 1e-10
-
-    def test_requires_unit_trace(self):
-        rho = DensityOperator(np.diag([0.3, 0.3]), trace_normalized=False)
-        with pytest.raises(BadParameter):
-            purify(rho)
-
-
-class TestReducedDensity:
-    def test_product_state(self):
-        psi = StateVector(np.kron([1.0, 0.0], [0.6, 0.8]), layout=(2, 2))
-        red = reduced_density(psi)
-        assert np.allclose(red.matrix, np.diag([1.0, 0.0]), atol=1e-12)
-
-    def test_bell_state(self):
-        bell = np.zeros(4, dtype=complex)
-        bell[0] = bell[3] = 1.0 / np.sqrt(2.0)
-        red = reduced_density(StateVector(bell, layout=(2, 2)))
-        assert np.allclose(red.matrix, np.eye(2) / 2.0, atol=1e-12)
-
-    def test_layout_required(self):
-        with pytest.raises(ShapeError):
-            reduced_density(StateVector(np.array([1.0, 0.0])))
-
-    def test_output_is_valid_density(self):
-        rng = np.random.default_rng(4)
-        amp = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        psi = StateVector(amp / np.linalg.norm(amp), layout=(2, 3))
-        red = reduced_density(psi)
-        assert red.trace() == pytest.approx(1.0, abs=1e-10)
-        assert red.eigenvalues()[0] >= linalg.PSD_CLAMP
-
 
 def test_pure_density_matches_outer():
     psi = StateVector(np.array([1.0, 1.0j]) / np.sqrt(2.0))
     rho = pure_density(psi)
     assert np.allclose(rho.matrix, 0.5 * np.array([[1.0, -1.0j], [1.0j, 1.0]]))
+
+
+PUBLIC_ENTRIES = {
+    "evolve_lindblad": lambda rho: evolve_lindblad(make_dephasing(1.0), rho, 0.5),
+    "jump_count_moments": lambda rho: jump_count_moments(make_dephasing(1.0), rho, 0.5),
+    "no_jump_state": lambda rho: no_jump_state(make_dephasing(1.0), rho, 0.5),
+    "qsl_mt_open": lambda rho: qsl_mt_open(make_dephasing(1.0), rho, 0.5),
+    "tur_ml": lambda rho: tur_ml(random_commuting(2, 1), rho, 0.5, np.diag([0.0, 1.0])),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PUBLIC_ENTRIES))
+@pytest.mark.parametrize("raw, error", [
+    (np.array([[0.5, 0.5], [0.0, 0.5]]), HermiticityViolation),
+    (np.diag([1.5, -0.5]), NotPSD),
+    (np.diag([0.7, 0.7]), BadParameter),
+], ids=["non-hermitian", "negative", "bad-trace"])
+def test_raw_state_validated_at_public_entry(entry, raw, error):
+    """A raw density matrix given to a public function is checked as a
+    DensityOperator on the way in."""
+    with pytest.raises(error):
+        PUBLIC_ENTRIES[entry](raw)

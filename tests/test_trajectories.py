@@ -182,7 +182,7 @@ class TestTrajectoryEnsemble:
         tau, n = 1.0, 4000
         ens = trajectory_ensemble(model, PLUS, tau, n, seed=13, sample_times=[0.5, tau])
         for k, t in enumerate([0.5, tau]):
-            exact = evolve_lindblad(model, pure_density(PLUS), t).matrix
+            exact = evolve_lindblad(model, pure_density(PLUS), t)
             dev_re = np.abs(ens.mean_states[k].real - exact.real)
             dev_im = np.abs(ens.mean_states[k].imag - exact.imag)
             assert np.all(dev_re <= 5.0 * ens.stderr_real[k])
@@ -193,7 +193,7 @@ class TestTrajectoryEnsemble:
         rho0 = random_density(2, 20)
         tau, n = 0.8, 4000
         ens = trajectory_ensemble(model, rho0, tau, n, seed=14)
-        exact = evolve_lindblad(model, rho0, tau).matrix
+        exact = evolve_lindblad(model, rho0, tau)
         dev = np.abs(ens.mean_states[0] - exact)
         se = np.sqrt(ens.stderr_real[0] ** 2 + ens.stderr_imag[0] ** 2)
         assert np.all(dev <= 5.0 * se)
