@@ -15,13 +15,6 @@ H_S - (i/2) sum L^dag L of the no-jump branch; their Bures angles and
 observable statistics use the Lindblad state, and their jump-count
 statistics are exact (full counting statistics, no sampling).
 
-The ML rows of one (model, state, tau) read one evaluation (initial
-expectations, propagator and overlap), the MT rows of one (model, state,
-window) one normalized path, and the open rows of one (model, state, tau)
-one Lindblad state: a one-entry memo keyed by model identity (models are
-immutable), the state's contents, and the remaining arguments
-shares them across the rows of a time point.
-
 Each produces a fidelity floor, a speed limit on the Bures angle, and a
 scaled-variance (TUR-style) inequality; the classical Markov special case
 adds a Renyi-divergence speed limit and an activity-based TUR.  All checks
@@ -29,6 +22,15 @@ come back as :class:`BoundReport` with lhs/rhs oriented so that
 ``slack = lhs - rhs >= 0`` means the inequality holds; preconditions that
 fail dynamically (positivity, integration window, fidelity/weight domain)
 flip ``applicable`` instead of raising.
+
+The rows of one time point read one evaluation of it, a ``_TimePoint``:
+the ML ingredients (initial expectations, propagator and overlap), the MT
+normalized path, the Lindblad state, its fidelity to the initial state and
+the exact jump-count moments, each computed at most once, on first use.
+Each family has one builder that returns all of its reports from that
+evaluation.  ``nhbounds check`` builds one time point per grid time and
+calls the builders; each public row function builds its own time point and
+evaluates its whole family, so public calls share nothing.
 """
 
 from __future__ import annotations
@@ -51,13 +53,14 @@ from .propagation import (
     propagator,
     propagator_span,
 )
-from .states import DensityOperator, StateVector, as_density_matrix
+from .states import as_density_matrix
 
 SLACK_TOL = 1e-8            # a theorem violation is slack below this
 WINDOW_TOL = 1e-7           # round-off allowance at the pi/2 window edge
 DEFAULT_QUAD_STEPS = 400    # composite Simpson panels
 
 Condition = tuple[str, bool]
+_NO_TUR = object()  # a family builder's default: no scaled-variance row
 
 
 @dataclass(frozen=True)
@@ -110,38 +113,6 @@ def ground_energy(h) -> float:
     """Minimum eigenvalue of a Hermitian operator."""
     w, _ = linalg.herm_eig(h)
     return float(w[0])
-
-
-def _state_key(state) -> tuple:
-    """Contents of a state: equal keys mean the same state."""
-    if isinstance(state, StateVector):
-        arr = state.amplitudes
-    elif isinstance(state, DensityOperator):
-        arr = state.matrix
-    else:
-        arr = np.asarray(state)
-    return arr.dtype.str, arr.shape, arr.tobytes()
-
-
-def _memo_last(fn):
-    """One-entry memo of ``fn(model, state, *args)``, shared by the rows of a
-    time point.
-
-    The key holds the model itself (compared by identity; models are
-    immutable), the state's contents, and the other arguments, so
-    a state mutated in place or a new model misses.  A call that raises
-    stores nothing.
-    """
-    last: list = [None, None]
-
-    @functools.wraps(fn)
-    def memo(model, state, *args):
-        key = (model, _state_key(state), args)
-        if last[0] != key:
-            last[:] = [key, fn(model, state, *args)]
-        return last[1]
-
-    return memo
 
 
 def _expectation(op: np.ndarray, rho: np.ndarray) -> float:
@@ -213,6 +184,53 @@ def normalized_overlap(
     return abs(complex(np.trace(linalg.dag(m1) @ m2 @ rho0))) / math.sqrt(tr1 * tr2)
 
 
+# ---------------------------------------------------------------------------
+# one time point
+
+
+@dataclass(eq=False, frozen=True)
+class _MLPoint:
+    """What the ML rows read at one time point.
+
+    ``m``: the propagator M to tau; only the closed rows normalize its
+    state, so the open rows give numbers where that state would underflow.
+    ``overlap``: |Tr[M rho0]|.  ``params``: the initial-expectation terms of
+    the floor; each row copies them before adding its own keys.
+    """
+
+    m: np.ndarray
+    overlap: float
+    params: dict
+
+
+def _ml_point(model: NonHermitianModel, rho0: np.ndarray, tau: float) -> _MLPoint:
+    """Evaluate the ML ingredients of one time point.
+
+    The open family calls this on ``no_jump_model()``, whose Gamma is half
+    the jump-rate operator: there ``floor_raw`` is the open floor
+    exp(-activity*tau/2) - tau(<H_S> - E_g) and ``overlap`` is the record
+    overlap.
+    """
+    _require_time_independent(model, "the mean-based bound")
+    comm_norm = _require_commuting(model)
+    if tau < 0:
+        raise BadParameter("tau must be nonnegative")
+    mean_h = _expectation(model.h, rho0)
+    mean_g = _expectation(model.gamma, rho0)
+    e_g = ground_energy(model.h)
+    params = {
+        "tau": tau,
+        "mean_h": mean_h,
+        "mean_gamma": mean_g,
+        "ground_energy": e_g,
+        "floor_raw": math.exp(-mean_g * tau) - tau * (mean_h - e_g),
+        "commutator_norm": comm_norm,
+    }
+    m = propagator(model, tau)
+    m.setflags(write=False)
+    return _MLPoint(m, abs(complex(np.trace(m @ rho0))), params)
+
+
 @dataclass(eq=False, frozen=True)
 class _MTPath:
     """What the MT rows read from one normalized path over [t1, t2].
@@ -232,7 +250,6 @@ class _MTPath:
     overlap: float
 
 
-@_memo_last
 def _mt_path(
     model: NonHermitianModel, rho0: np.ndarray, t1: float, t2: float, steps: int
 ) -> _MTPath:
@@ -261,6 +278,49 @@ def _mt_path(
     rho2.setflags(write=False)
     overlap = abs(complex(np.trace(linalg.dag(mats[0]) @ m2 @ rho0)))
     return _MTPath(integral, err, rho1, rho2, float(tr[0]), float(tr2), overlap)
+
+
+class _TimePoint:
+    """The one evaluation of (model, state, time point) that every row reads.
+
+    ``ml`` is taken at ``tau`` and ``mt`` over [``start``, ``tau``] with
+    ``steps`` Simpson panels, both on ``no_jump_model()`` for a Lindblad
+    model.  ``lindblad`` is the Lindblad state at ``tau``, ``fidelity`` its
+    fidelity to the initial state, and ``jump_count`` the exact mean and
+    variance of the jump count.  Each part is computed at most once, on
+    first use, so a family pays only for what it reads.
+    """
+
+    def __init__(self, model, state0, tau: float, start: float = 0.0,
+                 steps: int = DEFAULT_QUAD_STEPS):
+        self.model, self.tau, self.start, self.steps = model, tau, start, steps
+        self.rho0 = as_density_matrix(state0)
+        self.rho0.setflags(write=False)
+
+    @functools.cached_property
+    def _closed(self) -> NonHermitianModel:
+        model = self.model
+        return model.no_jump_model() if isinstance(model, LindbladModel) else model
+
+    @functools.cached_property
+    def ml(self) -> _MLPoint:
+        return _ml_point(self._closed, self.rho0, self.tau)
+
+    @functools.cached_property
+    def mt(self) -> _MTPath:
+        return _mt_path(self._closed, self.rho0, self.start, self.tau, self.steps)
+
+    @functools.cached_property
+    def lindblad(self) -> np.ndarray:
+        return _evolve_lindblad(self.model, self.rho0, self.tau)
+
+    @functools.cached_property
+    def fidelity(self) -> float:
+        return metrics.fidelity(self.rho0, self.lindblad)
+
+    @functools.cached_property
+    def jump_count(self) -> tuple[float, float]:
+        return _jump_count_moments(self.model, self.rho0, self.tau)
 
 
 def _scaled_ratio_sq(
@@ -294,52 +354,44 @@ def _scaled_ratio_sq(
 # closed system, mean-based (ML) family
 
 
-@dataclass(eq=False, frozen=True)
-class _MLPoint:
-    """What the ML rows read at one time point.
-
-    ``rho0``: the initial density matrix.  ``m``: the propagator M to tau;
-    only the closed rows normalize its state, so the open rows give numbers
-    where that state would underflow.  ``overlap``: |Tr[M rho0]|.
-    ``params``: the initial-expectation terms of the floor; each row copies
-    them before adding its own keys.
-    """
-
-    rho0: np.ndarray
-    m: np.ndarray
-    overlap: float
-    params: dict
-
-
-@_memo_last
-def _ml_point(model: NonHermitianModel, state0, tau: float) -> _MLPoint:
-    """Evaluate the ML ingredients of one time point once.
-
-    The open family calls this on ``no_jump_model()``, whose Gamma is half
-    the jump-rate operator: there ``floor_raw`` is the open floor
-    exp(-activity*tau/2) - tau(<H_S> - E_g) and ``overlap`` is the record
-    overlap.
-    """
-    _require_time_independent(model, "the mean-based bound")
-    comm_norm = _require_commuting(model)
-    if tau < 0:
-        raise BadParameter("tau must be nonnegative")
-    rho0 = as_density_matrix(state0)
-    mean_h = _expectation(model.h, rho0)
-    mean_g = _expectation(model.gamma, rho0)
-    e_g = ground_energy(model.h)
-    params = {
-        "tau": tau,
-        "mean_h": mean_h,
-        "mean_gamma": mean_g,
-        "ground_energy": e_g,
-        "floor_raw": math.exp(-mean_g * tau) - tau * (mean_h - e_g),
-        "commutator_norm": comm_norm,
+def _ml_rows(point: _TimePoint, observable=_NO_TUR) -> list[BoundReport]:
+    """fid-ml, qsl-ml and, given an observable, tur-ml at ``point.tau``."""
+    ml, rho0, tau = point.ml, point.rho0, point.tau
+    rho_tau, tr_tau = _normalized_density(ml.m, rho0)
+    norm_tau = math.sqrt(tr_tau)
+    params = dict(ml.params, norm_tau=norm_tau)
+    raw, mean_g = params["floor_raw"], params["mean_gamma"]
+    positive = raw > 0.0
+    conditions = (("commuting_h_gamma", True), ("gamma_psd", True), ("floor_positive", positive))
+    floor = raw / norm_tau
+    rows = [BoundReport(
+        "fid-ml", ml.overlap / math.sqrt(np.trace(rho0).real * tr_tau), floor, True,
+        conditions, dict(params, fidelity_floor=floor),
+    )]
+    de = params["mean_h"] - params["ground_energy"]
+    angle = metrics.bures_angle(rho0, rho_tau)
+    rhs = 2.0 * math.sin(angle / 2.0) ** 2
+    rate_sum = de + mean_g
+    simple = {
+        "lhs": tau * de + 1.0 - math.exp(-mean_g * tau),
+        "weak_lhs": tau * rate_sum,
+        "rhs": rhs,
+        "applicable": positive,
     }
-    m = propagator(model, tau)
-    rho0.setflags(write=False)
-    m.setflags(write=False)
-    return _MLPoint(rho0, m, abs(complex(np.trace(m @ rho0))), params)
+    rows.append(BoundReport("qsl-ml", 1.0 - floor, rhs, True, conditions, dict(
+        params, bures_angle=angle, simple=simple,
+        tau_min_geometric=(rhs / rate_sum) if rate_sum > 0 else 0.0,
+    )))
+    if observable is not _NO_TUR:
+        ratio_sq, stats = _scaled_ratio_sq(
+            linalg.require_hermitian(observable, "observable"), rho0, rho_tau
+        )
+        loose = {"lhs": _inv_sq_minus_one(raw), "rhs": ratio_sq, "applicable": positive}
+        rows.append(BoundReport(
+            "tur-ml", _inv_sq_minus_one(raw, norm_tau), ratio_sq, positive, conditions,
+            dict(params, **stats, loose=loose),
+        ))
+    return rows
 
 
 def fid_ml(model: NonHermitianModel, state0, tau: float) -> BoundReport:
@@ -349,25 +401,7 @@ def fid_ml(model: NonHermitianModel, state0, tau: float) -> BoundReport:
     Requires a time-independent model with commuting (H, Gamma) and PSD
     Gamma; expectations are taken in the initial state.
     """
-    point = _ml_point(model, state0, tau)
-    _, tr_tau = _normalized_density(point.m, point.rho0)
-    tr0 = np.trace(point.rho0).real
-    params = dict(point.params, norm_tau=math.sqrt(tr_tau))
-    floor = params["floor_raw"] / params["norm_tau"]
-    conditions = (
-        ("commuting_h_gamma", True),
-        ("gamma_psd", True),
-        ("floor_positive", params["floor_raw"] > 0.0),
-    )
-    params["fidelity_floor"] = floor
-    return BoundReport(
-        kind="fid-ml",
-        lhs=point.overlap / math.sqrt(tr0 * tr_tau),
-        rhs=floor,
-        applicable=True,
-        conditions=conditions,
-        params=params,
-    )
+    return _ml_rows(_TimePoint(model, state0, tau))[0]
 
 
 def qsl_ml(model: NonHermitianModel, state0, tau: float) -> BoundReport:
@@ -379,40 +413,7 @@ def qsl_ml(model: NonHermitianModel, state0, tau: float) -> BoundReport:
     ``params["simple"]`` together with the weakest linear-in-tau form and
     the geometric minimum-time estimate it implies.
     """
-    point = _ml_point(model, state0, tau)
-    rho_tau, tr_tau = _normalized_density(point.m, point.rho0)
-    params = dict(point.params, norm_tau=math.sqrt(tr_tau))
-    raw, mean_g = params["floor_raw"], params["mean_gamma"]
-    de = params["mean_h"] - params["ground_energy"]
-    lhs = 1.0 - raw / params["norm_tau"]
-    angle = metrics.bures_angle(point.rho0, rho_tau)
-    rhs = 2.0 * math.sin(angle / 2.0) ** 2
-    positive = raw > 0.0
-    rate_sum = de + mean_g
-    params.update(
-        {
-            "bures_angle": angle,
-            "simple": {
-                "lhs": tau * de + 1.0 - math.exp(-mean_g * tau),
-                "weak_lhs": tau * rate_sum,
-                "rhs": rhs,
-                "applicable": positive,
-            },
-            "tau_min_geometric": (rhs / rate_sum) if rate_sum > 0 else 0.0,
-        }
-    )
-    return BoundReport(
-        kind="qsl-ml",
-        lhs=lhs,
-        rhs=rhs,
-        applicable=True,
-        conditions=(
-            ("commuting_h_gamma", True),
-            ("gamma_psd", True),
-            ("floor_positive", positive),
-        ),
-        params=params,
-    )
+    return _ml_rows(_TimePoint(model, state0, tau))[1]
 
 
 def tur_ml(model: NonHermitianModel, state0, tau: float, observable) -> BoundReport:
@@ -422,32 +423,51 @@ def tur_ml(model: NonHermitianModel, state0, tau: float, observable) -> BoundRep
     ||psi(tau)||^2 / floor^2 - 1; the loose norm-free variant sits under
     ``params["loose"]``.  Applicable only while the floor is positive.
     """
-    point = _ml_point(model, state0, tau)
-    rho_tau, tr_tau = _normalized_density(point.m, point.rho0)
-    params = dict(point.params, norm_tau=math.sqrt(tr_tau))
-    raw = params["floor_raw"]
-    ratio_sq, stats = _scaled_ratio_sq(
-        linalg.require_hermitian(observable, "observable"), point.rho0, rho_tau
-    )
-    positive = raw > 0.0
-    params.update(stats)
-    params["loose"] = {"lhs": _inv_sq_minus_one(raw), "rhs": ratio_sq, "applicable": positive}
-    return BoundReport(
-        kind="tur-ml",
-        lhs=_inv_sq_minus_one(raw, params["norm_tau"]),
-        rhs=ratio_sq,
-        applicable=positive,
-        conditions=(
-            ("commuting_h_gamma", True),
-            ("gamma_psd", True),
-            ("floor_positive", positive),
-        ),
-        params=params,
-    )
+    return _ml_rows(_TimePoint(model, state0, tau), observable)[2]
 
 
 # ---------------------------------------------------------------------------
 # closed system, deviation-based (MT) family
+
+
+def _mt_rows(point: _TimePoint, observable=_NO_TUR) -> list[BoundReport]:
+    """fid-mt, qsl-mt and, given an observable, tur-mt over
+    [``point.start``, ``point.tau``]."""
+    path, tau1, tau2 = point.mt, point.start, point.tau
+    integral, err = path.integral, path.quad_err
+    in_window = integral <= math.pi / 2.0 + WINDOW_TOL
+    conditions = (("window_le_half_pi", in_window),)
+    angle = metrics.bures_angle(path.rho1, path.rho2)
+    if integral > 0.0:
+        tau_min = angle * (tau2 - tau1) / integral
+    else:
+        tau_min = 0.0 if angle == 0.0 else float("inf")
+    rows = [
+        BoundReport(
+            "fid-mt", path.overlap / math.sqrt(path.tr1 * path.tr2), math.cos(integral),
+            in_window, conditions,
+            {"tau1": tau1, "tau2": tau2, "integral": integral, "quad_err": err},
+        ),
+        BoundReport("qsl-mt", integral, angle, in_window, conditions, {
+            "tau1": tau1,
+            "tau2": tau2,
+            "quad_err": err,
+            "tau_min": tau_min,
+            "mean_std": integral / (tau2 - tau1) if tau2 > tau1 else 0.0,
+        }),
+    ]
+    if observable is not _NO_TUR:
+        obs = linalg.require_hermitian(observable, "observable")
+        ratio_sq, stats = _scaled_ratio_sq(obs, path.rho1, path.rho2)
+        inside = integral < math.pi / 2.0
+        et = _energy_time(point.model, path.rho2, tau2, obs)
+        rows.append(BoundReport(
+            "tur-mt", math.tan(integral) ** 2 if inside else float("inf"), ratio_sq, inside,
+            (("window_lt_half_pi", inside),),
+            {"tau1": tau1, "tau2": tau2, "quad_err": err, "integral": integral, **stats,
+             "energy_time": {"lhs": et.lhs, "rhs": et.rhs, "slack": et.slack}},
+        ))
+    return rows
 
 
 def fid_mt(
@@ -459,17 +479,7 @@ def fid_mt(
     The cosine form is only a valid floor while the integral stays within
     [0, pi/2]; outside that window the report is flagged inapplicable.
     """
-    path = _mt_path(model, as_density_matrix(state0), tau1, tau2, steps)
-    integral, err = path.integral, path.quad_err
-    in_window = integral <= math.pi / 2.0 + WINDOW_TOL
-    return BoundReport(
-        kind="fid-mt",
-        lhs=path.overlap / math.sqrt(path.tr1 * path.tr2),
-        rhs=math.cos(integral),
-        applicable=in_window,
-        conditions=(("window_le_half_pi", in_window),),
-        params={"tau1": tau1, "tau2": tau2, "integral": integral, "quad_err": err},
-    )
+    return _mt_rows(_TimePoint(model, state0, tau2, tau1, steps))[0]
 
 
 def qsl_mt(
@@ -480,28 +490,7 @@ def qsl_mt(
     Also emits the implied minimum time ``tau_min`` = angle / (time-averaged
     std) in the params.
     """
-    path = _mt_path(model, as_density_matrix(state0), tau1, tau2, steps)
-    integral, err = path.integral, path.quad_err
-    angle = metrics.bures_angle(path.rho1, path.rho2)
-    in_window = integral <= math.pi / 2.0 + WINDOW_TOL
-    if integral > 0.0:
-        tau_min = angle * (tau2 - tau1) / integral
-    else:
-        tau_min = 0.0 if angle == 0.0 else float("inf")
-    return BoundReport(
-        kind="qsl-mt",
-        lhs=integral,
-        rhs=angle,
-        applicable=in_window,
-        conditions=(("window_le_half_pi", in_window),),
-        params={
-            "tau1": tau1,
-            "tau2": tau2,
-            "quad_err": err,
-            "tau_min": tau_min,
-            "mean_std": integral / (tau2 - tau1) if tau2 > tau1 else 0.0,
-        },
-    )
+    return _mt_rows(_TimePoint(model, state0, tau2, tau1, steps))[1]
 
 
 def energy_time_check(model: NonHermitianModel, state0, t: float, observable) -> BoundReport:
@@ -548,24 +537,7 @@ def tur_mt(
     energy-time variant evaluated at tau2 is attached under
     ``params["energy_time"]``.
     """
-    obs = linalg.require_hermitian(observable, "observable")
-    path = _mt_path(model, as_density_matrix(state0), tau1, tau2, steps)
-    integral, err = path.integral, path.quad_err
-    ratio_sq, stats = _scaled_ratio_sq(obs, path.rho1, path.rho2)
-    in_window = integral < math.pi / 2.0
-    lhs = math.tan(integral) ** 2 if in_window else float("inf")
-    params = {"tau1": tau1, "tau2": tau2, "quad_err": err, "integral": integral}
-    params.update(stats)
-    et = _energy_time(model, path.rho2, tau2, obs)
-    params["energy_time"] = {"lhs": et.lhs, "rhs": et.rhs, "slack": et.slack}
-    return BoundReport(
-        kind="tur-mt",
-        lhs=lhs,
-        rhs=ratio_sq,
-        applicable=in_window,
-        conditions=(("window_lt_half_pi", in_window),),
-        params=params,
-    )
+    return _mt_rows(_TimePoint(model, state0, tau2, tau1, steps), observable)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +557,45 @@ def open_overlap(model: LindbladModel, state0, tau: float) -> float:
     return abs(complex(np.trace(propagator(model.no_jump_model(), tau) @ rho0)))
 
 
+def _open_ratio_sq(point: _TimePoint, observable) -> tuple[float, dict]:
+    """The squared scaled ratio of an open TUR: exact jump-count moments, or
+    a system operator's statistics in the Lindblad state."""
+    if isinstance(observable, JumpCountObservable):
+        mean, var = point.jump_count
+        if var <= 0.0:
+            ratio_sq = 0.0 if abs(mean) <= 1e-14 else float("inf")
+        else:
+            ratio_sq = mean**2 / var
+        return ratio_sq, {"jump_count": {"mean": mean, "var": var}}
+    obs = linalg.require_hermitian(observable, "observable")
+    return _scaled_ratio_sq(obs, point.rho0, point.lindblad)
+
+
+def _ml_open_rows(point: _TimePoint, observable=_NO_TUR) -> list[BoundReport]:
+    """fid-ml-open, qsl-ml-open and, given an observable, tur-ml-open at
+    ``point.tau``."""
+    ml = point.ml
+    floor = ml.params["floor_raw"]
+    positive = floor > 0.0
+    conditions = (("commuting_hs_jumps", True), ("floor_positive", positive))
+    angle = metrics._fidelity_angle(point.fidelity)
+    rows = [
+        BoundReport("fid-ml-open", ml.overlap, floor, True, conditions, dict(ml.params)),
+        BoundReport("qsl-ml-open", 1.0 - floor, 2.0 * math.sin(angle / 2.0) ** 2, True,
+                    conditions, dict(ml.params, bures_angle=angle)),
+    ]
+    if observable is not _NO_TUR:
+        ratio_sq, stats = _open_ratio_sq(point, observable)
+        params = dict(ml.params, **stats)
+        if linalg.max_abs(point.model.h_s) <= 1e-12:
+            # the no-jump Gamma is half the jump-rate operator
+            params["classical_form_lhs"] = _expm1(2.0 * params["mean_gamma"] * point.tau)
+        rows.append(BoundReport(
+            "tur-ml-open", _inv_sq_minus_one(floor), ratio_sq, positive, conditions, params
+        ))
+    return rows
+
+
 def fid_ml_open(model: LindbladModel, state0, tau: float) -> BoundReport:
     """Measured record-state overlap against the open mean-based floor
     exp(-activity*tau/2) - tau(<H_S> - E_g).
@@ -592,64 +603,13 @@ def fid_ml_open(model: LindbladModel, state0, tau: float) -> BoundReport:
     Requires H_S to commute with the jump-rate operator (satisfied by the
     dephasing model, the refrigerator, and every classical embedding).
     """
-    point = _ml_point(model.no_jump_model(), state0, tau)
-    params = dict(point.params)
-    floor = params["floor_raw"]
-    return BoundReport(
-        kind="fid-ml-open",
-        lhs=point.overlap,
-        rhs=floor,
-        applicable=True,
-        conditions=(
-            ("commuting_hs_jumps", True),
-            ("floor_positive", floor > 0.0),
-        ),
-        params=params,
-    )
+    return _ml_open_rows(_TimePoint(model, state0, tau))[0]
 
 
 def qsl_ml_open(model: LindbladModel, state0, tau: float) -> BoundReport:
     """Open mean-based speed limit against the Bures angle of the Lindblad
     endpoints (the averaged, unconditioned evolution)."""
-    point = _ml_point(model.no_jump_model(), state0, tau)
-    params = dict(point.params)
-    floor = params["floor_raw"]
-    angle = metrics.bures_angle(point.rho0, _lindblad_state(model, point.rho0, tau))
-    params["bures_angle"] = angle
-    return BoundReport(
-        kind="qsl-ml-open",
-        lhs=1.0 - floor,
-        rhs=2.0 * math.sin(angle / 2.0) ** 2,
-        applicable=True,
-        conditions=(
-            ("commuting_hs_jumps", True),
-            ("floor_positive", floor > 0.0),
-        ),
-        params=params,
-    )
-
-
-@_memo_last
-def _lindblad_state(model: LindbladModel, rho0: np.ndarray, tau: float) -> np.ndarray:
-    """The Lindblad state at ``tau``, read-only: every open row of a time
-    point reads this one."""
-    return _evolve_lindblad(model, rho0, tau)
-
-
-def _jump_count_ratio_sq(model: LindbladModel, rho0: np.ndarray, tau: float) -> tuple[float, dict]:
-    mean, var = _jump_count_moments(model, rho0, tau)
-    if var <= 0.0:
-        ratio_sq = 0.0 if abs(mean) <= 1e-14 else float("inf")
-    else:
-        ratio_sq = mean**2 / var
-    return ratio_sq, {"jump_count": {"mean": mean, "var": var}}
-
-
-def _open_ratio_sq(model: LindbladModel, rho0: np.ndarray, tau: float, observable):
-    if isinstance(observable, JumpCountObservable):
-        return _jump_count_ratio_sq(model, rho0, tau)
-    obs = linalg.require_hermitian(observable, "observable")
-    return _scaled_ratio_sq(obs, rho0, _lindblad_state(model, rho0, tau))
+    return _ml_open_rows(_TimePoint(model, state0, tau))[1]
 
 
 def tur_ml_open(model: LindbladModel, state0, tau: float, observable) -> BoundReport:
@@ -666,26 +626,44 @@ def tur_ml_open(model: LindbladModel, state0, tau: float, observable) -> BoundRe
     raw density matrix, for either observable kind; a raw 1-D array is
     rejected, as it is for every row kind.
     """
-    point = _ml_point(model.no_jump_model(), state0, tau)
-    params = dict(point.params)
-    floor = params["floor_raw"]
-    positive = floor > 0.0
-    ratio_sq, stats = _open_ratio_sq(model, point.rho0, tau, observable)
-    params.update(stats)
-    if linalg.max_abs(model.h_s) <= 1e-12:
-        # the no-jump Gamma is half the jump-rate operator
-        params["classical_form_lhs"] = _expm1(2.0 * params["mean_gamma"] * tau)
-    return BoundReport(
-        kind="tur-ml-open",
-        lhs=_inv_sq_minus_one(floor),
-        rhs=ratio_sq,
-        applicable=positive,
-        conditions=(
-            ("commuting_hs_jumps", True),
-            ("floor_positive", positive),
+    return _ml_open_rows(_TimePoint(model, state0, tau), observable)[2]
+
+
+def _mt_open_rows(point: _TimePoint, observable=_NO_TUR) -> list[BoundReport]:
+    """fid-mt-open, qsl-mt-open and, given an observable, tur-mt-open over
+    [0, ``point.tau``]."""
+    path, tau = point.mt, point.tau
+    integral, err, z = path.integral, path.quad_err, path.tr2
+    in_window = integral <= math.pi / 2.0 + WINDOW_TOL
+    fid = point.fidelity
+    ratio = fid / z
+    fid_ok = ratio <= 1.0 + 1e-10
+    rhs = float(np.arccos(np.clip(math.sqrt(min(ratio, 1.0)), 0.0, 1.0))) if fid_ok else float("nan")
+    raw_overlap = path.overlap / math.sqrt(z)
+    rows = [
+        BoundReport(
+            "fid-mt-open", path.overlap, math.sqrt(z) * math.cos(integral), in_window,
+            (("window_le_half_pi", in_window),),
+            {"tau": tau, "integral": integral, "survival_weight": z, "quad_err": err},
         ),
-        params=params,
-    )
+        BoundReport("qsl-mt-open", integral, rhs, fid_ok, (("fid_le_z", fid_ok),), {
+            "tau": tau,
+            "survival_weight": z,
+            "fidelity": fid,
+            "quad_err": err,
+            "underlying_rhs": float(np.arccos(np.clip(raw_overlap, 0.0, 1.0))),
+        }),
+    ]
+    if observable is not _NO_TUR:
+        inside = integral < math.pi / 2.0
+        lhs = (1.0 / (z * math.cos(integral) ** 2) - 1.0) if inside else float("inf")
+        ratio_sq, stats = _open_ratio_sq(point, observable)
+        rows.append(BoundReport(
+            "tur-mt-open", lhs, ratio_sq, inside, (("window_lt_half_pi", inside),),
+            {"tau": tau, "integral": integral, "survival_weight": z, "quad_err": err,
+             "observable_convention": "lindblad-state", **stats},
+        ))
+    return rows
 
 
 def fid_mt_open(
@@ -699,17 +677,7 @@ def fid_mt_open(
     full (non-Hermitian) effective generator.  Its trace at tau is the
     survival weight Z, and its overlap is the record overlap |Tr[M(tau) rho0]|.
     """
-    path = _mt_path(model.no_jump_model(), as_density_matrix(state0), 0.0, tau, steps)
-    integral, err, z = path.integral, path.quad_err, path.tr2
-    in_window = integral <= math.pi / 2.0 + WINDOW_TOL
-    return BoundReport(
-        kind="fid-mt-open",
-        lhs=path.overlap,
-        rhs=math.sqrt(z) * math.cos(integral),
-        applicable=in_window,
-        conditions=(("window_le_half_pi", in_window),),
-        params={"tau": tau, "integral": integral, "survival_weight": z, "quad_err": err},
-    )
+    return _mt_open_rows(_TimePoint(model, state0, tau, steps=steps))[0]
 
 
 def qsl_mt_open(
@@ -724,29 +692,7 @@ def qsl_mt_open(
     pre-monotonicity rhs (arccos of the normalized no-jump overlap) is
     always attached in params.
     """
-    rho0 = as_density_matrix(state0)
-    path = _mt_path(model.no_jump_model(), rho0, 0.0, tau, steps)
-    integral, err, z = path.integral, path.quad_err, path.tr2
-    fid = metrics.fidelity(rho0, _lindblad_state(model, rho0, tau))
-    ratio = fid / z
-    fid_ok = ratio <= 1.0 + 1e-10
-    rhs = float(np.arccos(np.clip(math.sqrt(min(ratio, 1.0)), 0.0, 1.0))) if fid_ok else float("nan")
-    raw_overlap = path.overlap / math.sqrt(z)
-    underlying = float(np.arccos(np.clip(raw_overlap, 0.0, 1.0)))
-    return BoundReport(
-        kind="qsl-mt-open",
-        lhs=integral,
-        rhs=rhs,
-        applicable=fid_ok,
-        conditions=(("fid_le_z", fid_ok),),
-        params={
-            "tau": tau,
-            "survival_weight": z,
-            "fidelity": fid,
-            "quad_err": err,
-            "underlying_rhs": underlying,
-        },
-    )
+    return _mt_open_rows(_TimePoint(model, state0, tau, steps=steps))[1]
 
 
 def tur_mt_open(
@@ -763,49 +709,39 @@ def tur_mt_open(
     pseudo-state alternative is noted in params.  Jump-count statistics work
     as in :func:`tur_ml_open`.
     """
-    rho0 = as_density_matrix(state0)
-    path = _mt_path(model.no_jump_model(), rho0, 0.0, tau, steps)
-    integral, err, z = path.integral, path.quad_err, path.tr2
-    in_window = integral < math.pi / 2.0
-    lhs = (1.0 / (z * math.cos(integral) ** 2) - 1.0) if in_window else float("inf")
-    ratio_sq, stats = _open_ratio_sq(model, rho0, tau, observable)
-    params = {
-        "tau": tau,
-        "integral": integral,
-        "survival_weight": z,
-        "quad_err": err,
-        "observable_convention": "lindblad-state",
-    }
-    params.update(stats)
-    return BoundReport(
-        kind="tur-mt-open",
-        lhs=lhs,
-        rhs=ratio_sq,
-        applicable=in_window,
-        conditions=(("window_lt_half_pi", in_window),),
-        params=params,
-    )
+    return _mt_open_rows(_TimePoint(model, state0, tau, steps=steps), observable)[2]
 
 
 # ---------------------------------------------------------------------------
 # classical Markov special case
 
 
-def qsl_classical(chain: ClassicalMarkovModel, tau: float) -> BoundReport:
-    """Classical speed limit: activity * tau >= D_{1/2}(P(0) || P(tau))."""
+def _classical_rows(
+    chain: ClassicalMarkovModel, tau: float, observable=_NO_TUR
+) -> list[BoundReport]:
+    """qsl-classical and, given per-state values, tur-classical at ``tau``,
+    from one propagation of the chain."""
     if tau < 0:
         raise BadParameter("tau must be nonnegative")
     p_tau = chain.propagate(tau)
+    p0, p1 = chain.p0 / chain.p0.sum(), p_tau / p_tau.sum()
     activity = chain.activity()
-    div = metrics.renyi_half(chain.p0 / chain.p0.sum(), p_tau / p_tau.sum())
-    return BoundReport(
-        kind="qsl-classical",
-        lhs=activity * tau,
-        rhs=div,
-        applicable=True,
-        conditions=(),
-        params={"tau": tau, "activity": activity},
-    )
+    params = {"tau": tau, "activity": activity}
+    rows = [BoundReport("qsl-classical", activity * tau, metrics.renyi_half(p0, p1), True, (),
+                        params)]
+    if observable is not _NO_TUR:
+        c = np.asarray(observable, dtype=float).reshape(-1)
+        if c.size != chain.n_states:
+            raise BadParameter("observable length differs from the state count")
+        ratio_sq, stats = _scaled_ratio_sq(np.diag(c), np.diag(p0), np.diag(p1))
+        rows.append(BoundReport("tur-classical", _expm1(activity * tau), ratio_sq, True, (),
+                                dict(params, **stats)))
+    return rows
+
+
+def qsl_classical(chain: ClassicalMarkovModel, tau: float) -> BoundReport:
+    """Classical speed limit: activity * tau >= D_{1/2}(P(0) || P(tau))."""
+    return _classical_rows(chain, tau)[0]
 
 
 def tur_classical(chain: ClassicalMarkovModel, tau: float, observable) -> BoundReport:
@@ -814,19 +750,4 @@ def tur_classical(chain: ClassicalMarkovModel, tau: float, observable) -> BoundR
     ``observable`` is a real vector of per-state values; moments are taken
     against P(0) and P(tau).
     """
-    c = np.asarray(observable, dtype=float).reshape(-1)
-    if c.size != chain.n_states:
-        raise BadParameter("observable length differs from the state count")
-    pt = chain.propagate(tau)
-    ratio_sq, stats = _scaled_ratio_sq(
-        np.diag(c), np.diag(chain.p0 / chain.p0.sum()), np.diag(pt / pt.sum())
-    )
-    activity = chain.activity()
-    return BoundReport(
-        kind="tur-classical",
-        lhs=_expm1(activity * tau),
-        rhs=ratio_sq,
-        applicable=True,
-        conditions=(),
-        params={"tau": tau, "activity": activity, **stats},
-    )
+    return _classical_rows(chain, tau, observable)[1]

@@ -66,8 +66,38 @@ def _parse_scalar(text: str):
         return text
 
 
+def _builtin(name: str, params: dict):
+    """The builtin model ``name``, its parameters keyed and defaulted as the
+    ``models`` flags are."""
+
+    def num(key: str, default=1.0, kind=float):
+        try:
+            return kind(params.get(key, default))
+        except TypeError:
+            raise BadParameter(f"builtin parameter {key!r} must be a number") from None
+
+    if name == "dephasing":
+        return make_dephasing(num("gamma"))
+    if name == "refrigerator":
+        return make_refrigerator(
+            *(num(k) for k in ("gamma", "omega1", "omega2", "beta1", "beta2", "beta3"))
+        )
+    if name == "classical":
+        if params.get("rates") is None or params.get("p0") is None:
+            raise BadParameter("classical model needs rates and p0")
+        return ClassicalMarkovModel(
+            serialize._floats(params["rates"], "rates"), serialize._floats(params["p0"], "p0")
+        )
+    if name == "random-commuting":
+        return random_commuting(
+            num("dim", 2, int), num("seed", 0, int),
+            gamma_scale=num("gamma_scale"), h_scale=num("h_scale"),
+        )
+    raise SimulationError(f"unknown builtin model {name!r}")
+
+
 def _parse_builtin(spec: str):
-    """``builtin:name?key=value&key=value`` -> (model, initial or None)."""
+    """``builtin:name?key=value&key=value`` -> (model, None)."""
     body = spec.split(":", 1)[1]
     name, _, query = body.partition("?")
     params: dict = {}
@@ -75,35 +105,7 @@ def _parse_builtin(spec: str):
         for item in query.split("&"):
             key, _, value = item.partition("=")
             params[key.replace("-", "_")] = _parse_scalar(value)
-    if name == "dephasing":
-        return make_dephasing(float(params.get("gamma", 1.0))), None
-    if name == "refrigerator":
-        return (
-            make_refrigerator(
-                float(params.get("gamma", 1.0)),
-                float(params.get("omega1", 1.0)),
-                float(params.get("omega2", 1.0)),
-                float(params.get("beta1", 1.0)),
-                float(params.get("beta2", 1.0)),
-                float(params.get("beta3", 1.0)),
-            ),
-            None,
-        )
-    if name == "classical":
-        rates = np.asarray(params["rates"], dtype=float)
-        p0 = np.asarray(params["p0"], dtype=float)
-        return ClassicalMarkovModel(rates, p0), None
-    if name == "random-commuting":
-        return (
-            random_commuting(
-                int(params.get("dim", 2)),
-                int(params.get("seed", 0)),
-                gamma_scale=float(params.get("gamma_scale", 1.0)),
-                h_scale=float(params.get("h_scale", 1.0)),
-            ),
-            None,
-        )
-    raise SimulationError(f"unknown builtin model {name!r}")
+    return _builtin(name, params), None
 
 
 def _load_model(spec: str):
@@ -196,37 +198,24 @@ def _sub_row(t: float, kind: str, sub: dict, quad_err=None) -> dict:
     }
 
 
-def _rows_for_group(
-    group: str, model, state, obs, chain, quad_steps: int, t: float, window
-) -> list[dict]:
-    t1, t2 = window if window else (0.0, t)
+def _rows_for_group(group: str, point: bnd._TimePoint, obs, chain) -> list[dict]:
+    """The CSV rows of one bound group at one time point, in group order."""
+    t = point.tau
+    if group in ("ml-open", "mt-open"):
+        build = bnd._ml_open_rows if group == "ml-open" else bnd._mt_open_rows
+        return [_report_row(t, r) for r in build(point, obs)]
+    tur = () if isinstance(obs, bnd.JumpCountObservable) else (obs,)
+    if group == "classical":
+        reports = bnd._classical_rows(chain, t, *(np.diag(o).real for o in tur))
+    else:
+        reports = (bnd._ml_rows if group == "ml" else bnd._mt_rows)(point, *tur)
     rows: list[dict] = []
-    if group == "ml":
-        rows.append(_report_row(t, bnd.fid_ml(model, state, t)))
-        q = bnd.qsl_ml(model, state, t)
-        rows.append(_report_row(t, q))
-        rows.append(_sub_row(t, "qsl-ml-simple", q.params["simple"]))
-        if not isinstance(obs, bnd.JumpCountObservable):
-            rows.append(_report_row(t, bnd.tur_ml(model, state, t, obs)))
-    elif group == "mt":
-        rows.append(_report_row(t2, bnd.fid_mt(model, state, t1, t2, quad_steps)))
-        rows.append(_report_row(t2, bnd.qsl_mt(model, state, t1, t2, quad_steps)))
-        if not isinstance(obs, bnd.JumpCountObservable):
-            rep = bnd.tur_mt(model, state, t1, t2, obs, quad_steps)
-            rows.append(_report_row(t2, rep))
-            rows.append(_sub_row(t2, "energy-time", rep.params["energy_time"]))
-    elif group == "ml-open":
-        rows.append(_report_row(t, bnd.fid_ml_open(model, state, t)))
-        rows.append(_report_row(t, bnd.qsl_ml_open(model, state, t)))
-        rows.append(_report_row(t, bnd.tur_ml_open(model, state, t, obs)))
-    elif group == "mt-open":
-        rows.append(_report_row(t, bnd.fid_mt_open(model, state, t, quad_steps)))
-        rows.append(_report_row(t, bnd.qsl_mt_open(model, state, t, quad_steps)))
-        rows.append(_report_row(t, bnd.tur_mt_open(model, state, t, obs, quad_steps)))
-    elif group == "classical":
-        rows.append(_report_row(t, bnd.qsl_classical(chain, t)))
-        if not isinstance(obs, bnd.JumpCountObservable):
-            rows.append(_report_row(t, bnd.tur_classical(chain, t, np.diag(obs).real)))
+    for r in reports:
+        rows.append(_report_row(t, r))
+        if r.kind == "qsl-ml":
+            rows.append(_sub_row(t, "qsl-ml-simple", r.params["simple"]))
+        elif r.kind == "tur-mt":
+            rows.append(_sub_row(t, "energy-time", r.params["energy_time"]))
     return rows
 
 
@@ -271,15 +260,16 @@ def _run_check(args) -> int:
         window = (args.tau1, args.tau2)
 
     observable = _parse_observable(args.observable, model.dim)
-    inputs = (model, state, observable, chain, args.quad_panels)
     rows: list[dict] = []
     for t in times:
+        point = bnd._TimePoint(model, state, t, steps=args.quad_panels)
         for g in groups:
-            rows.extend(_rows_for_group(g, *inputs, t, None))
+            rows.extend(_rows_for_group(g, point, observable, chain))
     if window is not None:
+        point = bnd._TimePoint(model, state, window[1], window[0], args.quad_panels)
         for g in groups:
             if g == "mt":
-                rows.extend(_rows_for_group(g, *inputs, window[1], window))
+                rows.extend(_rows_for_group(g, point, observable, chain))
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -372,29 +362,12 @@ def _run_trajectory(args) -> int:
 
 
 def _run_models(args) -> int:
-    name = args.name
-    initial = None
-    if name == "dephasing":
-        model = make_dephasing(args.gamma)
-    elif name == "refrigerator":
-        model = make_refrigerator(
-            args.gamma, args.omega1, args.omega2, args.beta1, args.beta2, args.beta3
-        )
-    elif name == "classical":
-        if args.rates is None or args.p0 is None:
-            raise SimulationError("classical model needs --rates and --p0")
-        model = ClassicalMarkovModel(
-            np.asarray(json.loads(args.rates), dtype=float),
-            np.asarray(json.loads(args.p0), dtype=float),
-        )
-    elif name == "random-commuting":
-        model = random_commuting(
-            args.dim, args.seed, gamma_scale=args.gamma_scale, h_scale=args.h_scale
-        )
-    else:
-        raise SimulationError(f"unknown builtin {name!r}")
-    serialize.save_model(args.emit, model, initial)
-    print(f"wrote {name} model to {args.emit}")
+    params = dict(vars(args))
+    for key in ("rates", "p0"):
+        if params[key] is not None:
+            params[key] = json.loads(params[key])
+    serialize.save_model(args.emit, _builtin(args.name, params))
+    print(f"wrote {args.name} model to {args.emit}")
     return 0
 
 

@@ -71,7 +71,12 @@ def fidelity(rho1, rho2) -> float:
 
 def bures_angle(rho1, rho2) -> float:
     """arccos of the square-root fidelity, in [0, pi/2]."""
-    return float(np.arccos(np.clip(np.sqrt(fidelity(rho1, rho2)), 0.0, 1.0)))
+    return _fidelity_angle(fidelity(rho1, rho2))
+
+
+def _fidelity_angle(fid: float) -> float:
+    """The Bures angle arccos(sqrt(fid)) of a fidelity, in [0, pi/2]."""
+    return float(np.arccos(np.clip(np.sqrt(fid), 0.0, 1.0)))
 
 
 def observable_stats(c, state) -> ObservableStats:

@@ -36,8 +36,17 @@ def matrix_to_json(m) -> list:
     return [[complex_to_json(z) for z in row] for row in arr]
 
 
+def _floats(data, what: str) -> np.ndarray:
+    """``data`` as a float array; a JSON object (or an out-of-range integer)
+    where numbers belong raises :class:`BadParameter`."""
+    try:
+        return np.asarray(data, dtype=float)
+    except (TypeError, OverflowError) as exc:
+        raise BadParameter(f"{what} must hold numbers: {exc}") from None
+
+
 def matrix_from_json(data, dim: int | None = None) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+    arr = _floats(data, "matrix JSON")
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise ShapeError("matrix JSON must be square with [re, im] entries")
     if dim is not None and arr.shape[0] != dim:
@@ -46,7 +55,7 @@ def matrix_from_json(data, dim: int | None = None) -> np.ndarray:
 
 
 def vector_from_json(data, dim: int | None = None) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+    arr = _floats(data, "vector JSON")
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ShapeError("vector JSON must be a list of [re, im] pairs")
     if dim is not None and arr.shape[0] != dim:
@@ -69,12 +78,12 @@ def state_from_json(spec: dict, dim: int):
     if kind == "pure":
         return StateVector(vector_from_json(spec["data"], dim))
     if kind == "mixed":
-        data = np.asarray(spec["data"], dtype=float)
+        data = _floats(spec["data"], "state JSON 'data'")
         if data.ndim == 1:
             if data.size != dim:
                 raise ShapeError("probability vector length differs from dim")
             return DensityOperator(np.diag(data).astype(complex))
-        return DensityOperator(matrix_from_json(spec["data"], dim))
+        return DensityOperator(matrix_from_json(data, dim))
     raise BadParameter(f"unknown initial state type {kind!r}")
 
 
@@ -129,13 +138,13 @@ def model_from_dict(d: dict):
         jumps = tuple(matrix_from_json(j, dim) for j in jumps)
         model = LindbladModel(matrix_from_json(d["H_S"], dim), jumps)
     elif kind == "classical":
-        rates = np.asarray(d["rates"], dtype=float)
+        rates = _floats(d["rates"], "model JSON 'rates'")
         init = d.get("initial")
         if not isinstance(init, dict) or init.get("type") != "mixed":
             raise BadParameter("classical models need an initial distribution")
-        p0 = np.asarray(init["data"], dtype=float)
+        p0 = _floats(init["data"], "state JSON 'data'")
         if p0.ndim == 2:
-            p0 = np.diagonal(matrix_from_json(init["data"], dim)).real
+            p0 = np.diagonal(matrix_from_json(p0, dim)).real
         return ClassicalMarkovModel(rates, p0), None
     else:
         raise BadParameter(f"unknown model kind {kind!r}")

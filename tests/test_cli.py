@@ -93,6 +93,42 @@ class TestModelsCommand:
         assert np.allclose(model.h, ref.h)
 
 
+    @pytest.mark.parametrize("name, flags, query", [
+        ("dephasing", ["--gamma", "0.3"], "gamma=0.3"),
+        ("refrigerator", ["--omega2", "0.5", "--beta3", "0.9"], "omega2=0.5&beta3=0.9"),
+        ("classical", ["--rates", "[[0,1],[2,0]]", "--p0", "[0.25,0.75]"],
+         "rates=[[0,1],[2,0]]&p0=[0.25,0.75]"),
+        ("random-commuting", ["--dim", "3", "--seed", "4", "--gamma-scale", "0.5"],
+         "dim=3&seed=4&gamma-scale=0.5"),
+    ])
+    def test_emit_matches_the_builtin_spec(self, tmp_path, name, flags, query):
+        out = tmp_path / "model.json"
+        assert cli.main(["models", name, *flags, "--emit", str(out)]) == 0
+        model, _ = cli._parse_builtin(f"builtin:{name}?{query}")
+        assert json.loads(out.read_text()) == serialize.model_to_dict(model)
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--model", "builtin:classical?rates=[[0,1],[1,0]]", "--bounds", "classical",
+         "--t-final", "1.0", "--steps", "1", "--out"],
+        ["check", "--model", "builtin:classical?p0=[1,0]", "--bounds", "classical",
+         "--t-final", "1.0", "--steps", "1", "--out"],
+        ["models", "classical", "--rates", "[[0,1],[1,0]]", "--emit"],
+    ])
+    def test_classical_without_rates_or_p0_names_them(self, tmp_path, capsys, argv):
+        # the check path printed only "error: 'p0'" (a KeyError) in earlier versions
+        assert cli.main([*argv, str(tmp_path / "out")]) == 2
+        assert "classical model needs rates and p0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("query", ["gamma=[1]", "gamma=null", 'gamma={"a":1}'])
+    def test_builtin_parameter_not_a_number(self, tmp_path, capsys, query):
+        # a TypeError traceback (exit 1) in earlier versions
+        argv = ["check", "--model", f"builtin:dephasing?{query}", "--state", "plus",
+                "--bounds", "ml-open", "--t-final", "1.0", "--steps", "1",
+                "--out", str(tmp_path / "out.csv")]
+        assert cli.main(argv) == 2
+        assert "builtin parameter 'gamma' must be a number" in capsys.readouterr().err
+
+
 class TestCheckCommand:
     def test_dephasing_open_sweep(self, tmp_path):
         out = tmp_path / "dephasing.csv"

@@ -2,8 +2,9 @@
 
 Three strong-decay inputs, each at the API and through ``nhbounds check``;
 malformed model, state, observable and seed inputs, which exit 2 with an
-error line; plus a fuzz test that runs the CLI in-process over closed and
-Lindblad models with decay scales up to 1e3.
+error line; plus two fuzz tests that run the CLI in-process, one over closed
+and Lindblad models with decay scales up to 1e3, one over model JSON with a
+field replaced by a value of the wrong type.
 """
 
 import csv
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nhbounds import (
+    ClassicalMarkovModel,
     DensityOperator,
     LindbladModel,
     NonHermitianModel,
@@ -31,6 +33,7 @@ from nhbounds import (
     observable_stats,
     qsl_ml,
     qsl_mt,
+    random_commuting,
     random_density,
     random_diagonal_jump_lindblad,
     serialize,
@@ -178,6 +181,29 @@ class TestMalformedInput:
         assert code == 2
         assert f"model JSON '{field}' must be" in err
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("nonhermitian", "H", {"a": 1}),
+        ("lindblad", "jumps", [{"a": 1}]),
+        ("classical", "rates", {"a": 1}),
+        ("lindblad", "initial", {"type": "mixed", "data": {"a": 1}}),
+        ("classical", "initial", {"type": "mixed", "data": {"a": 1}}),
+    ])
+    def test_object_where_numbers_belong(self, tmp_path, capsys, kind, field, value):
+        # these escaped as TypeError tracebacks (exit 1) in earlier versions
+        data = valid_model_dict(kind)
+        data[field] = value
+        code = run_model_json(tmp_path, kind, data)
+        assert code == 2
+        assert "must hold numbers" in capsys.readouterr().err
+
+    def test_state_object_where_numbers_belong(self, tmp_path, capsys):
+        # a TypeError traceback (exit 1) in earlier versions
+        argv = self.check_argv(tmp_path, "builtin:dephasing",
+                               "--state", '{"type":"pure","data":{"x":1}}')
+        code, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "vector JSON must hold numbers" in err
+
     @pytest.mark.parametrize("text", ["null", "[]", '"x"'])
     def test_model_file_not_an_object(self, tmp_path, capsys, text):
         model_file = tmp_path / "model.json"
@@ -265,4 +291,74 @@ def test_check_exits_cleanly(lindblad, dim, seed, log_decay, t_final, state):
         code = cli.main(["check", "--model", model, "--state", state, "--bounds", bounds,
                          "--t-final", repr(t_final), "--steps", "2",
                          "--out", str(tmp / "out.csv")])
+    assert code in (0, 1, 2)
+
+
+def valid_model_dict(kind: str) -> dict:
+    """A valid model JSON object of ``kind``, with an initial state."""
+    if kind == "nonhermitian":
+        return serialize.model_to_dict(random_commuting(2, 3), PLUS)
+    if kind == "lindblad":
+        return serialize.model_to_dict(make_dephasing(1.0), DensityOperator(np.eye(2) / 2.0))
+    chain = ClassicalMarkovModel(np.array([[0.0, 1.0], [2.0, 0.0]]), np.array([0.25, 0.75]))
+    return serialize.model_to_dict(chain)
+
+
+MODEL_BOUNDS = {"nonhermitian": "ml,mt", "lindblad": "ml-open,mt-open",
+                "classical": "classical,ml-open"}
+
+
+def run_model_json(tmp_path, kind: str, data: dict) -> int:
+    """Exit code of a one-point ``check`` of the ``kind`` bound groups on a
+    model JSON file holding ``data``."""
+    model_file = tmp_path / "model.json"
+    model_file.write_text(json.dumps(data))
+    return cli.main(["check", "--model", str(model_file), "--bounds", MODEL_BOUNDS[kind],
+                     "--t-final", "0.5", "--steps", "1", "--out", str(tmp_path / "out.csv")])
+
+
+FIELDS = {
+    "nonhermitian": ("kind", "dim", "H", "Gamma", "initial", "initial.type", "initial.data"),
+    "lindblad": ("kind", "dim", "H_S", "jumps", "jumps.0", "initial", "initial.type",
+                 "initial.data"),
+    "classical": ("kind", "dim", "rates", "initial", "initial.type", "initial.data"),
+}
+# null, bool, string, object or nested-list values in place of a field
+WRONG_TYPES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2),
+    st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2.0, 2.0) | st.text(max_size=2),
+        lambda inner: st.lists(inner, max_size=3),
+        max_leaves=12,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+# the inputs that escaped as TypeError tracebacks (exit 1) in earlier versions
+@example(target=("nonhermitian", "H"), value={"a": 1})
+@example(target=("lindblad", "jumps"), value=[{"a": 1}])
+@example(target=("classical", "rates"), value={"a": 1})
+@example(target=("lindblad", "initial"), value={"type": "mixed", "data": {"a": 1}})
+@example(target=("classical", "initial"), value={"type": "mixed", "data": {"a": 1}})
+@example(target=("lindblad", "jumps"), value=None)
+@example(target=("nonhermitian", "dim"), value=None)
+@given(
+    target=st.sampled_from([(kind, f) for kind, fields in FIELDS.items() for f in fields]),
+    value=WRONG_TYPES,
+)
+def test_model_json_exits_cleanly(target, value):
+    kind, field = target
+    data = valid_model_dict(kind)
+    if field == "jumps.0":
+        data["jumps"][0] = value
+    elif field.startswith("initial."):
+        data["initial"][field.split(".", 1)[1]] = value
+    else:
+        data[field] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        code = run_model_json(Path(tmp), kind, data)
     assert code in (0, 1, 2)

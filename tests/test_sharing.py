@@ -1,5 +1,6 @@
-"""One ML evaluation, one normalized path and one Lindblad state per time
-point: the one-entry memo in ``bounds`` and the work it saves."""
+"""One evaluation per time point: a ``bounds._TimePoint`` serves every row
+builder with one ML evaluation, one normalized path, one Lindblad state,
+one fidelity and one set of jump-count moments, and the work it saves."""
 
 from collections import Counter
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from nhbounds import (
+    ClassicalMarkovModel,
     DensityOperator,
     JumpCountObservable,
     LindbladModel,
@@ -17,7 +19,6 @@ from nhbounds import (
     normalized_overlap,
     open_overlap,
     pure_density,
-    qsl_ml,
     qsl_mt,
     random_commuting,
     random_density,
@@ -27,7 +28,8 @@ from nhbounds import (
     tur_mt_open,
 )
 from nhbounds import bounds as bnd
-from nhbounds import cli, linalg
+from nhbounds import cli, linalg, metrics
+from nhbounds.errors import SimulationError
 from nhbounds.states import as_density_matrix
 
 PATH_FIELDS = ("integral", "quad_err", "rho1", "rho2", "tr1", "tr2", "overlap")
@@ -61,29 +63,47 @@ def closed_case():
     return random_commuting(3, 7, gamma_scale=0.8), random_pure_state(3, 8)
 
 
-def test_hit_is_bitwise_equal_to_cold_call(closed_case):
-    model, psi = closed_case
-    rho0 = as_density_matrix(psi)
-    cold = bnd._mt_path(model, rho0, 0.1, 0.6, 40)
-    assert bnd._mt_path(model, rho0.copy(), 0.1, 0.6, 40) is cold
-    bnd._mt_path(model, rho0, 0.0, 0.6, 40)  # evicts the entry
-    again = bnd._mt_path(model, rho0, 0.1, 0.6, 40)
-    assert again is not cold
-    assert_same_path(again, cold)
-
-
 def test_rows_of_a_time_point_share_one_path(closed_case, monkeypatch):
+    """Both closed builders read one time point: one span, one propagator."""
+    model, psi = closed_case
+    counts = count_calls(monkeypatch, "propagator_span", "propagator")
+    obs = np.diag([0.0, 0.0, 1.0]).astype(complex)
+    point = bnd._TimePoint(model, psi, 0.9)
+    for build in (bnd._ml_rows, bnd._mt_rows, bnd._ml_rows, bnd._mt_rows):
+        build(point, obs)
+    assert counts == {"propagator_span": 1, "propagator": 1}
+
+
+def test_public_calls_share_nothing(closed_case, monkeypatch):
+    """Each public row evaluates its own time point, even at equal arguments."""
     model, psi = closed_case
     counts = count_calls(monkeypatch, "propagator_span")
-    obs = np.diag([0.0, 0.0, 1.0]).astype(complex)
-    bnd.fid_mt(model, psi, 0.0, 0.9)
-    bnd.qsl_mt(model, psi, 0.0, 0.9)
-    bnd.tur_mt(model, psi, 0.0, 0.9, obs)
-    assert counts["propagator_span"] == 1
+    first = qsl_mt(model, psi, 0.0, 0.9)
+    again = qsl_mt(model, psi, 0.0, 0.9)
+    assert counts["propagator_span"] == 2
+    assert again.lhs == first.lhs and again.rhs == first.rhs
+
+
+@pytest.mark.parametrize("row", ["tur_ml", "tur_mt", "tur_ml_open", "tur_mt_open",
+                                 "tur_classical"])
+def test_public_tur_rows_need_an_observable(row):
+    """``None`` is no observable: the TUR rows raise a named error for it."""
+    psi = StateVector(np.array([1.0, 1.0]))
+    args = {
+        "tur_ml": (random_commuting(2, 1), psi, 0.5),
+        "tur_mt": (random_commuting(2, 1), psi, 0.0, 0.5),
+        "tur_ml_open": (make_dephasing(1.0), psi, 0.5),
+        "tur_mt_open": (make_dephasing(1.0), psi, 0.5),
+        "tur_classical": (ClassicalMarkovModel(np.array([[0.0, 1.0], [1.0, 0.0]]),
+                                               np.array([1.0, 0.0])), 0.5),
+    }[row]
+    with pytest.raises(SimulationError):
+        getattr(bnd, row)(*args, None)
 
 
 @pytest.mark.parametrize("change", ["steps", "t1", "t2", "model"])
 def test_changed_argument_misses(closed_case, change):
+    """``_mt_path`` reads every argument: a changed one gives a fresh path."""
     model, psi = closed_case
     rho0 = as_density_matrix(psi)
     args = {"model": model, "t1": 0.1, "t2": 0.6, "steps": 40}
@@ -100,37 +120,6 @@ def test_changed_argument_misses(closed_case, change):
         assert_same_path(fresh, first)
     else:
         assert fresh.integral != first.integral
-
-
-def test_ml_hit_is_bitwise_equal_to_cold_call(closed_case):
-    model, psi = closed_case
-    cold = bnd._ml_point(model, psi, 0.6)
-    assert bnd._ml_point(model, StateVector(psi.amplitudes.copy()), 0.6) is cold
-    bnd._ml_point(model, psi, 0.7)  # evicts the entry
-    again = bnd._ml_point(model, psi, 0.6)
-    assert again is not cold
-    assert np.array_equal(again.rho0, cold.rho0) and np.array_equal(again.m, cold.m)
-    assert again.overlap == cold.overlap and again.params == cold.params
-
-
-@pytest.mark.parametrize("change", ["tau", "model", "state"])
-def test_ml_rows_miss_on_a_changed_point(closed_case, change, monkeypatch):
-    model, psi = closed_case
-    state = StateVector(psi.amplitudes.copy())
-    tau = 0.6
-    counts = count_calls(monkeypatch, "propagator")
-    fid_ml(model, state, tau)
-    if change == "tau":
-        tau = 0.7
-    elif change == "model":
-        model = random_commuting(3, 7, gamma_scale=0.8)  # equal contents, new model
-    else:
-        state.amplitudes[:] = random_pure_state(3, 9).amplitudes
-    got = qsl_ml(model, state, tau)
-    assert counts["propagator"] == 2
-    bnd._ml_point(model, psi, 0.1)  # evicts the entry
-    want = qsl_ml(model, StateVector(state.amplitudes.copy()), tau)
-    assert got.lhs == want.lhs and got.rhs == want.rhs
 
 
 @pytest.mark.parametrize("case", range(20))
@@ -157,7 +146,7 @@ def test_state_mutated_in_place_misses(closed_case, kind):
         "array": lambda s: pure_density(s).matrix.copy(),
     }[kind]
     want = qsl_mt(model, make(other), 0.0, 0.8)
-    qsl_mt(model, make(psi), 0.0, 0.5)  # evicts the entry
+    qsl_mt(model, make(psi), 0.0, 0.5)  # another call in between
     state = make(psi)
     before = qsl_mt(model, state, 0.0, 0.8)
     target = make(other)
@@ -173,16 +162,24 @@ def test_state_mutated_in_place_misses(closed_case, kind):
 
 
 def test_lindblad_state_shared_by_the_open_rows(monkeypatch):
+    """Both open builders read one time point: one span, one Lindblad state,
+    one fidelity and one set of jump-count moments."""
     model = make_dephasing(0.7)
     psi = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
-    counts = count_calls(monkeypatch, "_evolve_lindblad", "propagator_span")
-    obs = np.diag([0.0, 1.0]).astype(complex)
-    bnd.qsl_ml_open(model, psi, 0.6)
-    bnd.tur_ml_open(model, psi, 0.6, obs)
-    bnd.fid_mt_open(model, psi, 0.6)
-    bnd.qsl_mt_open(model, psi, 0.6)
-    bnd.tur_mt_open(model, psi, 0.6, obs)
-    assert counts == {"_evolve_lindblad": 1, "propagator_span": 1}
+    counts = count_calls(
+        monkeypatch, "_evolve_lindblad", "propagator_span", "_jump_count_moments"
+    )
+    fidelity = metrics.fidelity
+    monkeypatch.setattr(
+        metrics, "fidelity", lambda *a: counts.update(["fidelity"]) or fidelity(*a)
+    )
+    point = bnd._TimePoint(model, psi, 0.6)
+    for obs in (np.diag([0.0, 1.0]).astype(complex), JumpCountObservable()):
+        bnd._ml_open_rows(point, obs)
+        bnd._mt_open_rows(point, obs)
+    assert counts == {
+        "_evolve_lindblad": 1, "propagator_span": 1, "_jump_count_moments": 1, "fidelity": 1,
+    }
 
 
 def decay_model():
@@ -216,6 +213,45 @@ def test_work_count_open_sweep(tmp_path, monkeypatch):
         "--bounds", "ml-open,mt-open", "--t-final", "1.0", "--steps", "4",
     ])
     assert counts == {"propagator_span": 4, "_evolve_lindblad": 4}
+
+
+def test_work_count_open_fidelity(tmp_path, monkeypatch):
+    """One fidelity per time point (two without the sharing: one each for
+    ``qsl-ml-open`` and ``qsl-mt-open``)."""
+    calls = []
+    fidelity = metrics.fidelity
+    monkeypatch.setattr(metrics, "fidelity", lambda *a: calls.append(a) or fidelity(*a))
+    run_check(tmp_path, monkeypatch, [
+        "--model", "builtin:refrigerator?beta2=1.05&beta3=0.9", "--state", "plus",
+        "--bounds", "ml-open,mt-open", "--t-final", "1.0", "--steps", "4",
+    ], names=())
+    assert len(calls) == 4
+
+
+def test_work_count_jump_count(tmp_path, monkeypatch):
+    """One set of exact jump-count moments per time point (two without the
+    sharing: one each for ``tur-ml-open`` and ``tur-mt-open``)."""
+    counts = run_check(tmp_path, monkeypatch, [
+        "--model", "builtin:refrigerator?beta2=1.05&beta3=0.9", "--state", "plus",
+        "--bounds", "ml-open,mt-open", "--observable", "jump-count",
+        "--t-final", "1.0", "--steps", "4",
+    ], names=("_jump_count_moments",))
+    assert counts == {"_jump_count_moments": 4}
+
+
+def test_work_count_classical_chain(tmp_path, monkeypatch):
+    """One chain propagation per time point (two without the sharing: one
+    each for ``qsl-classical`` and ``tur-classical``)."""
+    calls = []
+    propagate = ClassicalMarkovModel.propagate
+    monkeypatch.setattr(
+        ClassicalMarkovModel, "propagate", lambda self, t: calls.append(t) or propagate(self, t)
+    )
+    run_check(tmp_path, monkeypatch, [
+        "--model", "builtin:classical?rates=[[0,1,0.5],[2,0,1],[0.3,1,0]]&p0=[0.5,0.3,0.2]",
+        "--bounds", "ml-open,mt-open,classical", "--t-final", "1.0", "--steps", "4",
+    ], names=())
+    assert len(calls) == 4
 
 
 def test_work_count_closed_window(tmp_path, monkeypatch):
