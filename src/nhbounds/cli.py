@@ -240,6 +240,8 @@ def _run_check(args) -> int:
     for g in groups:
         if g not in GROUPS:
             raise SimulationError(f"unknown bound group {g!r}")
+        if groups.count(g) > 1:
+            raise SimulationError(f"bound group {g!r} is given more than once")
         if g in ("ml", "mt") and not isinstance(model, NonHermitianModel):
             raise SimulationError(f"bound group {g!r} needs a nonhermitian model")
         if g in ("ml-open", "mt-open") and not isinstance(model, LindbladModel):

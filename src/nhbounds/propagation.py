@@ -243,10 +243,14 @@ def propagator(model: NonHermitianModel, t: float, steps: int | None = None) -> 
         raise BadParameter("steps must be a positive integer")
     dt = t / n
     out = np.eye(model.dim, dtype=complex)
-    for k in range(n):
-        mid = (k + 0.5) * dt
-        out = linalg.expm(-1j * dt * model.full_generator(mid)) @ out
+    for step in _midpoint_steps(model, [(k + 0.5) * dt for k in range(n)], dt):
+        out = step @ out
     return out
+
+
+def _midpoint_steps(model: NonHermitianModel, mids: Sequence[float], dt: float) -> np.ndarray:
+    """exp(-i dt G(mid)) for each midpoint, made by one ``expm`` call."""
+    return linalg.expm(np.stack([-1j * dt * model.full_generator(mid) for mid in mids]))
 
 
 def propagator_span(
@@ -272,9 +276,9 @@ def propagator_span(
         return times, mats
     dt = (t2 - t1) / n
     if model.is_time_dependent:
+        steps = _midpoint_steps(model, [times[k] + 0.5 * dt for k in range(n)], dt)
         for k in range(n):
-            step = linalg.expm(-1j * dt * model.full_generator(times[k] + 0.5 * dt))
-            mats[k + 1] = step @ mats[k]
+            mats[k + 1] = steps[k] @ mats[k]
         return times, mats
     power = linalg.expm(-1j * dt * model.full_generator())
     filled = 1
@@ -473,13 +477,14 @@ def _sample_nodes(tau: float, sample_times: Sequence[float]) -> np.ndarray:
     return np.unique(np.array([0.0, tau, *sample_times], dtype=float))
 
 
-def _lift_propagators(model: LindbladModel, nodes: np.ndarray) -> list[np.ndarray]:
-    """Per node interval, the stack exp(-i H_eff dt / 2^k).T for k = 0..K."""
-    heff = model.effective_hamiltonian()
-    return [
-        np.stack([linalg.expm(-1j * math.ldexp(dt, -k) * heff).T for k in range(_LIFT_LEVELS + 1)])
-        for dt in np.diff(nodes)
-    ]
+def _lift_propagators(model: LindbladModel, nodes: np.ndarray) -> np.ndarray:
+    """``out[j, k] = exp(-i H_eff dt_j / 2^k).T`` for node interval j and k = 0..K.
+
+    All intervals and levels are one stack, so one ``expm`` call makes them.
+    """
+    steps = np.ldexp(np.diff(nodes)[:, None], -np.arange(_LIFT_LEVELS + 1))
+    gens = (-1j * steps)[..., None, None] * model.effective_hamiltonian()
+    return np.ascontiguousarray(linalg.expm(gens).swapaxes(-1, -2))
 
 
 def _norm_sq(a: np.ndarray) -> np.ndarray:
@@ -494,7 +499,7 @@ def _unravel(
     seed: int,
     traj: np.ndarray,
     nodes: np.ndarray,
-    lifts: list[np.ndarray],
+    lifts: np.ndarray,
     on_node: Callable[[int, np.ndarray], None],
     events: list[list[tuple[float, int]]] | None = None,
 ) -> np.ndarray:
@@ -504,7 +509,7 @@ def _unravel(
     ``psi[i]`` unnormalized together with a threshold; the next jump fires
     where ``||psi||^2`` decays to the threshold.  The jump-rate operator is
     PSD, so the squared norm only decreases and greedy binary lifting over
-    the steps ``lifts[j][k]`` (interval j split 2^k times) finds that time
+    the steps ``lifts[j, k]`` (interval j split 2^k times) finds that time
     to 2^-K of the interval.  The first threshold is the second uniform of
     draw block 0 (the first picks a mixed initial eigenstate).  At jump n,
     block n gives the channel, drawn with weight ``||L_m psi||^2``, and the

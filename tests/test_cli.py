@@ -321,6 +321,25 @@ class TestCheckCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window", [[], ["--tau1", "0", "--tau2", "1"]])
+    def test_repeated_group_exits_two(self, tmp_path, capsys, window):
+        out = tmp_path / "x.csv"
+        code = cli.main(
+            [
+                "check",
+                "--model", "builtin:random-commuting?dim=2&seed=1",
+                "--state", "plus",
+                "--bounds", "ml,mt,ml",
+                "--t-final", "1",
+                "--steps", "1",
+                *window,
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "'ml' is given more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_model_file_exits_two(self, tmp_path, capsys):
         code = cli.main(
             [

@@ -1,10 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nhbounds
 from nhbounds import linalg
-from nhbounds.errors import HermiticityViolation, NotPSD, NumericalOverflow
+from nhbounds.errors import HermiticityViolation, NotPSD, NumericalOverflow, ShapeError
+from nhbounds.models import make_refrigerator, random_diagonal_jump_lindblad
+from nhbounds.propagation import _counting_generator, liouvillian
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -94,6 +103,108 @@ class TestExpm:
     def test_overflow(self):
         with pytest.raises(NumericalOverflow):
             linalg.expm(np.diag([2000.0, 2000.0]))
+
+
+def _one_norm(a):
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
+def _decaying_generators():
+    """Non-Hermitian generators the package exponentiates, scaled to 1-norms
+    from 1e-6 to 1e3: -i H_eff of dim 2-9, Liouvillians of dim 4 and 9, and
+    the 27x27 counting generator of the refrigerator.
+
+    The counting generator stops at 10^2.5: at 1e3 scipy's own result is
+    3.0e-12 off a 40-digit mpmath reference in its largest entry, where
+    ``linalg.expm`` is 2.6e-14 off, so scipy is no oracle to 1e-12 there.
+    """
+    rng = np.random.default_rng(2024)
+    gens = []
+    for dim in range(2, 10):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        gens.append(-1j * (random_hermitian(rng, dim) - 0.5j * (g @ g.conj().T)))
+    fridge = make_refrigerator(1.0, 1.0, 1.5, 1.0, 1.05, 0.9)
+    gens += [liouvillian(random_diagonal_jump_lindblad(2, 3)), liouvillian(fridge)]
+    norms = np.logspace(-6, 3, 19)
+    out = [g * (norm / _one_norm(g)) for g in gens for norm in norms]
+    counting = _counting_generator(fridge)
+    return out + [counting * (norm / _one_norm(counting)) for norm in norms[norms < 1e3]]
+
+
+class TestPadeExpm:
+    """The in-repo Pade exponential against scipy's as the oracle."""
+
+    @pytest.fixture
+    def pade_calls(self, monkeypatch):
+        calls = []
+        pade = linalg._pade
+
+        def spy(a, degree):
+            calls.extend((linalg._PADE_DEGREES[degree], n) for n in _one_norm(a))
+            return pade(a, degree)
+
+        monkeypatch.setattr(linalg, "_pade", spy)
+        return calls
+
+    def test_matches_scipy_on_every_branch(self, pade_calls):
+        for a in _decaying_generators():
+            ref = scipy.linalg.expm(a)
+            err = np.max(np.abs(linalg.expm(a) - ref)) / np.max(np.abs(ref))
+            assert err <= 1e-12, (a.shape, _one_norm(a))
+        assert {d for d, _ in pade_calls} == set(linalg._PADE_DEGREES)
+        # inputs up to norm 1e3 reach degree 13 only after scaling by 2^-s
+        assert max(n for d, n in pade_calls if d == 13) <= linalg._PADE_THETA[-1]
+
+    def test_stack_equals_members(self):
+        gens = _decaying_generators()
+        for dim in {g.shape[0] for g in gens}:
+            stack = np.stack([g for g in gens if g.shape[0] == dim])
+            out = linalg.expm(stack)
+            assert out.shape == stack.shape
+            for member, a in zip(out, stack):
+                assert np.array_equal(member, linalg.expm(a))
+        nested = np.stack([g for g in gens if g.shape[0] == 2][:18]).reshape(3, 6, 2, 2)
+        assert np.array_equal(linalg.expm(nested).reshape(-1, 2, 2), linalg.expm(nested.reshape(-1, 2, 2)))
+
+    def test_hermitian_member_takes_eigh(self, pade_calls, monkeypatch):
+        herm_calls = []
+        hermitian = linalg._expm_hermitian
+        monkeypatch.setattr(linalg, "_expm_hermitian", lambda a: herm_calls.append(a) or hermitian(a))
+        h = random_hermitian(np.random.default_rng(5), 3)
+        a = -1j * (h - 0.5j * np.diag([0.0, 1.0, 2.0]))
+        out = linalg.expm(np.stack([a, h, 2 * a]))
+        assert len(herm_calls) == 1 and np.array_equal(herm_calls[0], h[None])
+        assert len(pade_calls) == 2
+        w, v = np.linalg.eigh(h)
+        assert np.max(np.abs(out[1] - (v * np.exp(w)) @ v.conj().T)) <= 1e-12
+        assert np.array_equal(out[0], linalg.expm(a))
+
+    def test_overflowing_member_raises(self):
+        a = np.array([[-1.0, 1.0], [0.0, -2.0]], dtype=complex)
+        with pytest.raises(NumericalOverflow):
+            linalg.expm(np.stack([a, np.array([[2000.0, 1.0], [0.0, 2000.0]]), a]))
+        with pytest.raises(NumericalOverflow):
+            linalg.expm(np.stack([a, np.diag([2000.0, 0.0])]))
+
+    def test_non_finite_input_raises(self):
+        with pytest.raises(NumericalOverflow):
+            linalg.expm(np.array([[np.nan, 1.0], [0.0, 0.0]]))
+
+    def test_not_square_rejected(self):
+        with pytest.raises(ShapeError):
+            linalg.expm(np.zeros((2, 3)))
+        with pytest.raises(ShapeError):
+            linalg.expm(np.zeros(4))
+
+
+def test_runtime_imports_no_scipy():
+    code = ("import sys, nhbounds, nhbounds.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(nhbounds.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestSqrtmPsd:

@@ -85,6 +85,18 @@ class TestPhilox:
             assert not np.any(a == other)
 
 
+def test_lift_stack_equals_per_step_exponentials():
+    # one expm call over every interval and level gives what one call per
+    # step gives, bit for bit
+    nodes = np.array([0.0, 0.3, 0.45, 2.0])
+    heff = REFRIGERATOR.effective_hamiltonian()
+    lifts = _lift_propagators(REFRIGERATOR, nodes)
+    assert lifts.shape == (3, 41, 3, 3)
+    for j, dt in enumerate(np.diff(nodes)):
+        for k in range(41):
+            assert np.array_equal(lifts[j, k], linalg.expm(-1j * math.ldexp(dt, -k) * heff).T)
+
+
 class TestSampleTrajectory:
     def test_no_jumps_without_channels(self):
         model = LindbladModel(SZ, ())
