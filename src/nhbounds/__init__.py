@@ -43,6 +43,7 @@ from .errors import (
     NotDistribution,
     NotPSD,
     NumericalOverflow,
+    QuadratureDiverged,
     ShapeError,
     SimulationError,
 )

@@ -42,22 +42,45 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, metrics
-from .errors import BadParameter, CommutatorViolation, DegenerateObservable
+from .errors import BadParameter, CommutatorViolation, DegenerateObservable, QuadratureDiverged
 from .models import ClassicalMarkovModel
 from .propagation import (
+    DEFAULT_TD_STEPS,
     LindbladModel,
     NonHermitianModel,
     _evolve_lindblad,
     _jump_count_moments,
     _normalized_density,
+    _propagators,
     propagator,
-    propagator_span,
 )
 from .states import as_density_matrix
 
 SLACK_TOL = 1e-8            # a theorem violation is slack below this
 WINDOW_TOL = 1e-7           # round-off allowance at the pi/2 window edge
-DEFAULT_QUAD_STEPS = 400    # composite Simpson panels
+DEFAULT_QUAD_STEPS = 15     # minimum MT quadrature nodes: one G7/K15 interval
+_QUAD_RTOL = 1e-13          # relative accuracy the adaptive MT quadrature aims at
+_MAX_SPLITS = 1000          # bisections before the quadrature gives up
+_EPS = float(np.finfo(float).eps)
+
+# QUADPACK's qk15 rule on [-1, 1] (Piessens et al., 1983), nodes ascending:
+# the 15 Kronrod nodes and weights, and the weights of the 7-point Gauss rule
+# on the odd-indexed nodes.
+_XK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+       0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+       0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+       0.207784955007898467600689403773245)
+_WK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+       0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+       0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+       0.204432940075298892414161999234649)
+_WK0 = 0.209482141084727828012999174891714
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975)
+_WG0 = 0.417959183673469387755102040816327
+_K15_X = np.array([*(-x for x in _XK), 0.0, *_XK[::-1]])
+_K15_W = np.array([*_WK, _WK0, *_WK[::-1]])
+_G7_W = np.array([*_WG, _WG0, *_WG[::-1]])
 
 Condition = tuple[str, bool]
 _NO_TUR = object()  # a family builder's default: no scaled-variance row
@@ -117,30 +140,6 @@ def ground_energy(h) -> float:
 
 def _expectation(op: np.ndarray, rho: np.ndarray) -> float:
     return float(np.trace(op @ rho).real)
-
-
-def _simpson(values: np.ndarray, dt: float) -> tuple[float, float]:
-    """Composite Simpson plus a conservative error estimate.
-
-    ``values`` has n + 1 nodes with n divisible by 4.  The estimate combines
-    the plain doubling difference |S_n - S_{n/2}| (an overestimate of the
-    asymptotic truncation error of S_n by roughly a factor 15) with a
-    round-off floor, so it stays an upper bound once truncation drops to
-    machine precision.
-    """
-    n = len(values) - 1
-    if n % 4 != 0:
-        raise BadParameter("Simpson panel count must be divisible by 4")
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    fine = dt / 3.0 * float(w @ values)
-    half = values[::2]
-    w2 = np.ones(n // 2 + 1)
-    w2[1:-1:2] = 4.0
-    w2[2:-1:2] = 2.0
-    coarse = 2.0 * dt / 3.0 * float(w2 @ half)
-    return fine, abs(fine - coarse) + 1e-13 * (1.0 + abs(fine))
 
 
 def _require_time_independent(model: NonHermitianModel, what: str) -> None:
@@ -235,10 +234,11 @@ def _ml_point(model: NonHermitianModel, rho0: np.ndarray, tau: float) -> _MLPoin
 class _MTPath:
     """What the MT rows read from one normalized path over [t1, t2].
 
-    ``integral``/``quad_err``: Simpson integral of the generalized std of
-    the full generator and its error estimate.  ``rho1``/``rho2`` and
-    ``tr1``/``tr2``: normalized states and traces Tr[M rho0 M^dag] at the
-    endpoints.  ``overlap``: |Tr[M(t1)^dag M(t2) rho0]|, unnormalized.
+    ``integral``/``quad_err``: adaptive G7/K15 integral of the generalized
+    std of the full generator and the sum of its accepted intervals' error
+    estimates.  ``rho1``/``rho2`` and ``tr1``/``tr2``: normalized states and
+    traces Tr[M rho0 M^dag] at the endpoints.  ``overlap``:
+    |Tr[M(t1)^dag M(t2) rho0]|, unnormalized.
     """
 
     integral: float
@@ -250,41 +250,99 @@ class _MTPath:
     overlap: float
 
 
+def _path_at(model: NonHermitianModel, rho0: np.ndarray, times: np.ndarray, max_step: float):
+    """Propagators, normalized states and traces at the sorted ``times``, and
+    the generalized std of the full generator in each state.
+
+    Raises:
+        NormUnderflow: if a trace underflows (see ``_normalized_density``).
+    """
+    mats = _propagators(model, times, max_step)
+    rho, tr = _normalized_density(mats, rho0)
+    gen = (np.stack([model.full_generator(t) for t in times]) if model.is_time_dependent
+           else model.full_generator())
+    return mats, rho, tr, metrics.generalized_std(gen, rho)
+
+
+def _kronrod_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The 15 Kronrod nodes of each interval [a, b], one row per interval."""
+    return (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _K15_X
+
+
 def _mt_path(
     model: NonHermitianModel, rho0: np.ndarray, t1: float, t2: float, steps: int
 ) -> _MTPath:
-    """Evaluate the normalized trajectory once at every quadrature node.
+    """Integrate the generalized std along the normalized trajectory by
+    adaptive G7/K15 quadrature (QUADPACK's QAG).
 
-    A time-dependent model takes its end state from :func:`propagator`,
-    whose midpoint product is finer than the span's.
+    ``steps`` is a minimum node count: [t1, t2] starts as ceil(steps / 15)
+    equal intervals.  Each round evaluates the nodes of all its intervals,
+    in the first round with t1 and t2, through one :func:`_propagators` call,
+    and bisects every interval whose estimate (QUADPACK's qk15, floored at
+    50 eps (|K| + (b - a) ||G||_1)) exceeds both its share (b - a)/(t2 - t1)
+    of ``_QUAD_RTOL`` max(1, |integral|) and the std's own round-off near an
+    eigenstate.  ``quad_err`` sums the accepted estimates.
+
+    Raises:
+        QuadratureDiverged: when refinement needs more than ``_MAX_SPLITS``
+            bisections.
     """
-    if steps % 4 != 0 or steps <= 0:
-        raise BadParameter("quadrature steps must be a positive multiple of 4")
-    n = steps if t2 != t1 else 0
-    times, mats = propagator_span(model, t1, t2, n)
-    rho, tr = _normalized_density(mats, rho0)
-    if model.is_time_dependent:
-        m2 = propagator(model, t2)
-        rho2, tr2 = _normalized_density(m2, rho0)
-        gen = np.stack([model.full_generator(t) for t in times])
-    else:
-        m2, rho2, tr2 = mats[-1], rho[-1].copy(), tr[-1]
-        gen = model.full_generator()
-    integral, err = (
-        _simpson(metrics.generalized_std(gen, rho), (t2 - t1) / n) if n else (0.0, 0.0)
+    if steps < 1:
+        raise BadParameter("quadrature steps must be a positive integer")
+    if not 0 <= t1 <= t2:
+        raise BadParameter("need 0 <= t1 <= t2")
+    n = -(-int(steps) // 15) if t2 > t1 else 0
+    edges = np.linspace(t1, t2, n + 1)
+    a, b = edges[:-1], edges[1:]
+    max_step = t2 / DEFAULT_TD_STEPS
+    ends = np.array([t1, t2])
+    mats, rho, tr, std = _path_at(
+        model, rho0, np.insert(ends, 1, _kronrod_times(a, b).ravel()), max_step
     )
-    rho1 = rho[0].copy()
+    f = std[1:-1].reshape(n, 15)
+    gnorm = max(float(np.abs(model.full_generator(t)).sum(axis=0).max()) for t in ends)
+    dv = 16.0 * _EPS * gnorm**2
+    integral = err = 0.0
+    splits = 0
+    while n:
+        h = 0.5 * (b - a)
+        kron = h * (f @ _K15_W)
+        diff = np.abs(kron - h * (f[:, 1::2] @ _G7_W))
+        asc = h * (np.abs(f - 0.5 * (f @ _K15_W)[:, None]) @ _K15_W)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            est = np.where(asc > 0.0, asc * np.minimum(1.0, (200.0 * diff / asc) ** 1.5), diff)
+            noise = h * (np.minimum(math.sqrt(dv), dv / (2.0 * f)) @ _K15_W)
+        floor = 50.0 * _EPS * (np.abs(kron) + (b - a) * gnorm)
+        est = np.maximum(est, floor)
+        share = (b - a) / (t2 - t1) * _QUAD_RTOL * max(1.0, abs(integral + kron.sum()))
+        done = (est <= share) | (est <= np.maximum(floor, noise))
+        integral += float(kron[done].sum())
+        err += float(est[done].sum())
+        a, b = a[~done], b[~done]
+        n = a.size
+        if not n:
+            break
+        splits += n
+        if splits > _MAX_SPLITS:
+            raise QuadratureDiverged(
+                f"quadrature diverged: the MT integral over [{t1!r}, {t2!r}] needs more "
+                f"than {_MAX_SPLITS} bisections"
+            )
+        mid = 0.5 * (a + b)
+        a, b = np.stack([a, mid], axis=1).ravel(), np.stack([mid, b], axis=1).ravel()
+        f = _path_at(model, rho0, _kronrod_times(a, b).ravel(), max_step)[3].reshape(-1, 15)
+    rho1, rho2 = rho[0].copy(), rho[-1].copy()
     rho1.setflags(write=False)
     rho2.setflags(write=False)
-    overlap = abs(complex(np.trace(linalg.dag(mats[0]) @ m2 @ rho0)))
-    return _MTPath(integral, err, rho1, rho2, float(tr[0]), float(tr2), overlap)
+    overlap = abs(complex(np.trace(linalg.dag(mats[0]) @ mats[-1] @ rho0)))
+    return _MTPath(integral, err, rho1, rho2, float(tr[0]), float(tr[-1]), overlap)
 
 
 class _TimePoint:
     """The one evaluation of (model, state, time point) that every row reads.
 
-    ``ml`` is taken at ``tau`` and ``mt`` over [``start``, ``tau``] with
-    ``steps`` Simpson panels, both on ``no_jump_model()`` for a Lindblad
+    ``ml`` is taken at ``tau`` and ``mt`` over [``start``, ``tau``] with at
+    least ``steps`` quadrature nodes, both on ``no_jump_model()`` for a Lindblad
     model.  ``lindblad`` is the Lindblad state at ``tau``, ``fidelity`` its
     fidelity to the initial state, and ``jump_count`` the exact mean and
     variance of the jump count.  Each part is computed at most once, on

@@ -390,7 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--tau1", type=float, default=None)
     chk.add_argument("--tau2", type=float, default=None)
     chk.add_argument("--observable", default=None, help="proj:K | diag:a,b,... | jump-count")
-    chk.add_argument("--quad-panels", type=int, default=bnd.DEFAULT_QUAD_STEPS)
+    chk.add_argument("--quad-panels", type=int, default=bnd.DEFAULT_QUAD_STEPS,
+                     help="minimum MT quadrature nodes, rounded up to whole 15-node "
+                     "G7/K15 intervals that adaptive bisection then refines")
     chk.add_argument("--seed", type=int, default=0,
                      help="in [0, 2**64); unused by the exact rows, echoed in the summary")
     chk.add_argument("--out", required=True)

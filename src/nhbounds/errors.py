@@ -52,3 +52,7 @@ class IntegratorDiverged(SimulationError):
 
 class BadParameter(SimulationError):
     """A model or configuration parameter is out of range."""
+
+
+class QuadratureDiverged(SimulationError):
+    """The adaptive quadrature needed more bisections than its cap allows."""

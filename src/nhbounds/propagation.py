@@ -2,11 +2,11 @@
 
 Closed-form non-Hermitian propagation (exact matrix exponential for constant
 generators, midpoint exponential product for time-dependent ones), the
-propagators at every node of a uniform grid (by repeated squaring of the
-node-to-node exponential for constant generators) and the normalized state
-M rho0 M^dag / Tr they carry, the Lindblad master equation via the exact
-vectorized-Liouvillian exponential, the exact mean and variance of the jump
-count (full counting statistics), exact-in-time (waiting-time)
+propagators at a sorted set of times (one stacked exponential for constant
+generators, one running midpoint product for time-dependent ones) and the
+normalized state M rho0 M^dag / Tr they carry, the Lindblad master equation
+via the exact vectorized-Liouvillian exponential, the exact mean and variance
+of the jump count (full counting statistics), exact-in-time (waiting-time)
 quantum-jump trajectory sampling, and the no-jump conditioned state with its
 survival weight, which is the normalized state of the equivalent
 non-Hermitian model.  Trajectory randomness is stateless: each uniform is a
@@ -248,47 +248,36 @@ def propagator(model: NonHermitianModel, t: float, steps: int | None = None) -> 
     return out
 
 
-def _midpoint_steps(model: NonHermitianModel, mids: Sequence[float], dt: float) -> np.ndarray:
-    """exp(-i dt G(mid)) for each midpoint, made by one ``expm`` call."""
-    return linalg.expm(np.stack([-1j * dt * model.full_generator(mid) for mid in mids]))
+def _midpoint_steps(model: NonHermitianModel, mids: Sequence[float], dt) -> np.ndarray:
+    """exp(-i dt G(mid)) for each midpoint, made by one ``expm`` call.
 
-
-def propagator_span(
-    model: NonHermitianModel, t1: float, t2: float, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Propagators from time 0 to each node of a uniform grid over [t1, t2].
-
-    Returns ``(times, mats)`` with ``times`` of length ``n + 1`` and
-    ``mats[k]`` the propagator at ``times[k]``.  For constant generators the
-    nodes are filled by repeated squaring of the node-to-node exponential
-    P = exp(-i dt G): with the first m nodes known, ``mats[m:2m] = P^m @
-    mats[:m]`` in one batched product, then P^2m = P^m @ P^m, so n nodes
-    take ceil(log2(n + 1)) products.  Gamma is PSD, so ||P|| <= 1 and no
-    power overflows.  Time-dependent generators take one midpoint
-    exponential per interval, in sequence.
+    ``dt`` is one step length or one per midpoint.
     """
-    if t2 < t1 or t1 < 0:
-        raise BadParameter("need 0 <= t1 <= t2")
-    times = t1 + (t2 - t1) * np.arange(n + 1) / max(n, 1)
-    mats = np.empty((n + 1, model.dim, model.dim), dtype=complex)
-    mats[0] = propagator(model, t1)
-    if n == 0:
-        return times, mats
-    dt = (t2 - t1) / n
-    if model.is_time_dependent:
-        steps = _midpoint_steps(model, [times[k] + 0.5 * dt for k in range(n)], dt)
-        for k in range(n):
-            mats[k + 1] = steps[k] @ mats[k]
-        return times, mats
-    power = linalg.expm(-1j * dt * model.full_generator())
-    filled = 1
-    while True:
-        m = min(filled, n + 1 - filled)
-        mats[filled : filled + m] = power @ mats[:m]
-        filled += m
-        if filled > n:
-            return times, mats
-        power = power @ power
+    dts = np.broadcast_to(dt, (len(mids),))
+    return linalg.expm(np.stack([-1j * d * model.full_generator(m) for m, d in zip(mids, dts)]))
+
+
+def _propagators(model: NonHermitianModel, times: np.ndarray, max_step: float) -> np.ndarray:
+    """Propagators from time 0 to each of the sorted, nonnegative ``times``.
+
+    A constant generator takes one stacked ``expm`` of -i t G over all the
+    times.  A time-dependent one splits each gap between consecutive times
+    (the first from 0) into midpoint steps no longer than ``max_step``,
+    makes all of them in one ``_midpoint_steps`` stack and reads the
+    running product at each time.
+    """
+    if not model.is_time_dependent:
+        return linalg.expm(-1j * times[:, None, None] * model.full_generator())
+    gaps = np.diff(times, prepend=0.0)
+    counts = (np.ceil(gaps / max_step).astype(int) if max_step > 0
+              else np.zeros(len(times), dtype=int))
+    mids = [s + (k + 0.5) * g / c for s, g, c in zip(times - gaps, gaps, counts) for k in range(c)]
+    prods = np.empty((len(mids) + 1, model.dim, model.dim), dtype=complex)
+    prods[0] = np.eye(model.dim)
+    dts = np.repeat(gaps / np.maximum(counts, 1), counts)
+    for k, step in enumerate(_midpoint_steps(model, mids, dts) if mids else ()):
+        prods[k + 1] = step @ prods[k]
+    return prods[np.cumsum(counts)]
 
 
 def _normalized_density(m: np.ndarray, rho0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,7 @@
 """Numerical failures end as a report value or a SimulationError, never a traceback.
 
 Three strong-decay inputs, each at the API and through ``nhbounds check``;
+stiff MT quadratures that the adaptive rule resolves, and its bisection cap;
 malformed model, state, observable and seed inputs, which exit 2 with an
 error line; plus two fuzz tests that run the CLI in-process, one over closed
 and Lindblad models with decay scales up to 1e3, one over model JSON with a
@@ -40,6 +41,7 @@ from nhbounds import (
     tur_ml,
     tur_ml_open,
 )
+from nhbounds import bounds as bnd
 from nhbounds.errors import NormUnderflow
 
 PLUS = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
@@ -115,6 +117,48 @@ class TestVanishingFloor:
         code, out = run_check(tmp_path, strong_jump_model(), "ml-open", state="plus")
         assert code == 0
         assert float(row(out, "tur-ml-open")["lhs"]) == math.inf
+
+
+class TestStiffQuadrature:
+    """MT rows that read false violations under a uniform 400-panel Simpson
+    rule: the integrand is a pulse far narrower than the window."""
+
+    def test_strong_decay_saturates_qsl_mt(self, tmp_path):
+        """From plus, Gamma = diag(0, 400) turns the state by exactly pi/4."""
+        code, out = run_check(tmp_path, flat_decay_model(), "mt", state="plus")
+        assert code == 0
+        r = row(out, "qsl-mt")
+        assert abs(float(r["lhs"]) - math.pi / 4) <= 1e-12
+        assert float(r["quad_err"]) <= 1e-9
+
+    def test_random_commuting_from_basis_state(self, tmp_path):
+        out = tmp_path / "out.csv"
+        code = cli.main([
+            "check", "--model",
+            "builtin:random-commuting?dim=2&seed=42996&gamma_scale=591.1635607469101",
+            "--state", "basis:0", "--bounds", "ml,mt", "--t-final", "1.418916075061167",
+            "--steps", "2", "--out", str(out),
+        ])
+        assert code == 0
+
+    def test_diagonal_jump_lindblad_from_plus(self, tmp_path):
+        model_file = tmp_path / "model.json"
+        serialize.save_model(model_file,
+                             random_diagonal_jump_lindblad(2, 14789, 308.01304698535495))
+        code = cli.main([
+            "check", "--model", str(model_file), "--state", "plus",
+            "--bounds", "ml-open,mt-open", "--t-final", "3.4736643358784414",
+            "--steps", "2", "--out", str(tmp_path / "out.csv"),
+        ])
+        assert code == 0
+
+    def test_bisection_cap_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(bnd, "_MAX_SPLITS", 3)
+        code, out = run_check(tmp_path, flat_decay_model(), "mt", state="plus")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "quadrature diverged" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestCenteredVariance:

@@ -24,7 +24,7 @@ from nhbounds import (
 from nhbounds import linalg
 from nhbounds.errors import NonPositiveGamma, NormUnderflow
 from nhbounds.models import ClassicalMarkovModel
-from nhbounds.propagation import _normalized_density, propagator_span
+from nhbounds.propagation import _normalized_density, _propagators
 from conftest import SX, SZ, expm_2x2, random_hermitian, tree_product
 
 
@@ -334,7 +334,8 @@ def rel_dev(got, want):
 
 
 class TestPropagatorSpan:
-    """Repeated squaring against the sequential product."""
+    """Direct stacked propagators at the nodes of a span against the
+    sequential product."""
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 400, 4000])
     def test_matches_sequential_product(self, n):
@@ -343,23 +344,26 @@ class TestPropagatorSpan:
                 model, rng = random_decaying_model(dim, 1000 * dim + seed)
                 t1 = float(rng.uniform(0.0, 1.0))
                 t2 = t1 + float(rng.uniform(0.1, 2.0))
-                times, mats = propagator_span(model, t1, t2, n)
-                want_times, want = sequential_span(model, t1, t2, n)
-                assert np.array_equal(times, want_times)
-                assert times[0] == t1
+                times, want = sequential_span(model, t1, t2, n)
+                mats = _propagators(model, times, t2)
+                assert mats.shape == want.shape
                 assert rel_dev(mats, want) <= 1e-11
                 if n:
                     assert rel_dev(mats[-1], propagator(model, t2)) <= 1e-11
 
-    def test_time_dependent_unchanged(self):
+    def test_time_dependent_running_product(self):
+        """Gaps that are whole multiples of the step read the uniform midpoint
+        product: 10, 15 and 45 steps of 0.01 reach 0.1, 0.25 and 0.7."""
+
         def parts(t):
             h = 0.4 * math.cos(1.3 * t) * SX + 0.3 * SZ
             g = 0.25 * (1.0 + 0.5 * math.sin(0.7 * t)) * np.diag([0.0, 1.0])
             return h, g.astype(complex)
 
         model = NonHermitianModel(*parts(0.0), time_dependence=parts)
-        for n in (0, 1, 7, 40):
-            times, mats = propagator_span(model, 0.0, 0.7, n)
-            want_times, want = sequential_span(model, 0.0, 0.7, n)
-            assert np.array_equal(times, want_times)
-            assert np.array_equal(mats, want)
+        times = np.array([0.0, 0.1, 0.25, 0.7])
+        mats = _propagators(model, times, 0.01)
+        assert np.array_equal(mats[0], np.eye(2))
+        for t, m in zip(times[1:], mats[1:]):
+            want = propagator(model, t, steps=round(t / 0.01))
+            assert np.max(np.abs(m - want)) <= 1e-13

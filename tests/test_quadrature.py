@@ -1,0 +1,97 @@
+"""The adaptive G7/K15 rule of the MT path, checked without scipy: the
+tabulated nodes and weights, and one quadrature for constant and
+time-dependent models."""
+
+import math
+
+import numpy as np
+import pytest
+
+from nhbounds import NonHermitianModel, StateVector, random_commuting, random_pure_state
+from nhbounds import bounds as bnd
+from nhbounds.states import as_density_matrix
+
+
+def monomial_integral(k: int) -> float:
+    """The integral of x^k over [-1, 1]."""
+    return 0.0 if k % 2 else 2.0 / (k + 1)
+
+
+class TestKronrodRule:
+    """A mistyped node or weight breaks exactness on some low-degree monomial."""
+
+    @pytest.mark.parametrize("k", range(23))
+    def test_k15_exact_to_degree_22(self, k):
+        assert abs(bnd._K15_X**k @ bnd._K15_W - monomial_integral(k)) <= 1e-15
+
+    @pytest.mark.parametrize("k", range(14))
+    def test_g7_exact_to_degree_13(self, k):
+        assert abs(bnd._K15_X[1::2] ** k @ bnd._G7_W - monomial_integral(k)) <= 1e-15
+
+    def test_weights_sum_to_two(self):
+        assert abs(bnd._K15_W.sum() - 2.0) <= 1e-15
+        assert abs(bnd._G7_W.sum() - 2.0) <= 1e-15
+
+    def test_nodes_ascending_and_symmetric(self):
+        assert np.all(np.diff(bnd._K15_X) > 0.0)
+        assert np.array_equal(bnd._K15_X, -bnd._K15_X[::-1])
+
+
+class TestUnrefinedEstimate:
+    """With bisection switched off, each interval's qk15 estimate alone has to
+    cover the truncation error of a coarse rule."""
+
+    @pytest.fixture(autouse=True)
+    def no_bisection(self, monkeypatch):
+        monkeypatch.setattr(bnd, "_QUAD_RTOL", math.inf)
+
+    @pytest.mark.parametrize("steps", [15, 30, 150, 450, 1500])
+    def test_strong_decay_pulse(self, steps):
+        """From plus, Gamma = diag(0, 400) turns the state by exactly pi/4,
+        in a pulse of width 1/800 at t = 0."""
+        model = NonHermitianModel(np.zeros((2, 2)), np.diag([0.0, 400.0]))
+        rho0 = as_density_matrix(StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0)))
+        path = bnd._mt_path(model, rho0, 0.0, 2.0, steps)
+        assert abs(path.integral - math.pi / 4) <= path.quad_err
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_one_interval_on_a_long_window(self, case, monkeypatch):
+        model = random_commuting(2 + case % 3, 7_000 + case, gamma_scale=3.0, h_scale=3.0)
+        rho0 = as_density_matrix(random_pure_state(model.dim, 8_000 + case))
+        coarse = bnd._mt_path(model, rho0, 0.0, 3.0, 15)
+        monkeypatch.setattr(bnd, "_QUAD_RTOL", 1e-13)
+        fine = bnd._mt_path(model, rho0, 0.0, 3.0, 150).integral
+        assert abs(coarse.integral - fine) <= coarse.quad_err
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_constant_callback_matches_constant_model(case):
+    """A time-dependent model whose callback returns fixed (H, Gamma) goes
+    through the midpoint running product, and still reads the constant
+    model's integral and endpoints."""
+    model = random_commuting(2 + case % 2, 300 + case, gamma_scale=0.8)
+    timed = NonHermitianModel(model.h, model.gamma,
+                              time_dependence=lambda t: (model.h, model.gamma))
+    rho0 = as_density_matrix(random_pure_state(model.dim, 400 + case))
+    t1, t2 = 0.1 * case, 0.1 * case + 0.9
+    want = bnd._mt_path(model, rho0, t1, t2, bnd.DEFAULT_QUAD_STEPS)
+    got = bnd._mt_path(timed, rho0, t1, t2, bnd.DEFAULT_QUAD_STEPS)
+    assert abs(got.integral - want.integral) <= 1e-12
+    for name in ("rho1", "rho2"):
+        assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-12
+    for name in ("tr1", "tr2", "overlap"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12
+
+
+@pytest.mark.parametrize("steps, intervals", [(1, 1), (15, 1), (16, 2), (40, 3), (400, 27)])
+def test_steps_is_a_minimum_node_count(steps, intervals, monkeypatch):
+    """``steps`` nodes round up to whole 15-node intervals; the first round
+    evaluates them with both endpoints in one stack."""
+    sizes = []
+    path_at = bnd._path_at
+    monkeypatch.setattr(
+        bnd, "_path_at", lambda m, r, times, h: sizes.append(len(times)) or path_at(m, r, times, h)
+    )
+    model = random_commuting(2, 5, gamma_scale=0.5)
+    bnd._mt_path(model, as_density_matrix(random_pure_state(2, 6)), 0.0, 0.5, steps)
+    assert sizes[0] == 15 * intervals + 2

@@ -64,23 +64,23 @@ def closed_case():
 
 
 def test_rows_of_a_time_point_share_one_path(closed_case, monkeypatch):
-    """Both closed builders read one time point: one span, one propagator."""
+    """Both closed builders read one time point: one path, one propagator."""
     model, psi = closed_case
-    counts = count_calls(monkeypatch, "propagator_span", "propagator")
+    counts = count_calls(monkeypatch, "_mt_path", "propagator")
     obs = np.diag([0.0, 0.0, 1.0]).astype(complex)
     point = bnd._TimePoint(model, psi, 0.9)
     for build in (bnd._ml_rows, bnd._mt_rows, bnd._ml_rows, bnd._mt_rows):
         build(point, obs)
-    assert counts == {"propagator_span": 1, "propagator": 1}
+    assert counts == {"_mt_path": 1, "propagator": 1}
 
 
 def test_public_calls_share_nothing(closed_case, monkeypatch):
     """Each public row evaluates its own time point, even at equal arguments."""
     model, psi = closed_case
-    counts = count_calls(monkeypatch, "propagator_span")
+    counts = count_calls(monkeypatch, "_mt_path")
     first = qsl_mt(model, psi, 0.0, 0.9)
     again = qsl_mt(model, psi, 0.0, 0.9)
-    assert counts["propagator_span"] == 2
+    assert counts["_mt_path"] == 2
     assert again.lhs == first.lhs and again.rhs == first.rhs
 
 
@@ -102,12 +102,23 @@ def test_public_tur_rows_need_an_observable(row):
 
 
 @pytest.mark.parametrize("change", ["steps", "t1", "t2", "model"])
-def test_changed_argument_misses(closed_case, change):
-    """``_mt_path`` reads every argument: a changed one gives a fresh path."""
+def test_changed_argument_misses(closed_case, change, monkeypatch):
+    """``_mt_path`` reads every argument: a changed one gives a fresh path.
+
+    More ``steps`` evaluate more nodes, counted as members of the stacks
+    passed to ``linalg.expm``; the integral need not change, because the
+    K15 rule is exact to round-off on a smooth integrand either way."""
     model, psi = closed_case
     rho0 = as_density_matrix(psi)
+    members = []
+    expm = linalg.expm
+    monkeypatch.setattr(
+        linalg, "expm", lambda a: members.append(len(a.reshape(-1, 3, 3))) or expm(a)
+    )
     args = {"model": model, "t1": 0.1, "t2": 0.6, "steps": 40}
     first = bnd._mt_path(model, rho0, 0.1, 0.6, 40)
+    first_nodes = sum(members)
+    members.clear()
     args[change] = {
         "steps": 80,
         "t1": 0.2,
@@ -118,6 +129,8 @@ def test_changed_argument_misses(closed_case, change):
     assert fresh is not first
     if change == "model":
         assert_same_path(fresh, first)
+    elif change == "steps":
+        assert sum(members) > first_nodes
     else:
         assert fresh.integral != first.integral
 
@@ -162,12 +175,12 @@ def test_state_mutated_in_place_misses(closed_case, kind):
 
 
 def test_lindblad_state_shared_by_the_open_rows(monkeypatch):
-    """Both open builders read one time point: one span, one Lindblad state,
+    """Both open builders read one time point: one path, one Lindblad state,
     one fidelity and one set of jump-count moments."""
     model = make_dephasing(0.7)
     psi = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
     counts = count_calls(
-        monkeypatch, "_evolve_lindblad", "propagator_span", "_jump_count_moments"
+        monkeypatch, "_evolve_lindblad", "_mt_path", "_jump_count_moments"
     )
     fidelity = metrics.fidelity
     monkeypatch.setattr(
@@ -178,7 +191,7 @@ def test_lindblad_state_shared_by_the_open_rows(monkeypatch):
         bnd._ml_open_rows(point, obs)
         bnd._mt_open_rows(point, obs)
     assert counts == {
-        "_evolve_lindblad": 1, "propagator_span": 1, "_jump_count_moments": 1, "fidelity": 1,
+        "_evolve_lindblad": 1, "_mt_path": 1, "_jump_count_moments": 1, "fidelity": 1,
     }
 
 
@@ -198,7 +211,7 @@ def test_jump_count_state_mutated_between_rows_gets_fresh_moments():
     assert mt.params["jump_count"]["mean"] == 0.0
 
 
-def run_check(tmp_path, monkeypatch, argv, names=("propagator_span", "_evolve_lindblad")):
+def run_check(tmp_path, monkeypatch, argv, names=("_mt_path", "_evolve_lindblad")):
     counts = count_calls(monkeypatch, *names)
     code = cli.main(["check", *argv, "--out", str(tmp_path / "out.csv")])
     assert code == 0
@@ -206,13 +219,13 @@ def run_check(tmp_path, monkeypatch, argv, names=("propagator_span", "_evolve_li
 
 
 def test_work_count_open_sweep(tmp_path, monkeypatch):
-    """One span and one Lindblad evolution per time point (three spans and
+    """One path and one Lindblad evolution per time point (three paths and
     four evolutions per time point without the sharing)."""
     counts = run_check(tmp_path, monkeypatch, [
         "--model", "builtin:refrigerator?beta2=1.05&beta3=0.9", "--state", "plus",
         "--bounds", "ml-open,mt-open", "--t-final", "1.0", "--steps", "4",
     ])
-    assert counts == {"propagator_span": 4, "_evolve_lindblad": 4}
+    assert counts == {"_mt_path": 4, "_evolve_lindblad": 4}
 
 
 def test_work_count_open_fidelity(tmp_path, monkeypatch):
@@ -255,12 +268,12 @@ def test_work_count_classical_chain(tmp_path, monkeypatch):
 
 
 def test_work_count_closed_window(tmp_path, monkeypatch):
-    """One span per time point and one for the extra window."""
+    """One path per time point and one for the extra window."""
     counts = run_check(tmp_path, monkeypatch, [
         "--model", "builtin:random-commuting?dim=3&seed=4", "--state", "plus",
         "--bounds", "mt", "--t-final", "1.0", "--steps", "2", "--tau1", "0.2", "--tau2", "0.7",
     ])
-    assert counts == {"propagator_span": 3}
+    assert counts == {"_mt_path": 3}
 
 
 def test_work_count_closed_ml(tmp_path, monkeypatch):
