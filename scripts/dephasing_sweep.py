@@ -16,16 +16,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from nhbounds import (  # noqa: E402
-    StateVector,
-    fid_ml_open,
-    fid_mt_open,
-    make_dephasing,
-    qsl_ml_open,
-    qsl_mt_open,
-    tur_ml_open,
-    tur_mt_open,
-)
+from nhbounds import StateVector, make_dephasing, sweep  # noqa: E402
 from nhbounds.cli import main as cli_main  # noqa: E402
 
 
@@ -36,20 +27,19 @@ def run(gamma: float, t_final: float, steps: int, out: str) -> int:
     print(f"dephasing gamma={gamma}, |+> start; hbar = 1")
     print(f"{'t':>6} {'overlap':>10} {'ml floor':>10} {'mt floor':>10} "
           f"{'qsl-ml':>9} {'qsl-mt':>9} {'tur-ml':>9} {'tur-mt':>9}")
-    for k in range(1, steps + 1):
-        t = t_final * k / steps
-        f_ml = fid_ml_open(model, plus, t)
-        f_mt = fid_mt_open(model, plus, t)
-        rows = (
-            qsl_ml_open(model, plus, t),
-            qsl_mt_open(model, plus, t),
-            tur_ml_open(model, plus, t, proj),
-            tur_mt_open(model, plus, t, proj),
-        )
-        def tag(r):
-            return f"{r.slack:+.2e}" if r.applicable else "   vacuous"
+    times = [t_final * k / steps for k in range(1, steps + 1)]
+    rows = {}
+    for t, r in sweep(model, plus, times, ["ml-open", "mt-open"], proj):
+        rows[t, r.kind] = r
+
+    def tag(r):
+        return f"{r.slack:+.2e}" if r.applicable else "   vacuous"
+
+    for t in times:
+        f_ml, f_mt = rows[t, "fid-ml-open"], rows[t, "fid-mt-open"]
+        kinds = ("qsl-ml-open", "qsl-mt-open", "tur-ml-open", "tur-mt-open")
         print(f"{t:6.2f} {f_ml.lhs:10.6f} {f_ml.rhs:10.6f} {f_mt.rhs:10.6f} "
-              + " ".join(tag(r) for r in rows))
+              + " ".join(tag(rows[t, kind]) for kind in kinds))
     return cli_main([
         "check", "--model", f"builtin:dephasing?gamma={gamma}", "--state", "plus",
         "--bounds", "ml-open,mt-open", "--t-final", str(t_final),

@@ -20,10 +20,7 @@ from nhbounds import (  # noqa: E402
     evolve_lindblad,
     make_refrigerator,
     pure_density,
-    qsl_ml_open,
-    qsl_mt_open,
-    tur_ml_open,
-    tur_mt_open,
+    sweep,
 )
 
 
@@ -35,28 +32,26 @@ def run(args) -> int:
     obs = np.diag([0.0, 0.0, 1.0]).astype(complex)  # top-level occupation
     print("three-level refrigerator, coherent (equal-weight) start")
     print(f"{'t':>6} {'coherence':>10} {'qsl-ml':>10} {'tur-ml':>10} {'qsl-mt':>10} {'tur-mt':>10}")
-    worst = np.inf
-    for k in range(1, args.steps + 1):
-        t = args.t_final * k / args.steps
+    times = [args.t_final * k / args.steps for k in range(1, args.steps + 1)]
+    rows = {}
+    for t, r in sweep(model, psi0, times, ["ml-open", "mt-open"], obs):
+        rows[t, r.kind] = r
+    worst, holds = np.inf, True
+    for t in times:
         rho_t = evolve_lindblad(model, pure_density(psi0), t)
         coh = np.max(np.abs(rho_t - np.diag(np.diagonal(rho_t))))
-        rows = (
-            qsl_ml_open(model, psi0, t),
-            tur_ml_open(model, psi0, t, obs),
-            qsl_mt_open(model, psi0, t),
-            tur_mt_open(model, psi0, t, obs),
-        )
         cells = []
-        for r in rows:
+        for kind in ("qsl-ml-open", "tur-ml-open", "qsl-mt-open", "tur-mt-open"):
+            r = rows[t, kind]
             if r.applicable:
                 worst = min(worst, r.slack)
+                holds = holds and r.satisfied
                 cells.append(f"{r.slack:+.3e}")
             else:
                 cells.append("   vacuous")
         print(f"{t:6.2f} {coh:10.4f} " + " ".join(f"{c:>10}" for c in cells))
     print(f"minimum applicable slack: {worst:+.3e}")
-    return 0 if worst >= -1e-8 else 1
-
+    return 0 if holds else 1
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)

@@ -26,6 +26,7 @@ from .bounds import (
     qsl_ml_open,
     qsl_mt,
     qsl_mt_open,
+    sweep,
     tur_classical,
     tur_ml,
     tur_ml_open,

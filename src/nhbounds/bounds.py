@@ -23,14 +23,13 @@ come back as :class:`BoundReport` with lhs/rhs oriented so that
 fail dynamically (positivity, integration window, fidelity/weight domain)
 flip ``applicable`` instead of raising.
 
-The rows of one time point read one evaluation of it, a ``_TimePoint``:
-the ML ingredients (initial expectations, propagator and overlap), the MT
-normalized path, the Lindblad state, its fidelity to the initial state and
-the exact jump-count moments, each computed at most once, on first use.
-Each family has one builder that returns all of its reports from that
-evaluation.  ``nhbounds check`` builds one time point per grid time and
-calls the builders; each public row function builds its own time point and
-evaluates its whole family, so public calls share nothing.
+Every row comes from :func:`sweep`, which evaluates bound groups along a
+time grid; each public row function is a one-point sweep.  A sweep does the
+model checks and converts the state and observable once; each time point is
+one ``_TimePoint`` (ML propagator, MT path, Lindblad state, fidelity,
+jump-count moments), each part computed at most once, on first use, and
+read by every row of that time point.  Sweeps, and so public calls, share
+nothing.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import numpy as np
 
 from . import linalg, metrics
 from .errors import BadParameter, CommutatorViolation, DegenerateObservable, QuadratureDiverged
-from .models import ClassicalMarkovModel
+from .models import ClassicalMarkovModel, make_classical
 from .propagation import (
     DEFAULT_TD_STEPS,
     LindbladModel,
@@ -83,7 +82,6 @@ _K15_W = np.array([*_WK, _WK0, *_WK[::-1]])
 _G7_W = np.array([*_WG, _WG0, *_WG[::-1]])
 
 Condition = tuple[str, bool]
-_NO_TUR = object()  # a family builder's default: no scaled-variance row
 
 
 @dataclass(frozen=True)
@@ -142,19 +140,6 @@ def _expectation(op: np.ndarray, rho: np.ndarray) -> float:
     return float(np.trace(op @ rho).real)
 
 
-def _require_time_independent(model: NonHermitianModel, what: str) -> None:
-    if model.is_time_dependent:
-        raise BadParameter(f"{what} requires a time-independent model")
-
-
-def _require_commuting(model: NonHermitianModel) -> float:
-    """The [H, Gamma] norm; Gamma is PSD already, as the model checks it."""
-    norm, ok = commutator_check(model.h, model.gamma)
-    if not ok:
-        raise CommutatorViolation(f"[H, Gamma] norm {norm:.3e} exceeds tolerance")
-    return norm
-
-
 def _inv_sq_minus_one(x: float, scale: float = 1.0) -> float:
     """(scale / x)^2 - 1, reading +inf where x vanishes or the square overflows."""
     if x == 0.0:
@@ -193,41 +178,16 @@ class _MLPoint:
 
     ``m``: the propagator M to tau; only the closed rows normalize its
     state, so the open rows give numbers where that state would underflow.
-    ``overlap``: |Tr[M rho0]|.  ``params``: the initial-expectation terms of
-    the floor; each row copies them before adding its own keys.
+    ``overlap``: |Tr[M rho0]|.  ``params``: the terms of the floor; each row
+    copies them before adding its own keys.  The open family reads this on
+    ``no_jump_model()``, whose Gamma is half the jump-rate operator: there
+    ``floor_raw`` is the open floor exp(-activity*tau/2) - tau(<H_S> - E_g)
+    and ``overlap`` is the record overlap.
     """
 
     m: np.ndarray
     overlap: float
     params: dict
-
-
-def _ml_point(model: NonHermitianModel, rho0: np.ndarray, tau: float) -> _MLPoint:
-    """Evaluate the ML ingredients of one time point.
-
-    The open family calls this on ``no_jump_model()``, whose Gamma is half
-    the jump-rate operator: there ``floor_raw`` is the open floor
-    exp(-activity*tau/2) - tau(<H_S> - E_g) and ``overlap`` is the record
-    overlap.
-    """
-    _require_time_independent(model, "the mean-based bound")
-    comm_norm = _require_commuting(model)
-    if tau < 0:
-        raise BadParameter("tau must be nonnegative")
-    mean_h = _expectation(model.h, rho0)
-    mean_g = _expectation(model.gamma, rho0)
-    e_g = ground_energy(model.h)
-    params = {
-        "tau": tau,
-        "mean_h": mean_h,
-        "mean_gamma": mean_g,
-        "ground_energy": e_g,
-        "floor_raw": math.exp(-mean_g * tau) - tau * (mean_h - e_g),
-        "commutator_norm": comm_norm,
-    }
-    m = propagator(model, tau)
-    m.setflags(write=False)
-    return _MLPoint(m, abs(complex(np.trace(m @ rho0))), params)
 
 
 @dataclass(eq=False, frozen=True)
@@ -338,47 +298,71 @@ def _mt_path(
     return _MTPath(integral, err, rho1, rho2, float(tr[0]), float(tr[-1]), overlap)
 
 
-class _TimePoint:
-    """The one evaluation of (model, state, time point) that every row reads.
+class _Sweep:
+    """What every time point of one sweep shares: the quantum ``model`` (a
+    chain's embedding where an open group needs one), the ``closed`` model
+    the ML and MT rows read, the ``chain``, the read-only initial state
+    ``rho0``, the MT window ``start`` and node count ``steps``, and the
+    ML floor's model checks and initial-state terms, taken on first use."""
 
-    ``ml`` is taken at ``tau`` and ``mt`` over [``start``, ``tau``] with at
-    least ``steps`` quadrature nodes, both on ``no_jump_model()`` for a Lindblad
-    model.  ``lindblad`` is the Lindblad state at ``tau``, ``fidelity`` its
-    fidelity to the initial state, and ``jump_count`` the exact mean and
-    variance of the jump count.  Each part is computed at most once, on
-    first use, so a family pays only for what it reads.
-    """
-
-    def __init__(self, model, state0, tau: float, start: float = 0.0,
-                 steps: int = DEFAULT_QUAD_STEPS):
-        self.model, self.tau, self.start, self.steps = model, tau, start, steps
-        self.rho0 = as_density_matrix(state0)
-        self.rho0.setflags(write=False)
+    def __init__(self, model, chain, rho0, start: float, steps: int):
+        self.model, self.chain, self.rho0, self.start, self.steps = model, chain, rho0, start, steps
+        self.closed = model.no_jump_model() if isinstance(model, LindbladModel) else model
 
     @functools.cached_property
-    def _closed(self) -> NonHermitianModel:
-        model = self.model
-        return model.no_jump_model() if isinstance(model, LindbladModel) else model
+    def ml_terms(self) -> dict:
+        model, rho0 = self.closed, self.rho0
+        if model.is_time_dependent:
+            raise BadParameter("the mean-based bound requires a time-independent model")
+        norm, ok = commutator_check(model.h, model.gamma)  # the model checks Gamma is PSD
+        if not ok:
+            raise CommutatorViolation(f"[H, Gamma] norm {norm:.3e} exceeds tolerance")
+        return {"mean_h": _expectation(model.h, rho0),
+                "mean_gamma": _expectation(model.gamma, rho0),
+                "ground_energy": ground_energy(model.h), "commutator_norm": norm}
+
+
+class _TimePoint:
+    """The one evaluation of a sweep at time ``tau`` that every row reads.
+
+    ``ml`` is taken at ``tau`` and ``mt`` over [``sweep.start``, ``tau``],
+    both on ``sweep.closed``.  ``lindblad`` is the Lindblad state at
+    ``tau``, ``fidelity`` its fidelity to the initial state, and
+    ``jump_count`` the exact mean and variance of the jump count.  Each part
+    is computed at most once, on first use, so a family pays only for what
+    it reads.
+    """
+
+    def __init__(self, sweep: _Sweep, tau: float):
+        self.sweep, self.tau = sweep, tau
 
     @functools.cached_property
     def ml(self) -> _MLPoint:
-        return _ml_point(self._closed, self.rho0, self.tau)
+        sw, tau = self.sweep, self.tau
+        terms = sw.ml_terms
+        m = propagator(sw.closed, tau)  # raises for a negative tau
+        m.setflags(write=False)
+        de = terms["mean_h"] - terms["ground_energy"]
+        raw = math.exp(-terms["mean_gamma"] * tau) - tau * de
+        return _MLPoint(m, abs(complex(np.trace(m @ sw.rho0))),
+                        {"tau": tau, **terms, "floor_raw": raw})
 
     @functools.cached_property
     def mt(self) -> _MTPath:
-        return _mt_path(self._closed, self.rho0, self.start, self.tau, self.steps)
+        sw = self.sweep
+        return _mt_path(sw.closed, sw.rho0, sw.start, self.tau, sw.steps)
 
     @functools.cached_property
     def lindblad(self) -> np.ndarray:
-        return _evolve_lindblad(self.model, self.rho0, self.tau)
+        return _evolve_lindblad(self.sweep.model, self.sweep.rho0, self.tau)
 
     @functools.cached_property
     def fidelity(self) -> float:
-        return metrics.fidelity(self.rho0, self.lindblad)
+        return metrics.fidelity(self.sweep.rho0, self.lindblad)
 
     @functools.cached_property
     def jump_count(self) -> tuple[float, float]:
-        return _jump_count_moments(self.model, self.rho0, self.tau)
+        return _jump_count_moments(self.sweep.model, self.sweep.rho0, self.tau)
 
 
 def _scaled_ratio_sq(
@@ -412,9 +396,10 @@ def _scaled_ratio_sq(
 # closed system, mean-based (ML) family
 
 
-def _ml_rows(point: _TimePoint, observable=_NO_TUR) -> list[BoundReport]:
-    """fid-ml, qsl-ml and, given an observable, tur-ml at ``point.tau``."""
-    ml, rho0, tau = point.ml, point.rho0, point.tau
+def _ml_rows(point: _TimePoint, observable) -> list[BoundReport]:
+    """fid-ml, qsl-ml, qsl-ml-simple and, given an observable, tur-ml at
+    ``point.tau``."""
+    ml, rho0, tau = point.ml, point.sweep.rho0, point.tau
     rho_tau, tr_tau = _normalized_density(ml.m, rho0)
     norm_tau = math.sqrt(tr_tau)
     params = dict(ml.params, norm_tau=norm_tau)
@@ -440,10 +425,10 @@ def _ml_rows(point: _TimePoint, observable=_NO_TUR) -> list[BoundReport]:
         params, bures_angle=angle, simple=simple,
         tau_min_geometric=(rhs / rate_sum) if rate_sum > 0 else 0.0,
     )))
-    if observable is not _NO_TUR:
-        ratio_sq, stats = _scaled_ratio_sq(
-            linalg.require_hermitian(observable, "observable"), rho0, rho_tau
-        )
+    rows.append(BoundReport("qsl-ml-simple", simple["lhs"], rhs, positive, (),
+                            {"tau": tau, "weak_lhs": simple["weak_lhs"]}))
+    if observable is not None:
+        ratio_sq, stats = _scaled_ratio_sq(observable, rho0, rho_tau)
         loose = {"lhs": _inv_sq_minus_one(raw), "rhs": ratio_sq, "applicable": positive}
         rows.append(BoundReport(
             "tur-ml", _inv_sq_minus_one(raw, norm_tau), ratio_sq, positive, conditions,
@@ -459,7 +444,7 @@ def fid_ml(model: NonHermitianModel, state0, tau: float) -> BoundReport:
     Requires a time-independent model with commuting (H, Gamma) and PSD
     Gamma; expectations are taken in the initial state.
     """
-    return _ml_rows(_TimePoint(model, state0, tau))[0]
+    return _row("fid-ml", model, state0, tau)
 
 
 def qsl_ml(model: NonHermitianModel, state0, tau: float) -> BoundReport:
@@ -471,7 +456,7 @@ def qsl_ml(model: NonHermitianModel, state0, tau: float) -> BoundReport:
     ``params["simple"]`` together with the weakest linear-in-tau form and
     the geometric minimum-time estimate it implies.
     """
-    return _ml_rows(_TimePoint(model, state0, tau))[1]
+    return _row("qsl-ml", model, state0, tau)
 
 
 def tur_ml(model: NonHermitianModel, state0, tau: float, observable) -> BoundReport:
@@ -481,17 +466,17 @@ def tur_ml(model: NonHermitianModel, state0, tau: float, observable) -> BoundRep
     ||psi(tau)||^2 / floor^2 - 1; the loose norm-free variant sits under
     ``params["loose"]``.  Applicable only while the floor is positive.
     """
-    return _ml_rows(_TimePoint(model, state0, tau), observable)[2]
+    return _row("tur-ml", model, state0, tau, observable)
 
 
 # ---------------------------------------------------------------------------
 # closed system, deviation-based (MT) family
 
 
-def _mt_rows(point: _TimePoint, observable=_NO_TUR) -> list[BoundReport]:
-    """fid-mt, qsl-mt and, given an observable, tur-mt over
-    [``point.start``, ``point.tau``]."""
-    path, tau1, tau2 = point.mt, point.start, point.tau
+def _mt_rows(point: _TimePoint, observable) -> list[BoundReport]:
+    """fid-mt, qsl-mt and, given an observable, tur-mt and energy-time over
+    [``point.sweep.start``, ``point.tau``]."""
+    path, tau1, tau2 = point.mt, point.sweep.start, point.tau
     integral, err = path.integral, path.quad_err
     in_window = integral <= math.pi / 2.0 + WINDOW_TOL
     conditions = (("window_le_half_pi", in_window),)
@@ -514,17 +499,17 @@ def _mt_rows(point: _TimePoint, observable=_NO_TUR) -> list[BoundReport]:
             "mean_std": integral / (tau2 - tau1) if tau2 > tau1 else 0.0,
         }),
     ]
-    if observable is not _NO_TUR:
-        obs = linalg.require_hermitian(observable, "observable")
-        ratio_sq, stats = _scaled_ratio_sq(obs, path.rho1, path.rho2)
+    if observable is not None:
+        ratio_sq, stats = _scaled_ratio_sq(observable, path.rho1, path.rho2)
         inside = integral < math.pi / 2.0
-        et = _energy_time(point.model, path.rho2, tau2, obs)
+        et = _energy_time(point.sweep.model, path.rho2, tau2, observable)
         rows.append(BoundReport(
             "tur-mt", math.tan(integral) ** 2 if inside else float("inf"), ratio_sq, inside,
             (("window_lt_half_pi", inside),),
             {"tau1": tau1, "tau2": tau2, "quad_err": err, "integral": integral, **stats,
              "energy_time": {"lhs": et.lhs, "rhs": et.rhs, "slack": et.slack}},
         ))
+        rows.append(et)
     return rows
 
 
@@ -537,7 +522,7 @@ def fid_mt(
     The cosine form is only a valid floor while the integral stays within
     [0, pi/2]; outside that window the report is flagged inapplicable.
     """
-    return _mt_rows(_TimePoint(model, state0, tau2, tau1, steps))[0]
+    return _row("fid-mt", model, state0, tau2, start=tau1, steps=steps)
 
 
 def qsl_mt(
@@ -548,7 +533,7 @@ def qsl_mt(
     Also emits the implied minimum time ``tau_min`` = angle / (time-averaged
     std) in the params.
     """
-    return _mt_rows(_TimePoint(model, state0, tau2, tau1, steps))[1]
+    return _row("qsl-mt", model, state0, tau2, start=tau1, steps=steps)
 
 
 def energy_time_check(model: NonHermitianModel, state0, t: float, observable) -> BoundReport:
@@ -595,7 +580,7 @@ def tur_mt(
     energy-time variant evaluated at tau2 is attached under
     ``params["energy_time"]``.
     """
-    return _mt_rows(_TimePoint(model, state0, tau2, tau1, steps), observable)[2]
+    return _row("tur-mt", model, state0, tau2, observable, start=tau1, steps=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -625,11 +610,10 @@ def _open_ratio_sq(point: _TimePoint, observable) -> tuple[float, dict]:
         else:
             ratio_sq = mean**2 / var
         return ratio_sq, {"jump_count": {"mean": mean, "var": var}}
-    obs = linalg.require_hermitian(observable, "observable")
-    return _scaled_ratio_sq(obs, point.rho0, point.lindblad)
+    return _scaled_ratio_sq(observable, point.sweep.rho0, point.lindblad)
 
 
-def _ml_open_rows(point: _TimePoint, observable=_NO_TUR) -> list[BoundReport]:
+def _ml_open_rows(point: _TimePoint, observable) -> list[BoundReport]:
     """fid-ml-open, qsl-ml-open and, given an observable, tur-ml-open at
     ``point.tau``."""
     ml = point.ml
@@ -642,10 +626,10 @@ def _ml_open_rows(point: _TimePoint, observable=_NO_TUR) -> list[BoundReport]:
         BoundReport("qsl-ml-open", 1.0 - floor, 2.0 * math.sin(angle / 2.0) ** 2, True,
                     conditions, dict(ml.params, bures_angle=angle)),
     ]
-    if observable is not _NO_TUR:
+    if observable is not None:
         ratio_sq, stats = _open_ratio_sq(point, observable)
         params = dict(ml.params, **stats)
-        if linalg.max_abs(point.model.h_s) <= 1e-12:
+        if linalg.max_abs(point.sweep.model.h_s) <= 1e-12:
             # the no-jump Gamma is half the jump-rate operator
             params["classical_form_lhs"] = _expm1(2.0 * params["mean_gamma"] * point.tau)
         rows.append(BoundReport(
@@ -661,13 +645,13 @@ def fid_ml_open(model: LindbladModel, state0, tau: float) -> BoundReport:
     Requires H_S to commute with the jump-rate operator (satisfied by the
     dephasing model, the refrigerator, and every classical embedding).
     """
-    return _ml_open_rows(_TimePoint(model, state0, tau))[0]
+    return _row("fid-ml-open", model, state0, tau)
 
 
 def qsl_ml_open(model: LindbladModel, state0, tau: float) -> BoundReport:
     """Open mean-based speed limit against the Bures angle of the Lindblad
     endpoints (the averaged, unconditioned evolution)."""
-    return _ml_open_rows(_TimePoint(model, state0, tau))[1]
+    return _row("qsl-ml-open", model, state0, tau)
 
 
 def tur_ml_open(model: LindbladModel, state0, tau: float, observable) -> BoundReport:
@@ -684,10 +668,10 @@ def tur_ml_open(model: LindbladModel, state0, tau: float, observable) -> BoundRe
     raw density matrix, for either observable kind; a raw 1-D array is
     rejected, as it is for every row kind.
     """
-    return _ml_open_rows(_TimePoint(model, state0, tau), observable)[2]
+    return _row("tur-ml-open", model, state0, tau, observable)
 
 
-def _mt_open_rows(point: _TimePoint, observable=_NO_TUR) -> list[BoundReport]:
+def _mt_open_rows(point: _TimePoint, observable) -> list[BoundReport]:
     """fid-mt-open, qsl-mt-open and, given an observable, tur-mt-open over
     [0, ``point.tau``]."""
     path, tau = point.mt, point.tau
@@ -712,7 +696,7 @@ def _mt_open_rows(point: _TimePoint, observable=_NO_TUR) -> list[BoundReport]:
             "underlying_rhs": float(np.arccos(np.clip(raw_overlap, 0.0, 1.0))),
         }),
     ]
-    if observable is not _NO_TUR:
+    if observable is not None:
         inside = integral < math.pi / 2.0
         lhs = (1.0 / (z * math.cos(integral) ** 2) - 1.0) if inside else float("inf")
         ratio_sq, stats = _open_ratio_sq(point, observable)
@@ -735,7 +719,7 @@ def fid_mt_open(
     full (non-Hermitian) effective generator.  Its trace at tau is the
     survival weight Z, and its overlap is the record overlap |Tr[M(tau) rho0]|.
     """
-    return _mt_open_rows(_TimePoint(model, state0, tau, steps=steps))[0]
+    return _row("fid-mt-open", model, state0, tau, steps=steps)
 
 
 def qsl_mt_open(
@@ -750,7 +734,7 @@ def qsl_mt_open(
     pre-monotonicity rhs (arccos of the normalized no-jump overlap) is
     always attached in params.
     """
-    return _mt_open_rows(_TimePoint(model, state0, tau, steps=steps))[1]
+    return _row("qsl-mt-open", model, state0, tau, steps=steps)
 
 
 def tur_mt_open(
@@ -767,31 +751,27 @@ def tur_mt_open(
     pseudo-state alternative is noted in params.  Jump-count statistics work
     as in :func:`tur_ml_open`.
     """
-    return _mt_open_rows(_TimePoint(model, state0, tau, steps=steps), observable)[2]
+    return _row("tur-mt-open", model, state0, tau, observable, steps=steps)
 
 
 # ---------------------------------------------------------------------------
 # classical Markov special case
 
 
-def _classical_rows(
-    chain: ClassicalMarkovModel, tau: float, observable=_NO_TUR
-) -> list[BoundReport]:
-    """qsl-classical and, given per-state values, tur-classical at ``tau``,
-    from one propagation of the chain."""
-    if tau < 0:
-        raise BadParameter("tau must be nonnegative")
-    p_tau = chain.propagate(tau)
+def _classical_rows(point: _TimePoint, observable) -> list[BoundReport]:
+    """qsl-classical and, given per-state values, tur-classical at
+    ``point.tau``, from one propagation of the chain."""
+    chain, tau = point.sweep.chain, point.tau
+    p_tau = chain.propagate(tau)  # raises for a negative tau
     p0, p1 = chain.p0 / chain.p0.sum(), p_tau / p_tau.sum()
     activity = chain.activity()
     params = {"tau": tau, "activity": activity}
     rows = [BoundReport("qsl-classical", activity * tau, metrics.renyi_half(p0, p1), True, (),
                         params)]
-    if observable is not _NO_TUR:
-        c = np.asarray(observable, dtype=float).reshape(-1)
-        if c.size != chain.n_states:
+    if observable is not None:
+        if observable.size != chain.n_states:
             raise BadParameter("observable length differs from the state count")
-        ratio_sq, stats = _scaled_ratio_sq(np.diag(c), np.diag(p0), np.diag(p1))
+        ratio_sq, stats = _scaled_ratio_sq(np.diag(observable), np.diag(p0), np.diag(p1))
         rows.append(BoundReport("tur-classical", _expm1(activity * tau), ratio_sq, True, (),
                                 dict(params, **stats)))
     return rows
@@ -799,7 +779,7 @@ def _classical_rows(
 
 def qsl_classical(chain: ClassicalMarkovModel, tau: float) -> BoundReport:
     """Classical speed limit: activity * tau >= D_{1/2}(P(0) || P(tau))."""
-    return _classical_rows(chain, tau)[0]
+    return _row("qsl-classical", chain, None, tau)
 
 
 def tur_classical(chain: ClassicalMarkovModel, tau: float, observable) -> BoundReport:
@@ -808,4 +788,83 @@ def tur_classical(chain: ClassicalMarkovModel, tau: float, observable) -> BoundR
     ``observable`` is a real vector of per-state values; moments are taken
     against P(0) and P(tau).
     """
-    return _classical_rows(chain, tau, observable)[1]
+    values = np.asarray(observable, dtype=float).reshape(-1)
+    return _row("tur-classical", chain, None, tau, np.diag(values))
+
+
+# ---------------------------------------------------------------------------
+# sweeps
+
+
+# group: (the model kind it needs, that kind's name, the builder of its rows)
+FAMILIES = {
+    "ml": (NonHermitianModel, "nonhermitian", _ml_rows),
+    "mt": (NonHermitianModel, "nonhermitian", _mt_rows),
+    "ml-open": (LindbladModel, "lindblad or classical", _ml_open_rows),
+    "mt-open": (LindbladModel, "lindblad or classical", _mt_open_rows),
+    "classical": (ClassicalMarkovModel, "classical", _classical_rows),
+}
+
+
+def sweep(model, state0, times, groups, observable=None, *, start: float = 0.0,
+          steps: int = DEFAULT_QUAD_STEPS) -> list[tuple[float, BoundReport]]:
+    """The rows of the bound ``groups`` at each of ``times``, as ``nhbounds
+    check`` writes them: ``(t, report)`` pairs time by time and group by
+    group, a ``qsl-ml-simple`` report after each ``qsl-ml`` and an
+    ``energy-time`` report after each ``tur-mt``.
+
+    A classical chain serves ``classical``, which starts from the chain's
+    ``p0``, and the open groups through its Lindblad embedding.
+    ``observable`` adds the TUR rows: a Hermitian matrix to every group
+    (``classical`` reads its diagonal), a :class:`JumpCountObservable` to
+    the open groups.  ``start`` opens the ``mt`` window [start, t], and
+    ``steps`` is the minimum MT quadrature node count.
+
+    Raises:
+        BadParameter: for an unknown or repeated group, a group the model
+            cannot serve, or a nonzero ``start`` with a group other than ``mt``.
+    """
+    chain = model if isinstance(model, ClassicalMarkovModel) else None
+    kinds = []
+    for g in groups:
+        if g not in FAMILIES:
+            raise BadParameter(f"unknown bound group {g!r}")
+        if groups.count(g) > 1:
+            raise BadParameter(f"bound group {g!r} is given more than once")
+        kind, name, _ = FAMILIES[g]
+        if not (isinstance(model, kind) or (kind is LindbladModel and chain is not None)):
+            raise BadParameter(f"bound group {g!r} needs a {name} model")
+        kinds.append(kind)
+    if start != 0.0 and set(groups) - {"mt"}:
+        raise BadParameter("a window start applies to the mt group alone")
+    if chain is not None and LindbladModel in kinds:
+        model = make_classical(chain)
+    rho0 = None
+    if not isinstance(model, ClassicalMarkovModel):
+        rho0 = as_density_matrix(state0)
+        rho0.setflags(write=False)
+        if observable is not None and not isinstance(observable, JumpCountObservable):
+            observable = linalg.require_hermitian(observable, "observable")
+    families = []
+    for g, kind in zip(groups, kinds):
+        obs = observable  # None gives a family no TUR row
+        if isinstance(obs, JumpCountObservable) and kind is not LindbladModel:
+            obs = None
+        elif kind is ClassicalMarkovModel and obs is not None:
+            obs = np.diag(obs).real
+        families.append((FAMILIES[g][2], obs))
+    sw = _Sweep(model, chain, rho0, start, steps)
+    out: list[tuple[float, BoundReport]] = []
+    for t in times:
+        point = _TimePoint(sw, t)
+        for build, obs in families:
+            out.extend((t, report) for report in build(point, obs))
+    return out
+
+
+def _row(kind: str, model, state0, tau: float, observable=None, **options) -> BoundReport:
+    """The ``kind`` report of a one-point sweep of its group at ``tau``."""
+    for _, report in sweep(model, state0, [tau], [kind.split("-", 1)[1]], observable, **options):
+        if report.kind == kind:
+            return report
+    raise BadParameter(f"no {kind} row for observable {observable!r}")

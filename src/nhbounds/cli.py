@@ -40,21 +40,12 @@ from .models import (
 )
 from .propagation import (
     LindbladModel,
-    NonHermitianModel,
     _require_key,
     evolve_lindblad,
     jump_count_moments,
     trajectory_ensemble,
 )
 from .states import DensityOperator, StateVector
-
-GROUPS = {
-    "ml": ("fid-ml", "qsl-ml", "qsl-ml-simple", "tur-ml"),
-    "mt": ("fid-mt", "qsl-mt", "tur-mt", "energy-time"),
-    "ml-open": ("fid-ml-open", "qsl-ml-open", "tur-ml-open"),
-    "mt-open": ("fid-mt-open", "qsl-mt-open", "tur-mt-open"),
-    "classical": ("qsl-classical", "tur-classical"),
-}
 
 CSV_COLUMNS = ["t", "bound", "lhs", "rhs", "slack", "applicable", "cond_failures", "quad_err"]
 
@@ -144,10 +135,8 @@ def _level(spec: str, dim: int) -> int:
 
 
 def _parse_observable(spec: str | None, dim: int):
-    if spec is None or spec == f"proj:{dim - 1}" or spec == "proj:last":
-        out = np.zeros((dim, dim), dtype=complex)
-        out[dim - 1, dim - 1] = 1.0
-        return out
+    if spec is None or spec == "proj:last":
+        spec = f"proj:{dim - 1}"
     if spec.startswith("proj:"):
         k = _level(spec, dim)
         out = np.zeros((dim, dim), dtype=complex)
@@ -184,41 +173,6 @@ def _report_row(t: float, report: bnd.BoundReport) -> dict:
     }
 
 
-def _sub_row(t: float, kind: str, sub: dict, quad_err=None) -> dict:
-    lhs, rhs = float(sub["lhs"]), float(sub["rhs"])
-    return {
-        "t": _fmt(float(t)),
-        "bound": kind,
-        "lhs": _fmt(lhs),
-        "rhs": _fmt(rhs),
-        "slack": _fmt(lhs - rhs),
-        "applicable": _fmt(bool(sub.get("applicable", True))),
-        "cond_failures": "",
-        "quad_err": _fmt(float(quad_err)) if quad_err is not None else "",
-    }
-
-
-def _rows_for_group(group: str, point: bnd._TimePoint, obs, chain) -> list[dict]:
-    """The CSV rows of one bound group at one time point, in group order."""
-    t = point.tau
-    if group in ("ml-open", "mt-open"):
-        build = bnd._ml_open_rows if group == "ml-open" else bnd._mt_open_rows
-        return [_report_row(t, r) for r in build(point, obs)]
-    tur = () if isinstance(obs, bnd.JumpCountObservable) else (obs,)
-    if group == "classical":
-        reports = bnd._classical_rows(chain, t, *(np.diag(o).real for o in tur))
-    else:
-        reports = (bnd._ml_rows if group == "ml" else bnd._mt_rows)(point, *tur)
-    rows: list[dict] = []
-    for r in reports:
-        rows.append(_report_row(t, r))
-        if r.kind == "qsl-ml":
-            rows.append(_sub_row(t, "qsl-ml-simple", r.params["simple"]))
-        elif r.kind == "tur-mt":
-            rows.append(_sub_row(t, "energy-time", r.params["energy_time"]))
-    return rows
-
-
 def _require_finite(args, *flags: str) -> None:
     """Reject a non-finite value of any of the float ``flags`` that was given."""
     for flag in flags:
@@ -232,22 +186,7 @@ def _run_check(args) -> int:
     _require_key("seed", args.seed)
     model, initial = _load_model(args.model)
     state = _parse_state(args.state, model, initial)
-    chain = model if isinstance(model, ClassicalMarkovModel) else None
-    if chain is not None:
-        model = make_classical(chain)
-
     groups = [g.strip() for g in args.bounds.split(",") if g.strip()]
-    for g in groups:
-        if g not in GROUPS:
-            raise SimulationError(f"unknown bound group {g!r}")
-        if groups.count(g) > 1:
-            raise SimulationError(f"bound group {g!r} is given more than once")
-        if g in ("ml", "mt") and not isinstance(model, NonHermitianModel):
-            raise SimulationError(f"bound group {g!r} needs a nonhermitian model")
-        if g in ("ml-open", "mt-open") and not isinstance(model, LindbladModel):
-            raise SimulationError(f"bound group {g!r} needs a lindblad or classical model")
-        if g == "classical" and chain is None:
-            raise SimulationError("bound group 'classical' needs a classical model")
 
     n = int(args.steps)
     if n < 1 or args.t_final <= 0:
@@ -255,23 +194,19 @@ def _run_check(args) -> int:
     times = [args.t_final * (k + 1) / n for k in range(n)]
     if times[0] <= 0:  # t_final / n underflowed to 0
         raise SimulationError("time grid must be strictly positive")
-    window = None
-    if args.tau1 is not None or args.tau2 is not None:
+    window = args.tau1 is not None or args.tau2 is not None
+    if window:
+        if "mt" not in groups:
+            raise BadParameter("--tau1/--tau2 set a window of the mt group; add mt to --bounds")
         if args.tau1 is None or args.tau2 is None or not 0 <= args.tau1 < args.tau2:
             raise SimulationError("--tau1/--tau2 must satisfy 0 <= tau1 < tau2")
-        window = (args.tau1, args.tau2)
 
-    observable = _parse_observable(args.observable, model.dim)
-    rows: list[dict] = []
-    for t in times:
-        point = bnd._TimePoint(model, state, t, steps=args.quad_panels)
-        for g in groups:
-            rows.extend(_rows_for_group(g, point, observable, chain))
-    if window is not None:
-        point = bnd._TimePoint(model, state, window[1], window[0], args.quad_panels)
-        for g in groups:
-            if g == "mt":
-                rows.extend(_rows_for_group(g, point, observable, chain))
+    observable = _parse_observable(args.observable, state.dim)
+    reports = bnd.sweep(model, state, times, groups, observable, steps=args.quad_panels)
+    if window:
+        reports += bnd.sweep(model, state, [args.tau2], ["mt"], observable,
+                             start=args.tau1, steps=args.quad_panels)
+    rows = [_report_row(t, r) for t, r in reports]
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -384,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk = sub.add_parser("check", help="run a bound sweep over a time grid")
     chk.add_argument("--model", required=True, help="model JSON path or builtin:name?k=v")
     chk.add_argument("--state", default=None, help="plus | maxmixed | basis:K | JSON")
-    chk.add_argument("--bounds", default="ml,mt", help="comma list: ml,mt,ml-open,mt-open,classical")
+    chk.add_argument("--bounds", default="ml,mt", help="comma list: " + ",".join(bnd.FAMILIES))
     chk.add_argument("--t-final", type=float, required=True)
     chk.add_argument("--steps", type=int, required=True)
     chk.add_argument("--tau1", type=float, default=None)

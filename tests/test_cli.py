@@ -340,6 +340,24 @@ class TestCheckCommand:
         assert "'ml' is given more than once" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model, bounds", [
+        ("builtin:random-commuting?dim=2&seed=1", "ml"),
+        ("builtin:dephasing?gamma=1.0", "ml-open,mt-open"),
+    ])
+    def test_window_without_mt_exits_two(self, tmp_path, capsys, model, bounds):
+        """A --tau1/--tau2 window belongs to the mt group; without it the
+        window would be ignored, so the run stops and names the flags."""
+        out = tmp_path / "x.csv"
+        code = cli.main([
+            "check", "--model", model, "--state", "plus", "--bounds", bounds,
+            "--t-final", "1", "--steps", "1", "--tau1", "0.1", "--tau2", "0.3",
+            "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--tau1/--tau2" in err and "--bounds" in err
+        assert not out.exists()
+
     def test_unknown_model_file_exits_two(self, tmp_path, capsys):
         code = cli.main(
             [

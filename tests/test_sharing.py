@@ -1,6 +1,8 @@
-"""One evaluation per time point: a ``bounds._TimePoint`` serves every row
-builder with one ML evaluation, one normalized path, one Lindblad state,
-one fidelity and one set of jump-count moments, and the work it saves."""
+"""One evaluation per sweep and per time point: ``bounds.sweep`` checks the
+model and validates the state and observable once, a ``bounds._TimePoint``
+serves every row builder with one ML evaluation, one normalized path, one
+Lindblad state, one fidelity and one set of jump-count moments, and the
+public row functions are one-point sweeps that match its rows bit for bit."""
 
 from collections import Counter
 
@@ -16,6 +18,7 @@ from nhbounds import (
     fid_ml,
     fid_ml_open,
     make_dephasing,
+    make_refrigerator,
     normalized_overlap,
     open_overlap,
     pure_density,
@@ -24,12 +27,13 @@ from nhbounds import (
     random_density,
     random_diagonal_jump_lindblad,
     random_pure_state,
+    sweep,
     tur_ml_open,
     tur_mt_open,
 )
 from nhbounds import bounds as bnd
 from nhbounds import cli, linalg, metrics
-from nhbounds.errors import SimulationError
+from nhbounds.errors import BadParameter, SimulationError
 from nhbounds.states import as_density_matrix
 
 PATH_FIELDS = ("integral", "quad_err", "rho1", "rho2", "tr1", "tr2", "overlap")
@@ -58,6 +62,12 @@ def count_calls(monkeypatch, *names):
     return counts
 
 
+def time_point(model, state, tau):
+    """A one-point sweep's time point, for calling the row builders directly."""
+    rho0 = as_density_matrix(state)
+    return bnd._TimePoint(bnd._Sweep(model, None, rho0, 0.0, bnd.DEFAULT_QUAD_STEPS), tau)
+
+
 @pytest.fixture
 def closed_case():
     return random_commuting(3, 7, gamma_scale=0.8), random_pure_state(3, 8)
@@ -68,9 +78,18 @@ def test_rows_of_a_time_point_share_one_path(closed_case, monkeypatch):
     model, psi = closed_case
     counts = count_calls(monkeypatch, "_mt_path", "propagator")
     obs = np.diag([0.0, 0.0, 1.0]).astype(complex)
-    point = bnd._TimePoint(model, psi, 0.9)
+    point = time_point(model, psi, 0.9)
     for build in (bnd._ml_rows, bnd._mt_rows, bnd._ml_rows, bnd._mt_rows):
         build(point, obs)
+    assert counts == {"_mt_path": 1, "propagator": 1}
+
+
+def test_groups_of_a_sweep_point_share_one_path(closed_case, monkeypatch):
+    """The sweep-level twin: both closed groups of one sweep time point read
+    one path and one propagator."""
+    model, psi = closed_case
+    counts = count_calls(monkeypatch, "_mt_path", "propagator")
+    sweep(model, psi, [0.9], ["ml", "mt"], np.diag([0.0, 0.0, 1.0]).astype(complex))
     assert counts == {"_mt_path": 1, "propagator": 1}
 
 
@@ -186,10 +205,28 @@ def test_lindblad_state_shared_by_the_open_rows(monkeypatch):
     monkeypatch.setattr(
         metrics, "fidelity", lambda *a: counts.update(["fidelity"]) or fidelity(*a)
     )
-    point = bnd._TimePoint(model, psi, 0.6)
+    point = time_point(model, psi, 0.6)
     for obs in (np.diag([0.0, 1.0]).astype(complex), JumpCountObservable()):
         bnd._ml_open_rows(point, obs)
         bnd._mt_open_rows(point, obs)
+    assert counts == {
+        "_evolve_lindblad": 1, "_mt_path": 1, "_jump_count_moments": 1, "fidelity": 1,
+    }
+
+
+def test_open_groups_of_a_sweep_point_share_one_lindblad_state(monkeypatch):
+    """The sweep-level twin: both open groups of one sweep time point read
+    one path, one Lindblad state, one fidelity and one set of moments."""
+    model = make_dephasing(0.7)
+    psi = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
+    counts = count_calls(
+        monkeypatch, "_evolve_lindblad", "_mt_path", "_jump_count_moments"
+    )
+    fidelity = metrics.fidelity
+    monkeypatch.setattr(
+        metrics, "fidelity", lambda *a: counts.update(["fidelity"]) or fidelity(*a)
+    )
+    sweep(model, psi, [0.6], ["ml-open", "mt-open"], JumpCountObservable())
     assert counts == {
         "_evolve_lindblad": 1, "_mt_path": 1, "_jump_count_moments": 1, "fidelity": 1,
     }
@@ -291,12 +328,13 @@ def test_work_count_closed_ml(tmp_path, monkeypatch):
 
 
 def test_work_count_open_ml(tmp_path, monkeypatch):
-    """One commutator check per time point (three without the sharing)."""
+    """One commutator check and one ground energy per sweep (one of each per
+    time point without the per-sweep terms, three without any sharing)."""
     counts = run_check(tmp_path, monkeypatch, [
         "--model", "builtin:refrigerator?beta2=1.05&beta3=0.9", "--state", "plus",
         "--bounds", "ml-open", "--t-final", "1.0", "--steps", "4",
-    ], names=("commutator_check",))
-    assert counts == {"commutator_check": 4}
+    ], names=("commutator_check", "ground_energy"))
+    assert counts == {"commutator_check": 1, "ground_energy": 1}
 
 
 @pytest.mark.parametrize("argv, parsed", [
@@ -317,3 +355,90 @@ def test_states_validated_once_at_the_boundary(tmp_path, monkeypatch, argv, pars
     )
     run_check(tmp_path, monkeypatch, [*argv, "--t-final", "1.0", "--steps", "8"], names=())
     assert len(built) == parsed
+
+
+def fridge():
+    return make_refrigerator(1.0, 1.0, 1.0, 1.0, 1.05, 0.9)
+
+
+def chain():
+    return ClassicalMarkovModel(np.array([[0.0, 1.0, 0.5], [2.0, 0.0, 1.0], [0.3, 1.0, 0.0]]),
+                                np.array([0.5, 0.3, 0.2]))
+
+
+def rows_by_kind(pairs):
+    return {report.kind: report for _, report in pairs}
+
+
+@pytest.mark.parametrize("case", ["closed-window", "refrigerator-projector",
+                                  "refrigerator-jump-count", "classical"])
+def test_public_rows_equal_sweep_rows(case):
+    """Each public row function is the matching row of a one-point sweep,
+    bit for bit (``repr`` compares every float exactly, NaN included), and
+    the ``qsl-ml-simple`` and ``energy-time`` rows repeat the params their
+    parent rows carry."""
+    tau = 0.9
+    if case == "closed-window":
+        model, psi = random_commuting(3, 7, gamma_scale=0.8), random_pure_state(3, 8)
+        obs, tau1, steps = np.diag([0.0, 0.0, 1.0]).astype(complex), 0.2, 40
+        swept = rows_by_kind(sweep(model, psi, [tau], ["ml"], obs))
+        swept.update(rows_by_kind(sweep(model, psi, [tau], ["mt"], obs, start=tau1, steps=steps)))
+        public = [bnd.fid_ml(model, psi, tau), bnd.qsl_ml(model, psi, tau),
+                  bnd.tur_ml(model, psi, tau, obs), bnd.fid_mt(model, psi, tau1, tau, steps),
+                  bnd.qsl_mt(model, psi, tau1, tau, steps),
+                  bnd.tur_mt(model, psi, tau1, tau, obs, steps)]
+    elif case == "classical":
+        values = np.array([0.0, 1.0, 3.0])
+        model = chain()
+        swept = rows_by_kind(sweep(model, None, [tau], ["classical"], np.diag(values)))
+        public = [bnd.qsl_classical(model, tau), bnd.tur_classical(model, tau, values)]
+    else:
+        model, psi = fridge(), StateVector(np.ones(3) / np.sqrt(3.0))
+        obs = (JumpCountObservable() if case.endswith("jump-count")
+               else np.diag([0.0, 0.0, 1.0]).astype(complex))
+        swept = rows_by_kind(sweep(model, psi, [tau], ["ml-open", "mt-open"], obs))
+        public = [bnd.fid_ml_open(model, psi, tau), bnd.qsl_ml_open(model, psi, tau),
+                  bnd.tur_ml_open(model, psi, tau, obs), bnd.fid_mt_open(model, psi, tau),
+                  bnd.qsl_mt_open(model, psi, tau), bnd.tur_mt_open(model, psi, tau, obs)]
+    for report in public:
+        assert repr(report) == repr(swept[report.kind])
+    assert len(swept) == len(public) + 2 * (case == "closed-window")  # the sub-rows
+    if case == "closed-window":
+        simple, row = swept["qsl-ml"].params["simple"], swept["qsl-ml-simple"]
+        assert (row.lhs, row.rhs, row.applicable) == (
+            simple["lhs"], simple["rhs"], simple["applicable"])
+        et, row = swept["tur-mt"].params["energy_time"], swept["energy-time"]
+        assert (row.lhs, row.rhs, row.slack) == (et["lhs"], et["rhs"], et["slack"])
+
+
+def test_sweep_rows_in_csv_order():
+    """Time by time, group by group, the sub-rows after their parents, and
+    the classical chain embedded for the open groups."""
+    kinds = [(t, r.kind) for t, r in sweep(
+        chain(), DensityOperator(np.diag([0.5, 0.3, 0.2]).astype(complex)), [0.5, 1.0],
+        ["classical", "ml-open"], np.diag([0.0, 1.0, 3.0]).astype(complex),
+    )]
+    per_point = ["qsl-classical", "tur-classical", "fid-ml-open", "qsl-ml-open", "tur-ml-open"]
+    assert kinds == [(t, k) for t in (0.5, 1.0) for k in per_point]
+    closed = [r.kind for _, r in sweep(random_commuting(2, 1), StateVector(np.ones(2)), [0.5],
+                                       ["mt", "ml"], np.eye(2))]
+    assert closed == ["fid-mt", "qsl-mt", "tur-mt", "energy-time",
+                      "fid-ml", "qsl-ml", "qsl-ml-simple", "tur-ml"]
+
+
+@pytest.mark.parametrize("model, groups, options, message", [
+    ("closed", ["ml", "bogus"], {}, "unknown bound group 'bogus'"),
+    ("closed", ["mt", "ml", "mt"], {}, "bound group 'mt' is given more than once"),
+    ("closed", ["ml-open"], {}, "'ml-open' needs a lindblad or classical model"),
+    ("lindblad", ["mt"], {}, "'mt' needs a nonhermitian model"),
+    ("lindblad", ["classical"], {}, "'classical' needs a classical model"),
+    ("chain", ["ml"], {}, "'ml' needs a nonhermitian model"),
+    ("closed", ["mt", "ml"], {"start": 0.1}, "applies to the mt group alone"),
+    ("lindblad", ["mt-open"], {"start": 0.1}, "applies to the mt group alone"),
+])
+def test_sweep_rejects_groups_the_model_cannot_serve(model, groups, options, message):
+    """Checked before the state is read, so any state will do."""
+    model = {"closed": random_commuting(2, 1), "lindblad": make_dephasing(1.0),
+             "chain": chain()}[model]
+    with pytest.raises(BadParameter, match=message):
+        sweep(model, None, [0.5], groups, **options)
