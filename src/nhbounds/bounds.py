@@ -25,11 +25,13 @@ flip ``applicable`` instead of raising.
 
 Every row comes from :func:`sweep`, which evaluates bound groups along a
 time grid; each public row function is a one-point sweep.  A sweep does the
-model checks and converts the state and observable once; each time point is
-one ``_TimePoint`` (ML propagator, MT path, Lindblad state, fidelity,
-jump-count moments), each part computed at most once, on first use, and
-read by every row of that time point.  Sweeps, and so public calls, share
-nothing.
+model checks and converts the state and observable once, and evaluates each
+part (ML propagators, MT paths, Lindblad states, fidelities, observable
+statistics, jump-count moments, chain distributions) as one stack over the
+whole grid: one stacked exponential per part, and one adaptive quadrature
+for all MT windows.  Each stack is computed at most once, on first use, and
+indexed by every row of every time point.  Sweeps, and so public calls,
+share nothing.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .propagation import (
     _evolve_lindblad,
     _jump_count_moments,
     _normalized_density,
+    _propagator_stack,
     _propagators,
     propagator,
 )
@@ -169,25 +172,26 @@ def normalized_overlap(
 
 
 # ---------------------------------------------------------------------------
-# one time point
+# one sweep's stacks
 
 
 @dataclass(eq=False, frozen=True)
-class _MLPoint:
-    """What the ML rows read at one time point.
+class _MLStack:
+    """What the ML rows read at the times of a sweep.
 
-    ``m``: the propagator M to tau; only the closed rows normalize its
-    state, so the open rows give numbers where that state would underflow.
-    ``overlap``: |Tr[M rho0]|.  ``params``: the terms of the floor; each row
-    copies them before adding its own keys.  The open family reads this on
-    ``no_jump_model()``, whose Gamma is half the jump-rate operator: there
-    ``floor_raw`` is the open floor exp(-activity*tau/2) - tau(<H_S> - E_g)
-    and ``overlap`` is the record overlap.
+    ``mats``: the propagators M to each time; only the closed rows normalize
+    their states, so the open rows give numbers where a state would
+    underflow.  ``overlaps``: |Tr[M rho0]|.  ``params``: the terms of each
+    time's floor; each row copies them before adding its own keys.  The open
+    family reads this on ``no_jump_model()``, whose Gamma is half the
+    jump-rate operator: there ``floor_raw`` is the open floor
+    exp(-activity*tau/2) - tau(<H_S> - E_g) and ``overlaps`` are the record
+    overlaps.
     """
 
-    m: np.ndarray
-    overlap: float
-    params: dict
+    mats: np.ndarray
+    overlaps: list[float]
+    params: list[dict]
 
 
 @dataclass(eq=False, frozen=True)
@@ -224,47 +228,67 @@ def _path_at(model: NonHermitianModel, rho0: np.ndarray, times: np.ndarray, max_
     return mats, rho, tr, metrics.generalized_std(gen, rho)
 
 
+def _path_nodes(model: NonHermitianModel, rho0: np.ndarray, segments, max_steps, ends=()):
+    """The generalized std at every time of ``segments`` (one sorted time
+    array per MT window), concatenated, and the propagators, normalized
+    states and traces at the flat indices ``ends``.
+
+    A constant generator evaluates all segments as one stack, in calls of at
+    most ``linalg._STACK_BUDGET`` matrix entries.  A time-dependent one takes
+    each segment through its own running product at its window's step
+    length ``max_steps``, so no window's nodes depend on the others.
+    """
+    flat = np.concatenate(segments)
+    if model.is_time_dependent:
+        cuts = np.cumsum([0, *map(len, segments)])
+        calls = [(slice(i, j), h) for i, j, h in zip(cuts[:-1], cuts[1:], max_steps)]
+    else:
+        calls = [(s, 0.0) for s in linalg._stack_slices(flat.size, model.dim)]
+    ends = np.asarray(ends, dtype=int)
+    std = np.empty(flat.size)
+    kept = []
+    for s, h in calls:
+        mats, rho, tr, std[s] = _path_at(model, rho0, flat[s], h)
+        at = ends[(ends >= s.start) & (ends < s.stop)] - s.start
+        kept.append((mats[at], rho[at], tr[at]))
+    return std, [np.concatenate(part) for part in zip(*kept)]
+
+
 def _kronrod_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The 15 Kronrod nodes of each interval [a, b], one row per interval."""
     return (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _K15_X
 
 
-def _mt_path(
-    model: NonHermitianModel, rho0: np.ndarray, t1: float, t2: float, steps: int
-) -> _MTPath:
-    """Integrate the generalized std along the normalized trajectory by
-    adaptive G7/K15 quadrature (QUADPACK's QAG).
+def _generator_norm(model: NonHermitianModel, t: float) -> float:
+    """The 1-norm of the full generator at t."""
+    return float(np.abs(model.full_generator(t)).sum(axis=0).max())
 
-    ``steps`` is a minimum node count: [t1, t2] starts as ceil(steps / 15)
-    equal intervals.  Each round evaluates the nodes of all its intervals,
-    in the first round with t1 and t2, through one :func:`_propagators` call,
-    and bisects every interval whose estimate (QUADPACK's qk15, floored at
-    50 eps (|K| + (b - a) ||G||_1)) exceeds both its share (b - a)/(t2 - t1)
-    of ``_QUAD_RTOL`` max(1, |integral|) and the std's own round-off near an
-    eigenstate.  ``quad_err`` sums the accepted estimates.
 
-    Raises:
-        QuadratureDiverged: when refinement needs more than ``_MAX_SPLITS``
-            bisections.
-    """
-    if steps < 1:
-        raise BadParameter("quadrature steps must be a positive integer")
-    if not 0 <= t1 <= t2:
-        raise BadParameter("need 0 <= t1 <= t2")
-    n = -(-int(steps) // 15) if t2 > t1 else 0
-    edges = np.linspace(t1, t2, n + 1)
-    a, b = edges[:-1], edges[1:]
-    max_step = t2 / DEFAULT_TD_STEPS
-    ends = np.array([t1, t2])
-    mats, rho, tr, std = _path_at(
-        model, rho0, np.insert(ends, 1, _kronrod_times(a, b).ravel()), max_step
-    )
-    f = std[1:-1].reshape(n, 15)
-    gnorm = max(float(np.abs(model.full_generator(t)).sum(axis=0).max()) for t in ends)
-    dv = 16.0 * _EPS * gnorm**2
-    integral = err = 0.0
-    splits = 0
-    while n:
+class _Window:
+    """One MT window [t1, t2] under refinement: its pending intervals
+    [``a``, ``b``], running ``integral`` and ``err``, and bisection count."""
+
+    def __init__(self, t1: float, t2: float, n: int, gnorm: float):
+        edges = np.linspace(t1, t2, n + 1)
+        self.t1, self.t2, self.a, self.b = t1, t2, edges[:-1], edges[1:]
+        self.max_step = t2 / DEFAULT_TD_STEPS
+        self.gnorm, self.dv = gnorm, 16.0 * _EPS * gnorm**2
+        self.integral = self.err = 0.0
+        self.splits = 0
+
+    def nodes(self) -> np.ndarray:
+        return _kronrod_times(self.a, self.b).ravel()
+
+    def refine(self, f: np.ndarray) -> None:
+        """Accept each pending interval whose estimate is small enough, given
+        the std ``f`` at its Kronrod nodes (one row per interval), and
+        bisect the others.
+
+        Raises:
+            QuadratureDiverged: when the window needs more than
+                ``_MAX_SPLITS`` bisections.
+        """
+        a, b, gnorm, dv = self.a, self.b, self.gnorm, self.dv
         h = 0.5 * (b - a)
         kron = h * (f @ _K15_W)
         diff = np.abs(kron - h * (f[:, 1::2] @ _G7_W))
@@ -274,40 +298,134 @@ def _mt_path(
             noise = h * (np.minimum(math.sqrt(dv), dv / (2.0 * f)) @ _K15_W)
         floor = 50.0 * _EPS * (np.abs(kron) + (b - a) * gnorm)
         est = np.maximum(est, floor)
-        share = (b - a) / (t2 - t1) * _QUAD_RTOL * max(1.0, abs(integral + kron.sum()))
+        share = (b - a) / (self.t2 - self.t1) * _QUAD_RTOL * max(1.0, abs(self.integral + kron.sum()))
         done = (est <= share) | (est <= np.maximum(floor, noise))
-        integral += float(kron[done].sum())
-        err += float(est[done].sum())
+        self.integral += float(kron[done].sum())
+        self.err += float(est[done].sum())
         a, b = a[~done], b[~done]
-        n = a.size
-        if not n:
+        if a.size:
+            self.splits += a.size
+            if self.splits > _MAX_SPLITS:
+                raise QuadratureDiverged(
+                    f"quadrature diverged: the MT integral over [{self.t1!r}, {self.t2!r}] needs "
+                    f"more than {_MAX_SPLITS} bisections"
+                )
+            mid = 0.5 * (a + b)
+            a, b = np.stack([a, mid], axis=1).ravel(), np.stack([mid, b], axis=1).ravel()
+        self.a, self.b = a, b
+
+
+def _mt_paths(
+    model: NonHermitianModel, rho0: np.ndarray, t1: float, t2s, steps: int
+) -> list[_MTPath]:
+    """Integrate the generalized std along the normalized trajectory over
+    each window [t1, t2] of ``t2s`` by adaptive G7/K15 quadrature
+    (QUADPACK's QAG), all windows together.
+
+    ``steps`` is a minimum node count: each window starts as
+    ceil(steps / 15) equal intervals.  Each round evaluates the nodes of
+    every pending interval of every window, in the first round with t1 and
+    each t2, through one :func:`_path_nodes` call, and bisects every
+    interval whose estimate (QUADPACK's qk15, floored at
+    50 eps (|K| + (b - a) ||G||_1)) exceeds both its share (b - a)/(t2 - t1)
+    of ``_QUAD_RTOL`` max(1, |integral|) of its window and the std's own
+    round-off near an eigenstate.  Each window keeps its own integral,
+    ``quad_err`` (the sum of its accepted estimates) and bisection count.
+
+    Raises:
+        QuadratureDiverged: when a window's refinement needs more than
+            ``_MAX_SPLITS`` bisections.
+    """
+    if steps < 1:
+        raise BadParameter("quadrature steps must be a positive integer")
+    if not all(0 <= t1 <= t2 for t2 in t2s):
+        raise BadParameter("need 0 <= t1 <= t2")
+    n = -(-int(steps) // 15)
+    if model.is_time_dependent:
+        gnorms = [max(_generator_norm(model, t1), _generator_norm(model, t2)) for t2 in t2s]
+    else:
+        gnorms = [_generator_norm(model, t1)] * len(t2s)
+    windows = [_Window(t1, t2, n if t2 > t1 else 0, g) for t2, g in zip(t2s, gnorms)]
+    segments = [np.insert(np.array([t1, w.t2]), 1, w.nodes()) for w in windows]
+    lens = np.array([len(seg) for seg in segments])
+    offsets = np.cumsum(lens) - lens
+    std, (mats, rho, tr) = _path_nodes(model, rho0, segments, [w.max_step for w in windows],
+                                       np.stack([offsets, offsets + lens - 1], axis=1).ravel())
+    rho.setflags(write=False)
+    pending = [(w, std[o + 1:o + m - 1].reshape(-1, 15))
+               for w, o, m in zip(windows, offsets, lens) if w.a.size]
+    while pending:
+        for w, f in pending:
+            w.refine(f)
+        live = [w for w, _ in pending if w.a.size]
+        if not live:
             break
-        splits += n
-        if splits > _MAX_SPLITS:
-            raise QuadratureDiverged(
-                f"quadrature diverged: the MT integral over [{t1!r}, {t2!r}] needs more "
-                f"than {_MAX_SPLITS} bisections"
-            )
-        mid = 0.5 * (a + b)
-        a, b = np.stack([a, mid], axis=1).ravel(), np.stack([mid, b], axis=1).ravel()
-        f = _path_at(model, rho0, _kronrod_times(a, b).ravel(), max_step)[3].reshape(-1, 15)
-    rho1, rho2 = rho[0].copy(), rho[-1].copy()
-    rho1.setflags(write=False)
-    rho2.setflags(write=False)
-    overlap = abs(complex(np.trace(linalg.dag(mats[0]) @ mats[-1] @ rho0)))
-    return _MTPath(integral, err, rho1, rho2, float(tr[0]), float(tr[-1]), overlap)
+        nodes = [w.nodes() for w in live]
+        std = _path_nodes(model, rho0, nodes, [w.max_step for w in live])[0].reshape(-1, 15)
+        pending = list(zip(live, np.split(std, np.cumsum([len(x) // 15 for x in nodes])[:-1])))
+    return [
+        _MTPath(w.integral, w.err, rho[2 * k], rho[2 * k + 1], float(tr[2 * k]),
+                float(tr[2 * k + 1]),
+                abs(complex(np.trace(linalg.dag(mats[2 * k]) @ mats[2 * k + 1] @ rho0))))
+        for k, w in enumerate(windows)
+    ]
+
+
+def _scaled_ratios(start, end) -> list[tuple[float, dict]]:
+    """Squared mean-change-over-total-spread ratio of a Hermitian observable
+    from each start state to each end state, given the ``(means, stds)`` of
+    both from :func:`metrics._observable_stats`; one start serves every end.
+
+    Raises:
+        DegenerateObservable: when both spreads vanish but the means differ
+            (the ratio is infinite).
+    """
+    out = []
+    for mean_a, std_a, mean_b, std_b in np.broadcast(*start, *end):
+        mean_a, std_a, mean_b, std_b = float(mean_a), float(std_a), float(mean_b), float(std_b)
+        dm = mean_b - mean_a
+        ds = std_b + std_a
+        info = {"mean_start": mean_a, "mean_end": mean_b, "std_start": std_a, "std_end": std_b}
+        if ds <= 0.0:
+            if abs(dm) <= 1e-14:
+                out.append((0.0, info))
+                continue
+            raise DegenerateObservable("zero spread at both times with distinct means")
+        out.append(((dm / ds) ** 2, info))
+    return out
+
+
+def _count_ratio(mean: float, var: float) -> tuple[float, dict]:
+    """The squared scaled ratio of the exact jump-count moments."""
+    if var <= 0.0:
+        ratio_sq = 0.0 if abs(mean) <= 1e-14 else float("inf")
+    else:
+        ratio_sq = mean**2 / var
+    return ratio_sq, {"jump_count": {"mean": mean, "var": var}}
 
 
 class _Sweep:
-    """What every time point of one sweep shares: the quantum ``model`` (a
-    chain's embedding where an open group needs one), the ``closed`` model
-    the ML and MT rows read, the ``chain``, the read-only initial state
-    ``rho0``, the MT window ``start`` and node count ``steps``, and the
-    ML floor's model checks and initial-state terms, taken on first use."""
+    """One sweep's evaluation, read by all of its rows.
 
-    def __init__(self, model, chain, rho0, start: float, steps: int):
-        self.model, self.chain, self.rho0, self.start, self.steps = model, chain, rho0, start, steps
+    ``model`` is the quantum model (a chain's embedding where an open group
+    needs one), ``closed`` the model the ML and MT rows read, ``chain`` the
+    classical chain, ``rho0`` the read-only initial state, ``times`` the
+    grid, and ``start`` and ``steps`` the MT window start and node count.
+    ``observable`` is the sweep's observable, validated; ``matrix`` is what
+    the ML and MT families read of it (None for a jump count) and
+    ``values`` what the classical family reads (its diagonal).
+
+    Every other attribute is a stack over ``times`` or a per-sweep term,
+    computed at most once, on first use, by stacked calls, and indexed by the
+    row builders, so a family pays only for what it reads.
+    """
+
+    def __init__(self, model, chain, rho0, times, observable, start: float, steps: int):
+        self.model, self.chain, self.rho0, self.times = model, chain, rho0, list(times)
+        self.observable, self.start, self.steps = observable, start, steps
         self.closed = model.no_jump_model() if isinstance(model, LindbladModel) else model
+        self.matrix = None if isinstance(observable, JumpCountObservable) else observable
+        self.values = None if self.matrix is None else np.diag(self.matrix).real
 
     @functools.cached_property
     def ml_terms(self) -> dict:
@@ -321,98 +439,121 @@ class _Sweep:
                 "mean_gamma": _expectation(model.gamma, rho0),
                 "ground_energy": ground_energy(model.h), "commutator_norm": norm}
 
-
-class _TimePoint:
-    """The one evaluation of a sweep at time ``tau`` that every row reads.
-
-    ``ml`` is taken at ``tau`` and ``mt`` over [``sweep.start``, ``tau``],
-    both on ``sweep.closed``.  ``lindblad`` is the Lindblad state at
-    ``tau``, ``fidelity`` its fidelity to the initial state, and
-    ``jump_count`` the exact mean and variance of the jump count.  Each part
-    is computed at most once, on first use, so a family pays only for what
-    it reads.
-    """
-
-    def __init__(self, sweep: _Sweep, tau: float):
-        self.sweep, self.tau = sweep, tau
-
     @functools.cached_property
-    def ml(self) -> _MLPoint:
-        sw, tau = self.sweep, self.tau
-        terms = sw.ml_terms
-        m = propagator(sw.closed, tau)  # raises for a negative tau
-        m.setflags(write=False)
+    def ml(self) -> _MLStack:
+        terms = self.ml_terms
+        mats = _propagator_stack(self.closed, self.times)  # raises for a negative time
+        mats.setflags(write=False)
         de = terms["mean_h"] - terms["ground_energy"]
-        raw = math.exp(-terms["mean_gamma"] * tau) - tau * de
-        return _MLPoint(m, abs(complex(np.trace(m @ sw.rho0))),
-                        {"tau": tau, **terms, "floor_raw": raw})
+        overlaps = np.trace(mats @ self.rho0, axis1=-2, axis2=-1)
+        return _MLStack(mats, [abs(complex(o)) for o in overlaps], [
+            {"tau": tau, **terms, "floor_raw": math.exp(-terms["mean_gamma"] * tau) - tau * de}
+            for tau in self.times
+        ])
 
     @functools.cached_property
-    def mt(self) -> _MTPath:
-        sw = self.sweep
-        return _mt_path(sw.closed, sw.rho0, sw.start, self.tau, sw.steps)
+    def ml_states(self) -> tuple[np.ndarray, np.ndarray, list[float]]:
+        """The closed ML rows' normalized states, their traces and their
+        fidelities to ``rho0``."""
+        rho, tr = _normalized_density(self.ml.mats, self.rho0)
+        return rho, tr, metrics._fidelities(self.rho0, rho)
+
+    @functools.cached_property
+    def mt(self) -> list[_MTPath]:
+        return _mt_paths(self.closed, self.rho0, self.start, self.times, self.steps)
+
+    @functools.cached_property
+    def mt_fidelities(self) -> list[float]:
+        return metrics._fidelities(np.stack([p.rho1 for p in self.mt]),
+                                   np.stack([p.rho2 for p in self.mt]))
+
+    @functools.cached_property
+    def mt_stats(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """The observable's (means, stds) at the start and at the end of each window."""
+        return tuple(metrics._observable_stats(self.matrix, np.stack([getattr(p, name) for p in self.mt]))
+                     for name in ("rho1", "rho2"))
+
+    @functools.cached_property
+    def mt_ratios(self) -> list[tuple[float, dict]]:
+        return _scaled_ratios(*self.mt_stats)
+
+    @functools.cached_property
+    def energy_time(self) -> list[BoundReport]:
+        ends = np.stack([p.rho2 for p in self.mt])
+        return _energy_times(self.closed, ends, self.times, self.matrix, self.mt_stats[1])
+
+    @functools.cached_property
+    def start_stats(self) -> tuple[np.ndarray, np.ndarray]:
+        """The observable's (mean, std) in ``rho0``, as one-member stacks."""
+        return metrics._observable_stats(self.matrix, self.rho0[None])
+
+    @functools.cached_property
+    def ml_ratios(self) -> list[tuple[float, dict]]:
+        return _scaled_ratios(self.start_stats,
+                              metrics._observable_stats(self.matrix, self.ml_states[0]))
 
     @functools.cached_property
     def lindblad(self) -> np.ndarray:
-        return _evolve_lindblad(self.sweep.model, self.sweep.rho0, self.tau)
+        return _evolve_lindblad(self.model, self.rho0, self.times)
 
     @functools.cached_property
-    def fidelity(self) -> float:
-        return metrics.fidelity(self.sweep.rho0, self.lindblad)
+    def fidelity(self) -> list[float]:
+        return metrics._fidelities(self.rho0, self.lindblad)
 
     @functools.cached_property
-    def jump_count(self) -> tuple[float, float]:
-        return _jump_count_moments(self.sweep.model, self.sweep.rho0, self.tau)
+    def open_ratios(self) -> list[tuple[float, dict]]:
+        """The open TURs' ratio at each time, read by both open families:
+        exact jump-count moments, or a system operator's statistics in the
+        Lindblad state."""
+        if isinstance(self.observable, JumpCountObservable):
+            return [_count_ratio(*moments)
+                    for moments in _jump_count_moments(self.model, self.rho0, self.times)]
+        return _scaled_ratios(self.start_stats,
+                              metrics._observable_stats(self.matrix, self.lindblad))
 
+    @functools.cached_property
+    def classical_form(self) -> bool:
+        """Whether H_S vanishes, so the open ML TUR has the classical form."""
+        return linalg.max_abs(self.model.h_s) <= 1e-12
 
-def _scaled_ratio_sq(
-    observable: np.ndarray, rho_a: np.ndarray, rho_b: np.ndarray
-) -> tuple[float, dict]:
-    """Squared mean-change-over-total-spread ratio of a Hermitian observable
-    between the unit-trace density matrices ``rho_a`` and ``rho_b``.
+    @functools.cached_property
+    def classical(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The chain's initial and propagated distributions and its activity."""
+        chain = self.chain
+        p = chain.propagate(self.times)  # raises for a negative time
+        return chain.p0 / chain.p0.sum(), p / p.sum(axis=1, keepdims=True), chain.activity()
 
-    Raises:
-        DegenerateObservable: when both spreads vanish but the means differ
-            (the ratio is infinite).
-    """
-    s_a = metrics.observable_stats(observable, rho_a)
-    s_b = metrics.observable_stats(observable, rho_b)
-    dm = s_b.mean - s_a.mean
-    ds = s_b.std + s_a.std
-    info = {
-        "mean_start": s_a.mean,
-        "mean_end": s_b.mean,
-        "std_start": s_a.std,
-        "std_end": s_b.std,
-    }
-    if ds <= 0.0:
-        if abs(dm) <= 1e-14:
-            return 0.0, info
-        raise DegenerateObservable("zero spread at both times with distinct means")
-    return (dm / ds) ** 2, info
+    @functools.cached_property
+    def classical_ratios(self) -> list[tuple[float, dict]]:
+        p0, p1, _ = self.classical
+        if self.values.size != self.chain.n_states:
+            raise BadParameter("observable length differs from the state count")
+        op, eye = linalg.as_matrix(np.diag(self.values)), np.eye(len(p0))
+        return _scaled_ratios(*(metrics._observable_stats(op, (p[..., None] * eye).astype(complex))
+                                for p in (p0[None], p1)))
 
 
 # ---------------------------------------------------------------------------
 # closed system, mean-based (ML) family
 
 
-def _ml_rows(point: _TimePoint, observable) -> list[BoundReport]:
-    """fid-ml, qsl-ml, qsl-ml-simple and, given an observable, tur-ml at
-    ``point.tau``."""
-    ml, rho0, tau = point.ml, point.sweep.rho0, point.tau
-    rho_tau, tr_tau = _normalized_density(ml.m, rho0)
-    norm_tau = math.sqrt(tr_tau)
-    params = dict(ml.params, norm_tau=norm_tau)
+def _ml_rows(sw: _Sweep, k: int) -> list[BoundReport]:
+    """fid-ml, qsl-ml, qsl-ml-simple and, given an observable, tur-ml at the
+    ``k``-th time of ``sw``."""
+    ml, rho0, tau = sw.ml, sw.rho0, sw.times[k]
+    _, tr, fidelities = sw.ml_states
+    norm_tau = math.sqrt(tr[k])
+    params = dict(ml.params[k], norm_tau=norm_tau)
     raw, mean_g = params["floor_raw"], params["mean_gamma"]
     positive = raw > 0.0
     conditions = (("commuting_h_gamma", True), ("gamma_psd", True), ("floor_positive", positive))
     floor = raw / norm_tau
     rows = [BoundReport(
-        "fid-ml", ml.overlap / math.sqrt(np.trace(rho0).real * tr_tau), floor, True,
+        "fid-ml", ml.overlaps[k] / math.sqrt(np.trace(rho0).real * tr[k]), floor, True,
         conditions, dict(params, fidelity_floor=floor),
     )]
     de = params["mean_h"] - params["ground_energy"]
-    angle = metrics.bures_angle(rho0, rho_tau)
+    angle = metrics._fidelity_angle(fidelities[k])
     rhs = 2.0 * math.sin(angle / 2.0) ** 2
     rate_sum = de + mean_g
     simple = {
@@ -427,8 +568,8 @@ def _ml_rows(point: _TimePoint, observable) -> list[BoundReport]:
     )))
     rows.append(BoundReport("qsl-ml-simple", simple["lhs"], rhs, positive, (),
                             {"tau": tau, "weak_lhs": simple["weak_lhs"]}))
-    if observable is not None:
-        ratio_sq, stats = _scaled_ratio_sq(observable, rho0, rho_tau)
+    if sw.matrix is not None:
+        ratio_sq, stats = sw.ml_ratios[k]
         loose = {"lhs": _inv_sq_minus_one(raw), "rhs": ratio_sq, "applicable": positive}
         rows.append(BoundReport(
             "tur-ml", _inv_sq_minus_one(raw, norm_tau), ratio_sq, positive, conditions,
@@ -473,14 +614,14 @@ def tur_ml(model: NonHermitianModel, state0, tau: float, observable) -> BoundRep
 # closed system, deviation-based (MT) family
 
 
-def _mt_rows(point: _TimePoint, observable) -> list[BoundReport]:
+def _mt_rows(sw: _Sweep, k: int) -> list[BoundReport]:
     """fid-mt, qsl-mt and, given an observable, tur-mt and energy-time over
-    [``point.sweep.start``, ``point.tau``]."""
-    path, tau1, tau2 = point.mt, point.sweep.start, point.tau
+    [``sw.start``, the ``k``-th time of ``sw``]."""
+    path, tau1, tau2 = sw.mt[k], sw.start, sw.times[k]
     integral, err = path.integral, path.quad_err
     in_window = integral <= math.pi / 2.0 + WINDOW_TOL
     conditions = (("window_le_half_pi", in_window),)
-    angle = metrics.bures_angle(path.rho1, path.rho2)
+    angle = metrics._fidelity_angle(sw.mt_fidelities[k])
     if integral > 0.0:
         tau_min = angle * (tau2 - tau1) / integral
     else:
@@ -499,10 +640,10 @@ def _mt_rows(point: _TimePoint, observable) -> list[BoundReport]:
             "mean_std": integral / (tau2 - tau1) if tau2 > tau1 else 0.0,
         }),
     ]
-    if observable is not None:
-        ratio_sq, stats = _scaled_ratio_sq(observable, path.rho1, path.rho2)
+    if sw.matrix is not None:
+        ratio_sq, stats = sw.mt_ratios[k]
         inside = integral < math.pi / 2.0
-        et = _energy_time(point.sweep.model, path.rho2, tau2, observable)
+        et = sw.energy_time[k]
         rows.append(BoundReport(
             "tur-mt", math.tan(integral) ** 2 if inside else float("inf"), ratio_sq, inside,
             (("window_lt_half_pi", inside),),
@@ -545,25 +686,31 @@ def energy_time_check(model: NonHermitianModel, state0, t: float, observable) ->
     """
     obs = linalg.require_hermitian(observable, "observable")
     rho_t, _ = _normalized_density(propagator(model, t), as_density_matrix(state0))
-    return _energy_time(model, rho_t, t, obs)
+    return _energy_times(model, rho_t[None], [t], obs,
+                         metrics._observable_stats(obs, rho_t[None]))[0]
 
 
-def _energy_time(model: NonHermitianModel, rho_t: np.ndarray, t: float, obs) -> BoundReport:
-    """:func:`energy_time_check` in the normalized state ``rho_t`` at t."""
-    h, g = model.parts(t)
-    s_c = metrics.observable_stats(obs, rho_t)
-    std_gen = metrics.generalized_std(h - 1j * g, rho_t)
+def _energy_times(model: NonHermitianModel, rho: np.ndarray, times, obs, stats) -> list[BoundReport]:
+    """:func:`energy_time_check` in each normalized state of the stack ``rho``
+    at its time of ``times``, given the observable's ``(means, stds)`` there."""
+    h, g = (np.stack(part) for part in zip(*(model.parts(t) for t in times)))
+    std_gen = metrics.generalized_std(h - 1j * g, rho)
     flow = 1j * (h @ obs - obs @ h) - (obs @ g + g @ obs)
-    deriv = _expectation(flow, rho_t) + 2.0 * s_c.mean * _expectation(g, rho_t)
-    return BoundReport(
-        kind="energy-time",
-        lhs=s_c.std * std_gen,
-        rhs=abs(deriv) / 2.0,
-        applicable=True,
-        conditions=(),
-        params={"t": t, "observable_std": s_c.std, "generator_std": std_gen,
-                "mean_derivative": deriv},
-    )
+    e_flow = np.trace(flow @ rho, axis1=-2, axis2=-1).real
+    e_g = np.trace(g @ rho, axis1=-2, axis2=-1).real
+    reports = []
+    for t, mean, std, sg, ef, eg in zip(times, *stats, std_gen, e_flow, e_g):
+        std, sg = float(std), float(sg)
+        deriv = float(ef) + 2.0 * float(mean) * float(eg)
+        reports.append(BoundReport(
+            kind="energy-time",
+            lhs=std * sg,
+            rhs=abs(deriv) / 2.0,
+            applicable=True,
+            conditions=(),
+            params={"t": t, "observable_std": std, "generator_std": sg, "mean_derivative": deriv},
+        ))
+    return reports
 
 
 def tur_mt(
@@ -600,38 +747,25 @@ def open_overlap(model: LindbladModel, state0, tau: float) -> float:
     return abs(complex(np.trace(propagator(model.no_jump_model(), tau) @ rho0)))
 
 
-def _open_ratio_sq(point: _TimePoint, observable) -> tuple[float, dict]:
-    """The squared scaled ratio of an open TUR: exact jump-count moments, or
-    a system operator's statistics in the Lindblad state."""
-    if isinstance(observable, JumpCountObservable):
-        mean, var = point.jump_count
-        if var <= 0.0:
-            ratio_sq = 0.0 if abs(mean) <= 1e-14 else float("inf")
-        else:
-            ratio_sq = mean**2 / var
-        return ratio_sq, {"jump_count": {"mean": mean, "var": var}}
-    return _scaled_ratio_sq(observable, point.sweep.rho0, point.lindblad)
-
-
-def _ml_open_rows(point: _TimePoint, observable) -> list[BoundReport]:
-    """fid-ml-open, qsl-ml-open and, given an observable, tur-ml-open at
-    ``point.tau``."""
-    ml = point.ml
-    floor = ml.params["floor_raw"]
+def _ml_open_rows(sw: _Sweep, k: int) -> list[BoundReport]:
+    """fid-ml-open, qsl-ml-open and, given an observable, tur-ml-open at the
+    ``k``-th time of ``sw``."""
+    ml = sw.ml
+    floor = ml.params[k]["floor_raw"]
     positive = floor > 0.0
     conditions = (("commuting_hs_jumps", True), ("floor_positive", positive))
-    angle = metrics._fidelity_angle(point.fidelity)
+    angle = metrics._fidelity_angle(sw.fidelity[k])
     rows = [
-        BoundReport("fid-ml-open", ml.overlap, floor, True, conditions, dict(ml.params)),
+        BoundReport("fid-ml-open", ml.overlaps[k], floor, True, conditions, dict(ml.params[k])),
         BoundReport("qsl-ml-open", 1.0 - floor, 2.0 * math.sin(angle / 2.0) ** 2, True,
-                    conditions, dict(ml.params, bures_angle=angle)),
+                    conditions, dict(ml.params[k], bures_angle=angle)),
     ]
-    if observable is not None:
-        ratio_sq, stats = _open_ratio_sq(point, observable)
-        params = dict(ml.params, **stats)
-        if linalg.max_abs(point.sweep.model.h_s) <= 1e-12:
+    if sw.observable is not None:
+        ratio_sq, stats = sw.open_ratios[k]
+        params = dict(ml.params[k], **stats)
+        if sw.classical_form:
             # the no-jump Gamma is half the jump-rate operator
-            params["classical_form_lhs"] = _expm1(2.0 * params["mean_gamma"] * point.tau)
+            params["classical_form_lhs"] = _expm1(2.0 * params["mean_gamma"] * sw.times[k])
         rows.append(BoundReport(
             "tur-ml-open", _inv_sq_minus_one(floor), ratio_sq, positive, conditions, params
         ))
@@ -671,13 +805,13 @@ def tur_ml_open(model: LindbladModel, state0, tau: float, observable) -> BoundRe
     return _row("tur-ml-open", model, state0, tau, observable)
 
 
-def _mt_open_rows(point: _TimePoint, observable) -> list[BoundReport]:
+def _mt_open_rows(sw: _Sweep, k: int) -> list[BoundReport]:
     """fid-mt-open, qsl-mt-open and, given an observable, tur-mt-open over
-    [0, ``point.tau``]."""
-    path, tau = point.mt, point.tau
+    [0, the ``k``-th time of ``sw``]."""
+    path, tau = sw.mt[k], sw.times[k]
     integral, err, z = path.integral, path.quad_err, path.tr2
     in_window = integral <= math.pi / 2.0 + WINDOW_TOL
-    fid = point.fidelity
+    fid = sw.fidelity[k]
     ratio = fid / z
     fid_ok = ratio <= 1.0 + 1e-10
     rhs = float(np.arccos(np.clip(math.sqrt(min(ratio, 1.0)), 0.0, 1.0))) if fid_ok else float("nan")
@@ -696,10 +830,10 @@ def _mt_open_rows(point: _TimePoint, observable) -> list[BoundReport]:
             "underlying_rhs": float(np.arccos(np.clip(raw_overlap, 0.0, 1.0))),
         }),
     ]
-    if observable is not None:
+    if sw.observable is not None:
         inside = integral < math.pi / 2.0
         lhs = (1.0 / (z * math.cos(integral) ** 2) - 1.0) if inside else float("inf")
-        ratio_sq, stats = _open_ratio_sq(point, observable)
+        ratio_sq, stats = sw.open_ratios[k]
         rows.append(BoundReport(
             "tur-mt-open", lhs, ratio_sq, inside, (("window_lt_half_pi", inside),),
             {"tau": tau, "integral": integral, "survival_weight": z, "quad_err": err,
@@ -758,20 +892,16 @@ def tur_mt_open(
 # classical Markov special case
 
 
-def _classical_rows(point: _TimePoint, observable) -> list[BoundReport]:
-    """qsl-classical and, given per-state values, tur-classical at
-    ``point.tau``, from one propagation of the chain."""
-    chain, tau = point.sweep.chain, point.tau
-    p_tau = chain.propagate(tau)  # raises for a negative tau
-    p0, p1 = chain.p0 / chain.p0.sum(), p_tau / p_tau.sum()
-    activity = chain.activity()
+def _classical_rows(sw: _Sweep, k: int) -> list[BoundReport]:
+    """qsl-classical and, given per-state values, tur-classical at the
+    ``k``-th time of ``sw``."""
+    p0, p1, activity = sw.classical
+    tau = sw.times[k]
     params = {"tau": tau, "activity": activity}
-    rows = [BoundReport("qsl-classical", activity * tau, metrics.renyi_half(p0, p1), True, (),
+    rows = [BoundReport("qsl-classical", activity * tau, metrics.renyi_half(p0, p1[k]), True, (),
                         params)]
-    if observable is not None:
-        if observable.size != chain.n_states:
-            raise BadParameter("observable length differs from the state count")
-        ratio_sq, stats = _scaled_ratio_sq(np.diag(observable), np.diag(p0), np.diag(p1))
+    if sw.values is not None:
+        ratio_sq, stats = sw.classical_ratios[k]
         rows.append(BoundReport("tur-classical", _expm1(activity * tau), ratio_sq, True, (),
                                 dict(params, **stats)))
     return rows
@@ -845,20 +975,12 @@ def sweep(model, state0, times, groups, observable=None, *, start: float = 0.0,
         rho0.setflags(write=False)
         if observable is not None and not isinstance(observable, JumpCountObservable):
             observable = linalg.require_hermitian(observable, "observable")
-    families = []
-    for g, kind in zip(groups, kinds):
-        obs = observable  # None gives a family no TUR row
-        if isinstance(obs, JumpCountObservable) and kind is not LindbladModel:
-            obs = None
-        elif kind is ClassicalMarkovModel and obs is not None:
-            obs = np.diag(obs).real
-        families.append((FAMILIES[g][2], obs))
-    sw = _Sweep(model, chain, rho0, start, steps)
+    sw = _Sweep(model, chain, rho0, times, observable, start, steps)
+    builders = [FAMILIES[g][2] for g in groups]
     out: list[tuple[float, BoundReport]] = []
-    for t in times:
-        point = _TimePoint(sw, t)
-        for build, obs in families:
-            out.extend((t, report) for report in build(point, obs))
+    for k, t in enumerate(sw.times):
+        for build in builders:
+            out.extend((t, report) for report in build(sw, k))
     return out
 
 

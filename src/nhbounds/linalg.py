@@ -22,6 +22,7 @@ from .errors import HermiticityViolation, NotPSD, NumericalOverflow, ShapeError
 HERMITICITY_RTOL = 1e-12
 PSD_CLAMP = -1e-10   # eigenvalues above this are clamped to zero
 PSD_REJECT = -1e-8   # eigenvalues below this are an error
+_STACK_BUDGET = 1 << 13  # matrix entries per stacked call of a sweep: bounds its working memory
 
 
 def as_matrix(a) -> np.ndarray:
@@ -175,15 +176,42 @@ def _expm_hermitian(a: np.ndarray) -> np.ndarray:
 
 
 def sqrtm_psd(a) -> np.ndarray:
-    """Hermitian PSD square root.
+    """Hermitian PSD square root of a matrix or of each matrix of a stack
+    ``(..., n, n)``.
 
     Eigenvalues in ``[PSD_REJECT, 0)`` are treated as round-off and clamped
     to zero; anything below ``PSD_REJECT`` raises.
     """
-    m = require_hermitian(a, "PSD input")
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ShapeError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    defect = np.abs(m - np.conj(np.swapaxes(m, -1, -2))).max(axis=(-2, -1), initial=0.0)
+    bad = ~(defect <= HERMITICITY_RTOL * (1.0 + np.abs(m).max(axis=(-2, -1), initial=0.0)))
+    if bad.any():
+        raise HermiticityViolation(f"PSD input is not Hermitian: defect {defect[bad][0]:.3e}")
     w, v = np.linalg.eigh(m)
-    if w.size and w[0] < PSD_REJECT:
-        raise NotPSD(f"matrix has eigenvalue {w[0]:.3e} below {PSD_REJECT:.0e}")
+    low = w[..., :1] < PSD_REJECT
+    if low.any():
+        raise NotPSD(f"matrix has eigenvalue {w[..., :1][low][0]:.3e} below {PSD_REJECT:.0e}")
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ dag(v)
+    return (v * np.sqrt(w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
+
+def _stack_slices(members: int, n: int) -> list[slice]:
+    """Consecutive slices of a stack of ``members`` n x n matrices, each
+    within ``_STACK_BUDGET`` entries (one member at least)."""
+    size = max(1, _STACK_BUDGET // (n * n))
+    return [slice(i, i + size) for i in range(0, members, size)]
+
+
+def _expm_stack(times, n: int, build, reduce=None) -> np.ndarray:
+    """``reduce(expm(stack))`` for the stack of n x n matrices ``build(t)``,
+    one per time of ``times``, made and exponentiated in slices of at most
+    ``_STACK_BUDGET`` entries and concatenated.  ``expm`` treats each member
+    as if passed alone, so the slicing changes no value."""
+    times = list(times)
+    parts = []
+    for s in _stack_slices(len(times), n):
+        e = expm(np.stack([build(t) for t in times[s]]))
+        parts.append(e if reduce is None else reduce(e))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)

@@ -1,9 +1,10 @@
 """Distances and statistics on states and observables.
 
 Uhlmann fidelity, Bures angle, observable moments (Hermitian, and the
-generalized standard deviation of a non-Hermitian operator, vectorized over
-stacks of states), and the Renyi divergence D_1/2 between classical
-distributions.
+generalized standard deviation of a non-Hermitian operator), and the Renyi
+divergence D_1/2 between classical distributions.  The fidelity and the
+moments also run over stacks of states, for the stacked sweeps of
+:mod:`nhbounds.bounds`.
 """
 
 from __future__ import annotations
@@ -51,22 +52,48 @@ def fidelity(rho1, rho2) -> float:
     eigenvalues of a projector, which would break the 1e-12 pure-overlap
     contract.
     """
-    a = _rho(rho1)
-    b = _rho(rho2)
-    for first, second in ((a, b), (b, a)):
-        w, v = np.linalg.eigh(first)
-        if w[-1] >= 1.0 - 1e-10:
-            top = v[:, -1]
-            f = float(np.real(np.vdot(top, second @ top)))
-            return min(max(f, 0.0), 1.0)
-    ra = linalg.sqrtm_psd(a)
-    inner = ra @ b @ ra
-    inner = 0.5 * (inner + linalg.dag(inner))
-    root = linalg.sqrtm_psd(inner)
-    f = float(np.trace(root).real) ** 2
-    if f > 1.0 + 1e-6:
-        raise ValueError(f"fidelity {f!r} exceeds 1; inputs are not unit-trace states")
-    return min(max(f, 0.0), 1.0)
+    return _fidelities(_rho(rho1), _rho(rho2)[None])[0]
+
+
+def _fidelities(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """:func:`fidelity` of ``a`` with each matrix of the stack ``b``.
+
+    ``a`` is one matrix, decomposed once for the whole stack, or a stack
+    paired with ``b`` member by member.  Each member takes the rank-1 route
+    of its ``a``, else that of its ``b``, else the square-root route; the
+    decompositions of ``b`` and the square roots are one batched call each.
+    """
+    wa, va = np.linalg.eigh(a)
+    single = a.ndim == 2
+    f = [0.0] * len(b)
+    rest = []
+    for k, x in enumerate(b):
+        if (wa if single else wa[k])[-1] >= 1.0 - 1e-10:
+            f[k] = _rank_one((va if single else va[k])[:, -1], x)
+        else:
+            rest.append(k)
+    general = []
+    if rest:
+        wb, vb = np.linalg.eigh(b[rest])
+        for k, w, v in zip(rest, wb, vb):
+            if w[-1] >= 1.0 - 1e-10:
+                f[k] = _rank_one(v[:, -1], a if single else a[k])
+            else:
+                general.append(k)
+    if general:
+        root_a = linalg.sqrtm_psd(a if single else a[general])
+        inner = root_a @ b[general] @ root_a
+        inner = 0.5 * (inner + np.conj(np.swapaxes(inner, -1, -2)))
+        for k, tr in zip(general, np.trace(linalg.sqrtm_psd(inner), axis1=-2, axis2=-1)):
+            f[k] = float(tr.real) ** 2
+            if f[k] > 1.0 + 1e-6:
+                raise ValueError(f"fidelity {f[k]!r} exceeds 1; inputs are not unit-trace states")
+    return [min(max(x, 0.0), 1.0) for x in f]
+
+
+def _rank_one(top: np.ndarray, other: np.ndarray) -> float:
+    """Fid(|top><top|, other) = <top|other|top>."""
+    return float(np.real(np.vdot(top, other @ top)))
 
 
 def bures_angle(rho1, rho2) -> float:
@@ -89,18 +116,29 @@ def observable_stats(c, state) -> ObservableStats:
     shift-invariant), so a multiple of the identity has exactly zero spread
     instead of one set by the rounding of Tr rho.
     """
-    op = linalg.require_hermitian(c, "observable")
-    rho = _rho(state)
-    mean_c = complex(np.trace(op @ rho))
-    if abs(mean_c.imag) > 1e-10 * (1.0 + abs(mean_c.real)):
+    mean, std = _observable_stats(linalg.require_hermitian(c, "observable"), _rho(state)[None])
+    return ObservableStats(mean=float(mean[0]), std=float(std[0]))
+
+
+def _observable_stats(op: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`observable_stats` of the Hermitian matrix ``op``, already
+    checked, in each state of the stack ``rho``: the means and the stds.
+
+    Raises:
+        HermiticityViolation: at the first state whose mean has an imaginary
+            residue.
+    """
+    mean = np.trace(op @ rho, axis1=-2, axis2=-1)
+    residue = np.abs(mean.imag) > 1e-10 * (1.0 + np.abs(mean.real))
+    if residue.any():
         raise HermiticityViolation(
-            f"observable mean has imaginary residue {mean_c.imag:.3e}"
+            f"observable mean has imaginary residue {mean.imag[residue][0]:.3e}"
         )
     eye = np.eye(op.shape[0])
     shifted = op - op[0, 0].real * eye
-    dev = shifted - np.trace(shifted @ rho).real * eye
-    var = max(float(np.trace(dev @ dev @ rho).real), 0.0)
-    return ObservableStats(mean=mean_c.real, std=float(np.sqrt(var)))
+    dev = shifted - np.trace(shifted @ rho, axis1=-2, axis2=-1).real[:, None, None] * eye
+    var = np.trace(dev @ dev @ rho, axis1=-2, axis2=-1).real
+    return mean.real, np.sqrt(np.where(0.0 > var, 0.0, var))
 
 
 def generalized_std(op, state):

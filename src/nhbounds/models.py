@@ -58,12 +58,19 @@ class ClassicalMarkovModel:
         np.fill_diagonal(g, -g.sum(axis=0))
         return g
 
-    def propagate(self, t: float) -> np.ndarray:
-        """P(t) = exp(G t) P(0), clipped against round-off."""
-        if t < 0:
+    def propagate(self, t) -> np.ndarray:
+        """P(t) = exp(G t) P(0), clipped against round-off.
+
+        ``t`` is one time or a sequence of them; a sequence gives one row per
+        time, from stacked exponentials.
+        """
+        times = np.asarray(t, dtype=float)
+        if np.any(times < 0):
             raise BadParameter("time must be nonnegative")
-        p = linalg.expm(self.generator() * t).real @ self.p0
-        return np.clip(p, 0.0, None)
+        g = self.generator()
+        p = linalg._expm_stack(times.reshape(-1), self.n_states, lambda s: g * s,
+                               lambda e: e.real @ self.p0)
+        return np.clip(p.reshape(*times.shape, -1), 0.0, None)
 
     def activity(self, p: np.ndarray | None = None) -> float:
         """Total transition rate sum_{nu != mu} W[nu, mu] P(mu)."""

@@ -6,7 +6,8 @@ propagators at a sorted set of times (one stacked exponential for constant
 generators, one running midpoint product for time-dependent ones) and the
 normalized state M rho0 M^dag / Tr they carry, the Lindblad master equation
 via the exact vectorized-Liouvillian exponential, the exact mean and variance
-of the jump count (full counting statistics), exact-in-time (waiting-time)
+of the jump count (full counting statistics), the last two also at a stack
+of times through stacked exponentials, exact-in-time (waiting-time)
 quantum-jump trajectory sampling, and the no-jump conditioned state with its
 survival weight, which is the normalized state of the equivalent
 non-Hermitian model.  Trajectory randomness is stateless: each uniform is a
@@ -237,7 +238,7 @@ def propagator(model: NonHermitianModel, t: float, steps: int | None = None) -> 
     if t == 0:
         return np.eye(model.dim, dtype=complex)
     if not model.is_time_dependent:
-        return linalg.expm(-1j * t * model.full_generator())
+        return _propagator_stack(model, [t])[0]
     n = int(steps) if steps else DEFAULT_TD_STEPS
     if n < 1:
         raise BadParameter("steps must be a positive integer")
@@ -245,6 +246,17 @@ def propagator(model: NonHermitianModel, t: float, steps: int | None = None) -> 
     out = np.eye(model.dim, dtype=complex)
     for step in _midpoint_steps(model, [(k + 0.5) * dt for k in range(n)], dt):
         out = step @ out
+    return out
+
+
+def _propagator_stack(model: NonHermitianModel, times: Sequence[float]) -> np.ndarray:
+    """:func:`propagator` of a time-independent ``model`` at each of ``times``,
+    from stacked exponentials of -i t (H - i Gamma)."""
+    if any(t < 0 for t in times):
+        raise BadParameter("propagation time must be nonnegative")
+    gen = model.full_generator()
+    out = linalg._expm_stack(times, model.dim, lambda t: -1j * t * gen)
+    out[[t == 0 for t in times]] = np.eye(model.dim)
     return out
 
 
@@ -340,22 +352,32 @@ def jump_count_moments(model: LindbladModel, state0, tau: float) -> tuple[float,
     E[N(N-1)] = 2 Tr E_02 rho0, so Var[N] = E[N(N-1)] + E[N] - E[N]^2.
     ``state0`` is anything :func:`~nhbounds.states.as_density_matrix` reads.
     """
-    return _jump_count_moments(model, as_density_matrix(state0), tau)
+    return _jump_count_moments(model, as_density_matrix(state0), [tau])[0]
 
 
-def _jump_count_moments(model: LindbladModel, rho: np.ndarray, tau: float) -> tuple[float, float]:
-    """:func:`jump_count_moments` of a unit-trace density matrix ``rho``."""
-    if tau < 0:
+def _jump_count_moments(
+    model: LindbladModel, rho: np.ndarray, times: Sequence[float]
+) -> list[tuple[float, float]]:
+    """:func:`jump_count_moments` of a unit-trace density matrix ``rho`` at
+    each of ``times``, from stacked exponentials of the counting generator."""
+    if any(t < 0 for t in times):
         raise BadParameter("tau must be nonnegative")
     d = model.dim
     if rho.shape[0] != d:
         raise ShapeError("state dimension differs from model dimension")
     n = d * d
-    blocks = linalg.expm(tau * _counting_generator(model))[:n, n:]
+    gen = _counting_generator(model)
     diag = np.arange(d) * (d + 1)  # row-major vec positions of the diagonal
-    e01, e02 = (blocks[diag].sum(axis=0).reshape(2, n) @ rho.reshape(-1)).real
-    mean = float(e01)
-    return mean, float(2.0 * e02 + mean - mean * mean)
+    vec = rho.reshape(-1)
+
+    def moments(e: np.ndarray) -> np.ndarray:
+        return (e[:, :n, n:][:, diag].sum(axis=1).reshape(-1, 2, n) @ vec).real
+
+    out = []
+    for e01, e02 in linalg._expm_stack(times, 3 * n, lambda t: t * gen, moments):
+        mean = float(e01)
+        out.append((mean, float(2.0 * e02 + mean - mean * mean)))
+    return out
 
 
 def evolve_lindblad(model: LindbladModel, rho0, t: float) -> np.ndarray:
@@ -364,36 +386,41 @@ def evolve_lindblad(model: LindbladModel, rho0, t: float) -> np.ndarray:
     ``rho0`` is anything :func:`~nhbounds.states.as_density_matrix` reads;
     the state at ``t`` comes back as a read-only unit-trace matrix.
     """
-    return _evolve_lindblad(model, as_density_matrix(rho0), t)
+    return _evolve_lindblad(model, as_density_matrix(rho0), [t])[0]
 
 
-def _evolve_lindblad(model: LindbladModel, rho: np.ndarray, t: float) -> np.ndarray:
-    """:func:`evolve_lindblad` of a unit-trace density matrix ``rho``.
+def _evolve_lindblad(model: LindbladModel, rho: np.ndarray, times: Sequence[float]) -> np.ndarray:
+    """:func:`evolve_lindblad` of a unit-trace density matrix ``rho`` at each
+    of ``times``: a read-only stack, from stacked exponentials of the
+    Liouvillian, with the trace and eigenvalue checks over the whole stack.
 
     Raises:
-        IntegratorDiverged: if the trace drifts from 1 by more than 1e-8 or
-            an eigenvalue falls below -1e-8.
+        IntegratorDiverged: if, at the earliest offending time, the trace
+            drifts from 1 by more than 1e-8 or an eigenvalue falls below -1e-8.
     """
-    if t < 0:
+    if any(t < 0 for t in times):
         raise BadParameter("propagation time must be nonnegative")
-    if rho.shape[0] != model.dim:
+    d = model.dim
+    if rho.shape[0] != d:
         raise ShapeError("state dimension differs from model dimension")
-    vec = linalg.expm(liouvillian(model) * t) @ rho.reshape(-1)
-    out = vec.reshape(model.dim, model.dim)
-    out = 0.5 * (out + linalg.dag(out))
-    tr = float(np.trace(out).real)
-    if abs(tr - 1.0) > 1e-8:
-        raise IntegratorDiverged(f"trace drifted to {tr!r}")
-    w = np.linalg.eigvalsh(out)
-    if w[0] < -1e-8:
-        raise IntegratorDiverged(f"negative eigenvalue {w[0]:.3e}")
-    out = out / tr
-    if w[0] < linalg.PSD_CLAMP:
+    lv, vec = liouvillian(model), rho.reshape(-1)
+    out = linalg._expm_stack(times, d * d, lambda t: lv * t, lambda e: e @ vec).reshape(-1, d, d)
+    out = 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
+    tr = np.trace(out, axis1=-2, axis2=-1).real
+    w = np.linalg.eigvalsh(out)[:, 0]
+    drift, negative = np.abs(tr - 1.0) > 1e-8, w < -1e-8
+    if np.any(drift | negative):
+        k = int(np.argmax(drift | negative))
+        if drift[k]:
+            raise IntegratorDiverged(f"trace drifted to {float(tr[k])!r}")
+        raise IntegratorDiverged(f"negative eigenvalue {w[k]:.3e}")
+    out = out / tr[:, None, None]
+    for k in np.flatnonzero(w < linalg.PSD_CLAMP):
         # round-off cleanup: project the offending eigenvalues to zero
-        w2, v = np.linalg.eigh(out)
+        w2, v = np.linalg.eigh(out[k])
         w2 = np.clip(w2, 0.0, None)
-        out = (v * (w2 / w2.sum())) @ linalg.dag(v)
-        out = 0.5 * (out + linalg.dag(out))  # exactly Hermitian, as in the unclamped branch
+        clean = (v * (w2 / w2.sum())) @ linalg.dag(v)
+        out[k] = 0.5 * (clean + linalg.dag(clean))  # exactly Hermitian, as unclamped members
     out.setflags(write=False)
     return out
 

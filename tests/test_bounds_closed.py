@@ -26,7 +26,8 @@ from nhbounds import (
     tur_mt,
 )
 from nhbounds import linalg
-from nhbounds.bounds import _scaled_ratio_sq
+from nhbounds.bounds import _scaled_ratios
+from nhbounds.metrics import _observable_stats
 from nhbounds.errors import BadParameter, CommutatorViolation, DegenerateObservable
 from conftest import SX, SZ, p1_closed, random_hermitian
 
@@ -66,18 +67,24 @@ def test_ground_energy_matches_spectrum():
     assert ground_energy(h) == pytest.approx(float(np.linalg.eigvalsh(h)[0]), abs=1e-12)
 
 
+def scaled_ratio_sq(observable, rho_a, rho_b):
+    """The ratio of one start and one end state."""
+    stats = (_observable_stats(observable, np.asarray(r, dtype=complex)[None]) for r in (rho_a, rho_b))
+    return _scaled_ratios(*stats)[0]
+
+
 class TestScaledRatio:
     """Zero-spread branch of the mean-change-over-total-spread ratio."""
 
     def test_zero_spread_equal_means(self):
         rho = np.diag([0.0, 1.0]).astype(complex)
-        ratio_sq, stats = _scaled_ratio_sq(PROJ1, rho, rho)
+        ratio_sq, stats = scaled_ratio_sq(PROJ1, rho, rho)
         assert ratio_sq == 0.0
         assert stats["std_start"] == stats["std_end"] == 0.0
 
     def test_degenerate(self):
         with pytest.raises(DegenerateObservable):
-            _scaled_ratio_sq(PROJ1, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+            scaled_ratio_sq(PROJ1, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
 
 
 class TestMlFidelityBound:

@@ -11,6 +11,7 @@ field replaced by a value of the wrong type.
 import csv
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -38,11 +39,12 @@ from nhbounds import (
     random_density,
     random_diagonal_jump_lindblad,
     serialize,
+    sweep,
     tur_ml,
     tur_ml_open,
 )
 from nhbounds import bounds as bnd
-from nhbounds.errors import NormUnderflow
+from nhbounds.errors import NormUnderflow, QuadratureDiverged
 
 PLUS = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
 PROJ1 = np.diag([0.0, 1.0]).astype(complex)
@@ -159,6 +161,36 @@ class TestStiffQuadrature:
         assert code == 2
         assert "quadrature diverged" in err and "Traceback" not in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("failure", ["bisection-cap", "underflow-at-the-last-time"])
+def test_grid_failure_exits_two(tmp_path, monkeypatch, capsys, failure):
+    """A failure at one time of a stacked grid is still a named error: the
+    bisection cap names a window of the grid, and a trace that underflows at
+    the last time alone still exits 2."""
+    model = flat_decay_model()
+    if failure == "bisection-cap":
+        monkeypatch.setattr(bnd, "_MAX_SPLITS", 1)  # the windows to 0.0075 and 0.01 need 2
+        times, state, initial, error = [0.0025, 0.005, 0.0075, 0.01], PLUS, None, QuadratureDiverged
+    else:
+        times, state, initial, error = [0.025, 0.05], DECAYING, DECAYING, NormUnderflow
+        sweep(model, state, times[:1], ["mt"])  # the first time alone is fine
+    with pytest.raises(error) as info:
+        sweep(model, state, times, ["mt"])
+    if failure == "bisection-cap":
+        window = re.search(r"over \[0\.0, ([^\]]+)\]", str(info.value))
+        assert float(window.group(1)) in times[2:]
+    model_file = tmp_path / "model.json"
+    serialize.save_model(model_file, model, initial)
+    out = tmp_path / "out.csv"
+    argv = ["check", "--model", str(model_file), "--bounds", "mt", "--t-final", repr(times[-1]),
+            "--steps", str(len(times)), "--out", str(out)]
+    code = cli.main(argv + (["--state", "plus"] if initial is None else []))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+    assert ("quadrature diverged" if initial is None else "underflowed") in err
+    assert not out.exists()
 
 
 class TestCenteredVariance:

@@ -51,16 +51,16 @@ class TestUnrefinedEstimate:
         in a pulse of width 1/800 at t = 0."""
         model = NonHermitianModel(np.zeros((2, 2)), np.diag([0.0, 400.0]))
         rho0 = as_density_matrix(StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0)))
-        path = bnd._mt_path(model, rho0, 0.0, 2.0, steps)
+        path = bnd._mt_paths(model, rho0, 0.0, [2.0], steps)[0]
         assert abs(path.integral - math.pi / 4) <= path.quad_err
 
     @pytest.mark.parametrize("case", range(12))
     def test_one_interval_on_a_long_window(self, case, monkeypatch):
         model = random_commuting(2 + case % 3, 7_000 + case, gamma_scale=3.0, h_scale=3.0)
         rho0 = as_density_matrix(random_pure_state(model.dim, 8_000 + case))
-        coarse = bnd._mt_path(model, rho0, 0.0, 3.0, 15)
+        coarse = bnd._mt_paths(model, rho0, 0.0, [3.0], 15)[0]
         monkeypatch.setattr(bnd, "_QUAD_RTOL", 1e-13)
-        fine = bnd._mt_path(model, rho0, 0.0, 3.0, 150).integral
+        fine = bnd._mt_paths(model, rho0, 0.0, [3.0], 150)[0].integral
         assert abs(coarse.integral - fine) <= coarse.quad_err
 
 
@@ -74,8 +74,8 @@ def test_constant_callback_matches_constant_model(case):
                               time_dependence=lambda t: (model.h, model.gamma))
     rho0 = as_density_matrix(random_pure_state(model.dim, 400 + case))
     t1, t2 = 0.1 * case, 0.1 * case + 0.9
-    want = bnd._mt_path(model, rho0, t1, t2, bnd.DEFAULT_QUAD_STEPS)
-    got = bnd._mt_path(timed, rho0, t1, t2, bnd.DEFAULT_QUAD_STEPS)
+    want = bnd._mt_paths(model, rho0, t1, [t2], bnd.DEFAULT_QUAD_STEPS)[0]
+    got = bnd._mt_paths(timed, rho0, t1, [t2], bnd.DEFAULT_QUAD_STEPS)[0]
     assert abs(got.integral - want.integral) <= 1e-12
     for name in ("rho1", "rho2"):
         assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-12
@@ -93,5 +93,5 @@ def test_steps_is_a_minimum_node_count(steps, intervals, monkeypatch):
         bnd, "_path_at", lambda m, r, times, h: sizes.append(len(times)) or path_at(m, r, times, h)
     )
     model = random_commuting(2, 5, gamma_scale=0.5)
-    bnd._mt_path(model, as_density_matrix(random_pure_state(2, 6)), 0.0, 0.5, steps)
+    bnd._mt_paths(model, as_density_matrix(random_pure_state(2, 6)), 0.0, [0.5], steps)
     assert sizes[0] == 15 * intervals + 2

@@ -1,9 +1,11 @@
-"""One evaluation per sweep and per time point: ``bounds.sweep`` checks the
-model and validates the state and observable once, a ``bounds._TimePoint``
-serves every row builder with one ML evaluation, one normalized path, one
-Lindblad state, one fidelity and one set of jump-count moments, and the
-public row functions are one-point sweeps that match its rows bit for bit."""
+"""One evaluation per sweep: ``bounds.sweep`` checks the model and validates
+the state and observable once, and a ``bounds._Sweep`` serves every row
+builder at every time point from one stack per part (ML propagators, MT
+paths, Lindblad states, fidelities, jump-count moments, chain
+distributions).  A grid sweep's rows equal those of one-point sweeps bit for
+bit, and the public row functions are one-point sweeps."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -14,6 +16,7 @@ from nhbounds import (
     DensityOperator,
     JumpCountObservable,
     LindbladModel,
+    NonHermitianModel,
     StateVector,
     fid_ml,
     fid_ml_open,
@@ -62,10 +65,18 @@ def count_calls(monkeypatch, *names):
     return counts
 
 
-def time_point(model, state, tau):
-    """A one-point sweep's time point, for calling the row builders directly."""
+def sweep_of(model, state, times, observable=None):
+    """A sweep's shared evaluation, for calling the row builders directly."""
     rho0 = as_density_matrix(state)
-    return bnd._TimePoint(bnd._Sweep(model, None, rho0, 0.0, bnd.DEFAULT_QUAD_STEPS), tau)
+    return bnd._Sweep(model, None, rho0, times, observable, 0.0, bnd.DEFAULT_QUAD_STEPS)
+
+
+def count_fidelities(monkeypatch, counts):
+    """Count the stacked fidelity calls under the key ``fidelity``."""
+    fidelities = metrics._fidelities
+    monkeypatch.setattr(
+        metrics, "_fidelities", lambda *a: counts.update(["fidelity"]) or fidelities(*a)
+    )
 
 
 @pytest.fixture
@@ -74,32 +85,34 @@ def closed_case():
 
 
 def test_rows_of_a_time_point_share_one_path(closed_case, monkeypatch):
-    """Both closed builders read one time point: one path, one propagator."""
+    """Both closed builders, called twice at each of three time points, read
+    one quadrature for all paths and one propagator stack (one path and one
+    propagator per time point before the stacks)."""
     model, psi = closed_case
-    counts = count_calls(monkeypatch, "_mt_path", "propagator")
-    obs = np.diag([0.0, 0.0, 1.0]).astype(complex)
-    point = time_point(model, psi, 0.9)
-    for build in (bnd._ml_rows, bnd._mt_rows, bnd._ml_rows, bnd._mt_rows):
-        build(point, obs)
-    assert counts == {"_mt_path": 1, "propagator": 1}
+    counts = count_calls(monkeypatch, "_mt_paths", "_propagator_stack")
+    sw = sweep_of(model, psi, [0.3, 0.6, 0.9], np.diag([0.0, 0.0, 1.0]).astype(complex))
+    for k in range(3):
+        for build in (bnd._ml_rows, bnd._mt_rows, bnd._ml_rows, bnd._mt_rows):
+            build(sw, k)
+    assert counts == {"_mt_paths": 1, "_propagator_stack": 1}
 
 
 def test_groups_of_a_sweep_point_share_one_path(closed_case, monkeypatch):
-    """The sweep-level twin: both closed groups of one sweep time point read
-    one path and one propagator."""
+    """The sweep-level twin: both closed groups of a three-point sweep read
+    one quadrature and one propagator stack."""
     model, psi = closed_case
-    counts = count_calls(monkeypatch, "_mt_path", "propagator")
-    sweep(model, psi, [0.9], ["ml", "mt"], np.diag([0.0, 0.0, 1.0]).astype(complex))
-    assert counts == {"_mt_path": 1, "propagator": 1}
+    counts = count_calls(monkeypatch, "_mt_paths", "_propagator_stack")
+    sweep(model, psi, [0.3, 0.6, 0.9], ["ml", "mt"], np.diag([0.0, 0.0, 1.0]).astype(complex))
+    assert counts == {"_mt_paths": 1, "_propagator_stack": 1}
 
 
 def test_public_calls_share_nothing(closed_case, monkeypatch):
-    """Each public row evaluates its own time point, even at equal arguments."""
+    """Each public row evaluates its own sweep, even at equal arguments."""
     model, psi = closed_case
-    counts = count_calls(monkeypatch, "_mt_path")
+    counts = count_calls(monkeypatch, "_mt_paths")
     first = qsl_mt(model, psi, 0.0, 0.9)
     again = qsl_mt(model, psi, 0.0, 0.9)
-    assert counts["_mt_path"] == 2
+    assert counts["_mt_paths"] == 2
     assert again.lhs == first.lhs and again.rhs == first.rhs
 
 
@@ -122,7 +135,7 @@ def test_public_tur_rows_need_an_observable(row):
 
 @pytest.mark.parametrize("change", ["steps", "t1", "t2", "model"])
 def test_changed_argument_misses(closed_case, change, monkeypatch):
-    """``_mt_path`` reads every argument: a changed one gives a fresh path.
+    """``_mt_paths`` reads every argument: a changed one gives a fresh path.
 
     More ``steps`` evaluate more nodes, counted as members of the stacks
     passed to ``linalg.expm``; the integral need not change, because the
@@ -135,7 +148,7 @@ def test_changed_argument_misses(closed_case, change, monkeypatch):
         linalg, "expm", lambda a: members.append(len(a.reshape(-1, 3, 3))) or expm(a)
     )
     args = {"model": model, "t1": 0.1, "t2": 0.6, "steps": 40}
-    first = bnd._mt_path(model, rho0, 0.1, 0.6, 40)
+    first = bnd._mt_paths(model, rho0, 0.1, [0.6], 40)[0]
     first_nodes = sum(members)
     members.clear()
     args[change] = {
@@ -144,7 +157,7 @@ def test_changed_argument_misses(closed_case, change, monkeypatch):
         "t2": 0.7,
         "model": random_commuting(3, 7, gamma_scale=0.8),  # equal contents, new model
     }[change]
-    fresh = bnd._mt_path(args["model"], rho0, args["t1"], args["t2"], args["steps"])
+    fresh = bnd._mt_paths(args["model"], rho0, args["t1"], [args["t2"]], args["steps"])[0]
     assert fresh is not first
     if change == "model":
         assert_same_path(fresh, first)
@@ -194,41 +207,38 @@ def test_state_mutated_in_place_misses(closed_case, kind):
 
 
 def test_lindblad_state_shared_by_the_open_rows(monkeypatch):
-    """Both open builders read one time point: one path, one Lindblad state,
-    one fidelity and one set of jump-count moments."""
+    """Both open builders, called twice at each time point of a sweep, read
+    one path stack, one Lindblad stack and one fidelity stack per sweep, and
+    the jump-count sweep one stack of moments."""
     model = make_dephasing(0.7)
     psi = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
     counts = count_calls(
-        monkeypatch, "_evolve_lindblad", "_mt_path", "_jump_count_moments"
+        monkeypatch, "_evolve_lindblad", "_mt_paths", "_jump_count_moments"
     )
-    fidelity = metrics.fidelity
-    monkeypatch.setattr(
-        metrics, "fidelity", lambda *a: counts.update(["fidelity"]) or fidelity(*a)
-    )
-    point = time_point(model, psi, 0.6)
+    count_fidelities(monkeypatch, counts)
     for obs in (np.diag([0.0, 1.0]).astype(complex), JumpCountObservable()):
-        bnd._ml_open_rows(point, obs)
-        bnd._mt_open_rows(point, obs)
+        sw = sweep_of(model, psi, [0.3, 0.6], obs)
+        for k in (0, 1, 0, 1):
+            bnd._ml_open_rows(sw, k)
+            bnd._mt_open_rows(sw, k)
     assert counts == {
-        "_evolve_lindblad": 1, "_mt_path": 1, "_jump_count_moments": 1, "fidelity": 1,
+        "_evolve_lindblad": 2, "_mt_paths": 2, "_jump_count_moments": 1, "fidelity": 2,
     }
 
 
 def test_open_groups_of_a_sweep_point_share_one_lindblad_state(monkeypatch):
-    """The sweep-level twin: both open groups of one sweep time point read
-    one path, one Lindblad state, one fidelity and one set of moments."""
+    """The sweep-level twin: both open groups of a three-point sweep read one
+    path stack, one Lindblad stack, one fidelity stack and one stack of
+    moments."""
     model = make_dephasing(0.7)
     psi = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
     counts = count_calls(
-        monkeypatch, "_evolve_lindblad", "_mt_path", "_jump_count_moments"
+        monkeypatch, "_evolve_lindblad", "_mt_paths", "_jump_count_moments"
     )
-    fidelity = metrics.fidelity
-    monkeypatch.setattr(
-        metrics, "fidelity", lambda *a: counts.update(["fidelity"]) or fidelity(*a)
-    )
-    sweep(model, psi, [0.6], ["ml-open", "mt-open"], JumpCountObservable())
+    count_fidelities(monkeypatch, counts)
+    sweep(model, psi, [0.2, 0.4, 0.6], ["ml-open", "mt-open"], JumpCountObservable())
     assert counts == {
-        "_evolve_lindblad": 1, "_mt_path": 1, "_jump_count_moments": 1, "fidelity": 1,
+        "_evolve_lindblad": 1, "_mt_paths": 1, "_jump_count_moments": 1, "fidelity": 1,
     }
 
 
@@ -248,50 +258,47 @@ def test_jump_count_state_mutated_between_rows_gets_fresh_moments():
     assert mt.params["jump_count"]["mean"] == 0.0
 
 
-def run_check(tmp_path, monkeypatch, argv, names=("_mt_path", "_evolve_lindblad")):
+def run_check(tmp_path, monkeypatch, argv, names=("_mt_paths", "_evolve_lindblad")):
     counts = count_calls(monkeypatch, *names)
     code = cli.main(["check", *argv, "--out", str(tmp_path / "out.csv")])
     assert code == 0
     return counts
 
 
+REFRIGERATOR = ["--model", "builtin:refrigerator?beta2=1.05&beta3=0.9", "--state", "plus",
+                "--bounds", "ml-open,mt-open"]
+
+
 def test_work_count_open_sweep(tmp_path, monkeypatch):
-    """One path and one Lindblad evolution per time point (three paths and
-    four evolutions per time point without the sharing)."""
-    counts = run_check(tmp_path, monkeypatch, [
-        "--model", "builtin:refrigerator?beta2=1.05&beta3=0.9", "--state", "plus",
-        "--bounds", "ml-open,mt-open", "--t-final", "1.0", "--steps", "4",
-    ])
-    assert counts == {"_mt_path": 4, "_evolve_lindblad": 4}
+    """One path stack and one Lindblad stack per sweep of four time points
+    (four of each with one per time point; twelve paths and sixteen
+    evolutions without any sharing)."""
+    counts = run_check(tmp_path, monkeypatch, [*REFRIGERATOR, "--t-final", "1.0", "--steps", "4"])
+    assert counts == {"_mt_paths": 1, "_evolve_lindblad": 1}
 
 
 def test_work_count_open_fidelity(tmp_path, monkeypatch):
-    """One fidelity per time point (two without the sharing: one each for
-    ``qsl-ml-open`` and ``qsl-mt-open``)."""
-    calls = []
-    fidelity = metrics.fidelity
-    monkeypatch.setattr(metrics, "fidelity", lambda *a: calls.append(a) or fidelity(*a))
-    run_check(tmp_path, monkeypatch, [
-        "--model", "builtin:refrigerator?beta2=1.05&beta3=0.9", "--state", "plus",
-        "--bounds", "ml-open,mt-open", "--t-final", "1.0", "--steps", "4",
-    ], names=())
-    assert len(calls) == 4
+    """One fidelity stack per sweep of four time points (four fidelities
+    with one per time point, eight without the sharing)."""
+    counts = Counter()
+    count_fidelities(monkeypatch, counts)
+    run_check(tmp_path, monkeypatch, [*REFRIGERATOR, "--t-final", "1.0", "--steps", "4"],
+              names=())
+    assert counts == {"fidelity": 1}
 
 
 def test_work_count_jump_count(tmp_path, monkeypatch):
-    """One set of exact jump-count moments per time point (two without the
-    sharing: one each for ``tur-ml-open`` and ``tur-mt-open``)."""
+    """One stack of exact jump-count moments per sweep of four time points
+    (four with one set per time point, eight without the sharing)."""
     counts = run_check(tmp_path, monkeypatch, [
-        "--model", "builtin:refrigerator?beta2=1.05&beta3=0.9", "--state", "plus",
-        "--bounds", "ml-open,mt-open", "--observable", "jump-count",
-        "--t-final", "1.0", "--steps", "4",
+        *REFRIGERATOR, "--observable", "jump-count", "--t-final", "1.0", "--steps", "4",
     ], names=("_jump_count_moments",))
-    assert counts == {"_jump_count_moments": 4}
+    assert counts == {"_jump_count_moments": 1}
 
 
 def test_work_count_classical_chain(tmp_path, monkeypatch):
-    """One chain propagation per time point (two without the sharing: one
-    each for ``qsl-classical`` and ``tur-classical``)."""
+    """One stacked chain propagation per sweep of four time points (four with
+    one per time point, eight without the sharing)."""
     calls = []
     propagate = ClassicalMarkovModel.propagate
     monkeypatch.setattr(
@@ -301,30 +308,66 @@ def test_work_count_classical_chain(tmp_path, monkeypatch):
         "--model", "builtin:classical?rates=[[0,1,0.5],[2,0,1],[0.3,1,0]]&p0=[0.5,0.3,0.2]",
         "--bounds", "ml-open,mt-open,classical", "--t-final", "1.0", "--steps", "4",
     ], names=())
-    assert len(calls) == 4
+    assert calls == [[0.25, 0.5, 0.75, 1.0]]
 
 
 def test_work_count_closed_window(tmp_path, monkeypatch):
-    """One path per time point and one for the extra window."""
+    """One quadrature for the grid's paths and one for the extra window (one
+    path per time point and one for the window before the stacks)."""
     counts = run_check(tmp_path, monkeypatch, [
         "--model", "builtin:random-commuting?dim=3&seed=4", "--state", "plus",
         "--bounds", "mt", "--t-final", "1.0", "--steps", "2", "--tau1", "0.2", "--tau2", "0.7",
     ])
-    assert counts == {"_mt_path": 3}
+    assert counts == {"_mt_paths": 2}
 
 
 def test_work_count_closed_ml(tmp_path, monkeypatch):
-    """One propagator, one matrix exponential and one commutator check per
-    time point (five, four and three without the sharing)."""
+    """One propagator stack, one matrix exponential and one commutator check
+    per sweep of four time points (four, four and one with one exponential
+    per time point; twenty, sixteen and twelve without any sharing)."""
     expm_calls = []
     expm = linalg.expm
     monkeypatch.setattr(linalg, "expm", lambda a: expm_calls.append(a) or expm(a))
     counts = run_check(tmp_path, monkeypatch, [
         "--model", "builtin:random-commuting?dim=3&seed=4", "--state", "plus",
-        "--bounds", "ml", "--t-final", "1.0", "--steps", "1",
-    ], names=("propagator", "commutator_check"))
-    assert counts == {"propagator": 1, "commutator_check": 1}
+        "--bounds", "ml", "--t-final", "1.0", "--steps", "4",
+    ], names=("_propagator_stack", "commutator_check"))
+    assert counts == {"_propagator_stack": 1, "commutator_check": 1}
     assert len(expm_calls) == 1
+
+
+def spy_expm(monkeypatch):
+    """Record the member count and matrix size of every ``linalg.expm`` call."""
+    shapes = []
+    expm = linalg.expm
+    monkeypatch.setattr(linalg, "expm", lambda a: shapes.append(np.shape(a)) or expm(a))
+    return shapes
+
+
+def test_expm_calls_do_not_grow_with_the_grid(tmp_path, monkeypatch):
+    """A refrigerator sweep makes three exponential calls at 4 and at 16 time
+    points: the ML propagators, the Lindblad states and the first (and, on
+    this smooth grid, only) quadrature round of every path."""
+    shapes = spy_expm(monkeypatch)
+    counts = []
+    for steps in ("4", "16"):
+        shapes.clear()
+        run_check(tmp_path, monkeypatch, [*REFRIGERATOR, "--t-final", "1.0", "--steps", steps],
+                  names=())
+        counts.append(len(shapes))
+    assert counts == [3, 3]
+
+
+def test_stack_budget_bounds_every_exponential(tmp_path, monkeypatch):
+    """A 256-point, 400-node refrigerator check splits its stacks so that no
+    ``linalg.expm`` call holds more than ``_STACK_BUDGET`` matrix entries."""
+    shapes = spy_expm(monkeypatch)
+    run_check(tmp_path, monkeypatch, [
+        *REFRIGERATOR, "--t-final", "2", "--steps", "256", "--quad-panels", "400",
+    ], names=())
+    entries = [math.prod(shape) for shape in shapes]
+    assert max(entries) <= linalg._STACK_BUDGET
+    assert sum(entries) > 10 * linalg._STACK_BUDGET  # the budget did split the stacks
 
 
 def test_work_count_open_ml(tmp_path, monkeypatch):
@@ -368,6 +411,56 @@ def chain():
 
 def rows_by_kind(pairs):
     return {report.kind: report for _, report in pairs}
+
+
+def timed_model():
+    """A time-dependent model: its paths run through midpoint products."""
+    base = random_commuting(2, 11, gamma_scale=0.6)
+    return NonHermitianModel(base.h, base.gamma, time_dependence=lambda t: (
+        base.h * (1.0 + 0.5 * math.sin(3.0 * t)), base.gamma * (1.0 + 0.3 * t)))
+
+
+GRID_CASES = {
+    # model, state, groups, observable, times
+    "time-dependent": (timed_model, random_pure_state(2, 12), ["mt"], np.diag([0.0, 1.0]),
+                       [0.25, 0.5, 0.75, 1.0]),
+    # the window to 0.0025 resolves the decay pulse at once, the others bisect
+    "strong-decay": (lambda: NonHermitianModel(np.zeros((2, 2)), np.diag([0.0, 400.0])),
+                     StateVector(np.ones(2) / np.sqrt(2.0)), ["mt"], np.diag([0.0, 1.0]),
+                     [0.0025, 0.005, 0.0075, 0.01]),
+    "closed": (lambda: random_commuting(3, 7, gamma_scale=0.8), random_density(3, 8),
+               ["ml", "mt"], np.diag([0.0, 0.0, 1.0]), [0.3, 0.6, 0.9]),
+    "refrigerator": (fridge, StateVector(np.ones(3) / np.sqrt(3.0)), ["ml-open", "mt-open"],
+                     np.diag([0.0, 0.0, 1.0]), [0.3, 0.6, 0.9]),
+    "jump-count": (fridge, random_density(3, 9), ["ml-open", "mt-open"], JumpCountObservable(),
+                   [0.3, 0.6, 0.9]),
+    "classical": (chain, DensityOperator(np.diag([0.5, 0.3, 0.2]).astype(complex)),
+                  ["classical", "ml-open", "mt-open"], np.diag([0.0, 1.0, 3.0]), [0.3, 0.6, 0.9]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRID_CASES))
+def test_grid_rows_equal_one_point_sweeps(case, monkeypatch):
+    """Every row of a grid sweep is, by ``repr``, the row a one-point sweep
+    at its time gives: the stacks treat each time as if it were alone.  A
+    time-dependent model keeps each path's own midpoint step length."""
+    make, state, groups, obs, times = GRID_CASES[case]
+    bisected = {}
+    refine = bnd._Window.refine
+
+    def spy(self, f):
+        refine(self, f)
+        bisected[self.t2] = bisected.get(self.t2, False) or bool(self.a.size)
+
+    monkeypatch.setattr(bnd._Window, "refine", spy)
+    model = make()
+    grid = sweep(model, state, times, groups, obs)
+    if case == "strong-decay":
+        assert [bisected[t] for t in times] == [False, True, True, True]
+    one_point = [pair for t in times for pair in sweep(model, state, [t], groups, obs)]
+    assert len(grid) == len(one_point) > len(times)
+    for (t, report), (t1, single) in zip(grid, one_point):
+        assert t == t1 and repr(report) == repr(single)
 
 
 @pytest.mark.parametrize("case", ["closed-window", "refrigerator-projector",
