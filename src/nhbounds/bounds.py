@@ -24,14 +24,15 @@ fail dynamically (positivity, integration window, fidelity/weight domain)
 flip ``applicable`` instead of raising.
 
 Every row comes from :func:`sweep`, which evaluates bound groups along a
-time grid; each public row function is a one-point sweep.  A sweep does the
-model checks and converts the state and observable once, and evaluates each
-part (ML propagators, MT paths, Lindblad states, fidelities, observable
+time grid; each public row function is a one-point sweep.  A sweep converts
+the state and observable once and calls each group's row builder once.  The
+builder does its family's model checks and evaluates each part it reads
+(ML propagators, MT paths, Lindblad states, fidelities, observable
 statistics, jump-count moments, chain distributions) as one stack over the
 whole grid: one stacked exponential per part, and one adaptive quadrature
-for all MT windows.  Each stack is computed at most once, on first use, and
-indexed by every row of every time point.  Sweeps, and so public calls,
-share nothing.
+for all MT windows.  The Lindblad states, their fidelities and the open TUR
+ratios, which both open groups read, are computed once per sweep.  Sweeps,
+and so public calls, share nothing.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .propagation import (
     _evolve_lindblad,
     _jump_count_moments,
     _normalized_density,
-    _propagator_stack,
     _propagators,
     propagator,
 )
@@ -173,25 +173,6 @@ def normalized_overlap(
 
 # ---------------------------------------------------------------------------
 # one sweep's stacks
-
-
-@dataclass(eq=False, frozen=True)
-class _MLStack:
-    """What the ML rows read at the times of a sweep.
-
-    ``mats``: the propagators M to each time; only the closed rows normalize
-    their states, so the open rows give numbers where a state would
-    underflow.  ``overlaps``: |Tr[M rho0]|.  ``params``: the terms of each
-    time's floor; each row copies them before adding its own keys.  The open
-    family reads this on ``no_jump_model()``, whose Gamma is half the
-    jump-rate operator: there ``floor_raw`` is the open floor
-    exp(-activity*tau/2) - tau(<H_S> - E_g) and ``overlaps`` are the record
-    overlaps.
-    """
-
-    mats: np.ndarray
-    overlaps: list[float]
-    params: list[dict]
 
 
 @dataclass(eq=False, frozen=True)
@@ -405,7 +386,7 @@ def _count_ratio(mean: float, var: float) -> tuple[float, dict]:
 
 
 class _Sweep:
-    """One sweep's evaluation, read by all of its rows.
+    """One sweep's inputs, and the stacks both open groups read.
 
     ``model`` is the quantum model (a chain's embedding where an open group
     needs one), ``closed`` the model the ML and MT rows read, ``chain`` the
@@ -415,9 +396,9 @@ class _Sweep:
     the ML and MT families read of it (None for a jump count) and
     ``values`` what the classical family reads (its diagonal).
 
-    Every other attribute is a stack over ``times`` or a per-sweep term,
-    computed at most once, on first use, by stacked calls, and indexed by the
-    row builders, so a family pays only for what it reads.
+    ``lindblad``, ``fidelity`` and ``open_ratios`` are stacks over ``times``
+    that both open groups read, each computed at most once, on first use.
+    Every other stack belongs to the one group builder that reads it.
     """
 
     def __init__(self, model, chain, rho0, times, observable, start: float, steps: int):
@@ -426,71 +407,6 @@ class _Sweep:
         self.closed = model.no_jump_model() if isinstance(model, LindbladModel) else model
         self.matrix = None if isinstance(observable, JumpCountObservable) else observable
         self.values = None if self.matrix is None else np.diag(self.matrix).real
-
-    @functools.cached_property
-    def ml_terms(self) -> dict:
-        model, rho0 = self.closed, self.rho0
-        if model.is_time_dependent:
-            raise BadParameter("the mean-based bound requires a time-independent model")
-        norm, ok = commutator_check(model.h, model.gamma)  # the model checks Gamma is PSD
-        if not ok:
-            raise CommutatorViolation(f"[H, Gamma] norm {norm:.3e} exceeds tolerance")
-        return {"mean_h": _expectation(model.h, rho0),
-                "mean_gamma": _expectation(model.gamma, rho0),
-                "ground_energy": ground_energy(model.h), "commutator_norm": norm}
-
-    @functools.cached_property
-    def ml(self) -> _MLStack:
-        terms = self.ml_terms
-        mats = _propagator_stack(self.closed, self.times)  # raises for a negative time
-        mats.setflags(write=False)
-        de = terms["mean_h"] - terms["ground_energy"]
-        overlaps = np.trace(mats @ self.rho0, axis1=-2, axis2=-1)
-        return _MLStack(mats, [abs(complex(o)) for o in overlaps], [
-            {"tau": tau, **terms, "floor_raw": math.exp(-terms["mean_gamma"] * tau) - tau * de}
-            for tau in self.times
-        ])
-
-    @functools.cached_property
-    def ml_states(self) -> tuple[np.ndarray, np.ndarray, list[float]]:
-        """The closed ML rows' normalized states, their traces and their
-        fidelities to ``rho0``."""
-        rho, tr = _normalized_density(self.ml.mats, self.rho0)
-        return rho, tr, metrics._fidelities(self.rho0, rho)
-
-    @functools.cached_property
-    def mt(self) -> list[_MTPath]:
-        return _mt_paths(self.closed, self.rho0, self.start, self.times, self.steps)
-
-    @functools.cached_property
-    def mt_fidelities(self) -> list[float]:
-        return metrics._fidelities(np.stack([p.rho1 for p in self.mt]),
-                                   np.stack([p.rho2 for p in self.mt]))
-
-    @functools.cached_property
-    def mt_stats(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """The observable's (means, stds) at the start and at the end of each window."""
-        return tuple(metrics._observable_stats(self.matrix, np.stack([getattr(p, name) for p in self.mt]))
-                     for name in ("rho1", "rho2"))
-
-    @functools.cached_property
-    def mt_ratios(self) -> list[tuple[float, dict]]:
-        return _scaled_ratios(*self.mt_stats)
-
-    @functools.cached_property
-    def energy_time(self) -> list[BoundReport]:
-        ends = np.stack([p.rho2 for p in self.mt])
-        return _energy_times(self.closed, ends, self.times, self.matrix, self.mt_stats[1])
-
-    @functools.cached_property
-    def start_stats(self) -> tuple[np.ndarray, np.ndarray]:
-        """The observable's (mean, std) in ``rho0``, as one-member stacks."""
-        return metrics._observable_stats(self.matrix, self.rho0[None])
-
-    @functools.cached_property
-    def ml_ratios(self) -> list[tuple[float, dict]]:
-        return _scaled_ratios(self.start_stats,
-                              metrics._observable_stats(self.matrix, self.ml_states[0]))
 
     @functools.cached_property
     def lindblad(self) -> np.ndarray:
@@ -502,80 +418,97 @@ class _Sweep:
 
     @functools.cached_property
     def open_ratios(self) -> list[tuple[float, dict]]:
-        """The open TURs' ratio at each time, read by both open families:
-        exact jump-count moments, or a system operator's statistics in the
-        Lindblad state."""
+        """The open TURs' ratio at each time: exact jump-count moments, or a
+        system operator's statistics in the Lindblad state."""
         if isinstance(self.observable, JumpCountObservable):
             return [_count_ratio(*moments)
                     for moments in _jump_count_moments(self.model, self.rho0, self.times)]
-        return _scaled_ratios(self.start_stats,
+        return _scaled_ratios(metrics._observable_stats(self.matrix, self.rho0[None]),
                               metrics._observable_stats(self.matrix, self.lindblad))
 
-    @functools.cached_property
-    def classical_form(self) -> bool:
-        """Whether H_S vanishes, so the open ML TUR has the classical form."""
-        return linalg.max_abs(self.model.h_s) <= 1e-12
 
-    @functools.cached_property
-    def classical(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """The chain's initial and propagated distributions and its activity."""
-        chain = self.chain
-        p = chain.propagate(self.times)  # raises for a negative time
-        return chain.p0 / chain.p0.sum(), p / p.sum(axis=1, keepdims=True), chain.activity()
+def _ml_stack(sw: _Sweep) -> tuple[np.ndarray, list[float], list[dict]]:
+    """The model checks of the ML family, then what its rows read at the
+    times of ``sw``: the propagators M to each time, the overlaps
+    |Tr[M rho0]| and the terms of each time's floor (each row copies them
+    before adding its own keys).
 
-    @functools.cached_property
-    def classical_ratios(self) -> list[tuple[float, dict]]:
-        p0, p1, _ = self.classical
-        if self.values.size != self.chain.n_states:
-            raise BadParameter("observable length differs from the state count")
-        op, eye = linalg.as_matrix(np.diag(self.values)), np.eye(len(p0))
-        return _scaled_ratios(*(metrics._observable_stats(op, (p[..., None] * eye).astype(complex))
-                                for p in (p0[None], p1)))
+    Only the closed rows normalize their states, so the open rows give
+    numbers where a state would underflow.  The open family reads this on
+    ``no_jump_model()``, whose Gamma is half the jump-rate operator: there
+    ``floor_raw`` is the open floor exp(-activity*tau/2) - tau(<H_S> - E_g)
+    and the overlaps are the record overlaps.
+    """
+    model, rho0 = sw.closed, sw.rho0
+    if model.is_time_dependent:
+        raise BadParameter("the mean-based bound requires a time-independent model")
+    norm, ok = commutator_check(model.h, model.gamma)  # the model checks Gamma is PSD
+    if not ok:
+        raise CommutatorViolation(f"[H, Gamma] norm {norm:.3e} exceeds tolerance")
+    terms = {"mean_h": _expectation(model.h, rho0),
+             "mean_gamma": _expectation(model.gamma, rho0),
+             "ground_energy": ground_energy(model.h), "commutator_norm": norm}
+    mats = _propagators(model, sw.times)  # raises for a negative time
+    de = terms["mean_h"] - terms["ground_energy"]
+    overlaps = np.trace(mats @ rho0, axis1=-2, axis2=-1)
+    return mats, [abs(complex(o)) for o in overlaps], [
+        {"tau": tau, **terms, "floor_raw": math.exp(-terms["mean_gamma"] * tau) - tau * de}
+        for tau in sw.times
+    ]
 
 
 # ---------------------------------------------------------------------------
 # closed system, mean-based (ML) family
 
 
-def _ml_rows(sw: _Sweep, k: int) -> list[BoundReport]:
-    """fid-ml, qsl-ml, qsl-ml-simple and, given an observable, tur-ml at the
-    ``k``-th time of ``sw``."""
-    ml, rho0, tau = sw.ml, sw.rho0, sw.times[k]
-    _, tr, fidelities = sw.ml_states
-    norm_tau = math.sqrt(tr[k])
-    params = dict(ml.params[k], norm_tau=norm_tau)
-    raw, mean_g = params["floor_raw"], params["mean_gamma"]
-    positive = raw > 0.0
-    conditions = (("commuting_h_gamma", True), ("gamma_psd", True), ("floor_positive", positive))
-    floor = raw / norm_tau
-    rows = [BoundReport(
-        "fid-ml", ml.overlaps[k] / math.sqrt(np.trace(rho0).real * tr[k]), floor, True,
-        conditions, dict(params, fidelity_floor=floor),
-    )]
-    de = params["mean_h"] - params["ground_energy"]
-    angle = metrics._fidelity_angle(fidelities[k])
-    rhs = 2.0 * math.sin(angle / 2.0) ** 2
-    rate_sum = de + mean_g
-    simple = {
-        "lhs": tau * de + 1.0 - math.exp(-mean_g * tau),
-        "weak_lhs": tau * rate_sum,
-        "rhs": rhs,
-        "applicable": positive,
-    }
-    rows.append(BoundReport("qsl-ml", 1.0 - floor, rhs, True, conditions, dict(
-        params, bures_angle=angle, simple=simple,
-        tau_min_geometric=(rhs / rate_sum) if rate_sum > 0 else 0.0,
-    )))
-    rows.append(BoundReport("qsl-ml-simple", simple["lhs"], rhs, positive, (),
-                            {"tau": tau, "weak_lhs": simple["weak_lhs"]}))
+def _ml_rows(sw: _Sweep) -> list[list[BoundReport]]:
+    """fid-ml, qsl-ml, qsl-ml-simple and, given an observable, tur-ml at each
+    time of ``sw``."""
+    rho0 = sw.rho0
+    mats, overlaps, terms = _ml_stack(sw)
+    rho, tr = _normalized_density(mats, rho0)
+    fidelities = metrics._fidelities(rho0, rho)
     if sw.matrix is not None:
-        ratio_sq, stats = sw.ml_ratios[k]
-        loose = {"lhs": _inv_sq_minus_one(raw), "rhs": ratio_sq, "applicable": positive}
-        rows.append(BoundReport(
-            "tur-ml", _inv_sq_minus_one(raw, norm_tau), ratio_sq, positive, conditions,
-            dict(params, **stats, loose=loose),
-        ))
-    return rows
+        ratios = _scaled_ratios(metrics._observable_stats(sw.matrix, rho0[None]),
+                                metrics._observable_stats(sw.matrix, rho))
+    out = []
+    for k, tau in enumerate(sw.times):
+        norm_tau = math.sqrt(tr[k])
+        params = dict(terms[k], norm_tau=norm_tau)
+        raw, mean_g = params["floor_raw"], params["mean_gamma"]
+        positive = raw > 0.0
+        conditions = (("commuting_h_gamma", True), ("gamma_psd", True),
+                      ("floor_positive", positive))
+        floor = raw / norm_tau
+        rows = [BoundReport(
+            "fid-ml", overlaps[k] / math.sqrt(np.trace(rho0).real * tr[k]), floor, True,
+            conditions, dict(params, fidelity_floor=floor),
+        )]
+        de = params["mean_h"] - params["ground_energy"]
+        angle = metrics._fidelity_angle(fidelities[k])
+        rhs = 2.0 * math.sin(angle / 2.0) ** 2
+        rate_sum = de + mean_g
+        simple = {
+            "lhs": tau * de + 1.0 - math.exp(-mean_g * tau),
+            "weak_lhs": tau * rate_sum,
+            "rhs": rhs,
+            "applicable": positive,
+        }
+        rows.append(BoundReport("qsl-ml", 1.0 - floor, rhs, True, conditions, dict(
+            params, bures_angle=angle, simple=simple,
+            tau_min_geometric=(rhs / rate_sum) if rate_sum > 0 else 0.0,
+        )))
+        rows.append(BoundReport("qsl-ml-simple", simple["lhs"], rhs, positive, (),
+                                {"tau": tau, "weak_lhs": simple["weak_lhs"]}))
+        if sw.matrix is not None:
+            ratio_sq, stats = ratios[k]
+            loose = {"lhs": _inv_sq_minus_one(raw), "rhs": ratio_sq, "applicable": positive}
+            rows.append(BoundReport(
+                "tur-ml", _inv_sq_minus_one(raw, norm_tau), ratio_sq, positive, conditions,
+                dict(params, **stats, loose=loose),
+            ))
+        out.append(rows)
+    return out
 
 
 def fid_ml(model: NonHermitianModel, state0, tau: float) -> BoundReport:
@@ -614,44 +547,53 @@ def tur_ml(model: NonHermitianModel, state0, tau: float, observable) -> BoundRep
 # closed system, deviation-based (MT) family
 
 
-def _mt_rows(sw: _Sweep, k: int) -> list[BoundReport]:
+def _mt_rows(sw: _Sweep) -> list[list[BoundReport]]:
     """fid-mt, qsl-mt and, given an observable, tur-mt and energy-time over
-    [``sw.start``, the ``k``-th time of ``sw``]."""
-    path, tau1, tau2 = sw.mt[k], sw.start, sw.times[k]
-    integral, err = path.integral, path.quad_err
-    in_window = integral <= math.pi / 2.0 + WINDOW_TOL
-    conditions = (("window_le_half_pi", in_window),)
-    angle = metrics._fidelity_angle(sw.mt_fidelities[k])
-    if integral > 0.0:
-        tau_min = angle * (tau2 - tau1) / integral
-    else:
-        tau_min = 0.0 if angle == 0.0 else float("inf")
-    rows = [
-        BoundReport(
-            "fid-mt", path.overlap / math.sqrt(path.tr1 * path.tr2), math.cos(integral),
-            in_window, conditions,
-            {"tau1": tau1, "tau2": tau2, "integral": integral, "quad_err": err},
-        ),
-        BoundReport("qsl-mt", integral, angle, in_window, conditions, {
-            "tau1": tau1,
-            "tau2": tau2,
-            "quad_err": err,
-            "tau_min": tau_min,
-            "mean_std": integral / (tau2 - tau1) if tau2 > tau1 else 0.0,
-        }),
-    ]
+    [``sw.start``, t] for each time t of ``sw``."""
+    paths, tau1 = _mt_paths(sw.closed, sw.rho0, sw.start, sw.times, sw.steps), sw.start
+    starts, ends = (np.stack([getattr(p, name) for p in paths]) for name in ("rho1", "rho2"))
+    fidelities = metrics._fidelities(starts, ends)
     if sw.matrix is not None:
-        ratio_sq, stats = sw.mt_ratios[k]
-        inside = integral < math.pi / 2.0
-        et = sw.energy_time[k]
-        rows.append(BoundReport(
-            "tur-mt", math.tan(integral) ** 2 if inside else float("inf"), ratio_sq, inside,
-            (("window_lt_half_pi", inside),),
-            {"tau1": tau1, "tau2": tau2, "quad_err": err, "integral": integral, **stats,
-             "energy_time": {"lhs": et.lhs, "rhs": et.rhs, "slack": et.slack}},
-        ))
-        rows.append(et)
-    return rows
+        start_stats, end_stats = (metrics._observable_stats(sw.matrix, rho) for rho in (starts, ends))
+        ratios = _scaled_ratios(start_stats, end_stats)
+        energy_times = _energy_times(sw.closed, ends, sw.times, sw.matrix, end_stats)
+    out = []
+    for k, (path, tau2) in enumerate(zip(paths, sw.times)):
+        integral, err = path.integral, path.quad_err
+        in_window = integral <= math.pi / 2.0 + WINDOW_TOL
+        conditions = (("window_le_half_pi", in_window),)
+        angle = metrics._fidelity_angle(fidelities[k])
+        if integral > 0.0:
+            tau_min = angle * (tau2 - tau1) / integral
+        else:
+            tau_min = 0.0 if angle == 0.0 else float("inf")
+        rows = [
+            BoundReport(
+                "fid-mt", path.overlap / math.sqrt(path.tr1 * path.tr2), math.cos(integral),
+                in_window, conditions,
+                {"tau1": tau1, "tau2": tau2, "integral": integral, "quad_err": err},
+            ),
+            BoundReport("qsl-mt", integral, angle, in_window, conditions, {
+                "tau1": tau1,
+                "tau2": tau2,
+                "quad_err": err,
+                "tau_min": tau_min,
+                "mean_std": integral / (tau2 - tau1) if tau2 > tau1 else 0.0,
+            }),
+        ]
+        if sw.matrix is not None:
+            ratio_sq, stats = ratios[k]
+            inside = integral < math.pi / 2.0
+            et = energy_times[k]
+            rows.append(BoundReport(
+                "tur-mt", math.tan(integral) ** 2 if inside else float("inf"), ratio_sq, inside,
+                (("window_lt_half_pi", inside),),
+                {"tau1": tau1, "tau2": tau2, "quad_err": err, "integral": integral, **stats,
+                 "energy_time": {"lhs": et.lhs, "rhs": et.rhs, "slack": et.slack}},
+            ))
+            rows.append(et)
+        out.append(rows)
+    return out
 
 
 def fid_mt(
@@ -747,29 +689,36 @@ def open_overlap(model: LindbladModel, state0, tau: float) -> float:
     return abs(complex(np.trace(propagator(model.no_jump_model(), tau) @ rho0)))
 
 
-def _ml_open_rows(sw: _Sweep, k: int) -> list[BoundReport]:
-    """fid-ml-open, qsl-ml-open and, given an observable, tur-ml-open at the
-    ``k``-th time of ``sw``."""
-    ml = sw.ml
-    floor = ml.params[k]["floor_raw"]
-    positive = floor > 0.0
-    conditions = (("commuting_hs_jumps", True), ("floor_positive", positive))
-    angle = metrics._fidelity_angle(sw.fidelity[k])
-    rows = [
-        BoundReport("fid-ml-open", ml.overlaps[k], floor, True, conditions, dict(ml.params[k])),
-        BoundReport("qsl-ml-open", 1.0 - floor, 2.0 * math.sin(angle / 2.0) ** 2, True,
-                    conditions, dict(ml.params[k], bures_angle=angle)),
-    ]
+def _ml_open_rows(sw: _Sweep) -> list[list[BoundReport]]:
+    """fid-ml-open, qsl-ml-open and, given an observable, tur-ml-open at each
+    time of ``sw``."""
+    _, overlaps, terms = _ml_stack(sw)
+    fidelity = sw.fidelity
     if sw.observable is not None:
-        ratio_sq, stats = sw.open_ratios[k]
-        params = dict(ml.params[k], **stats)
-        if sw.classical_form:
-            # the no-jump Gamma is half the jump-rate operator
-            params["classical_form_lhs"] = _expm1(2.0 * params["mean_gamma"] * sw.times[k])
-        rows.append(BoundReport(
-            "tur-ml-open", _inv_sq_minus_one(floor), ratio_sq, positive, conditions, params
-        ))
-    return rows
+        ratios = sw.open_ratios
+    classical_form = linalg.max_abs(sw.model.h_s) <= 1e-12  # H_S = 0: the classical TUR form
+    out = []
+    for k, tau in enumerate(sw.times):
+        floor = terms[k]["floor_raw"]
+        positive = floor > 0.0
+        conditions = (("commuting_hs_jumps", True), ("floor_positive", positive))
+        angle = metrics._fidelity_angle(fidelity[k])
+        rows = [
+            BoundReport("fid-ml-open", overlaps[k], floor, True, conditions, dict(terms[k])),
+            BoundReport("qsl-ml-open", 1.0 - floor, 2.0 * math.sin(angle / 2.0) ** 2, True,
+                        conditions, dict(terms[k], bures_angle=angle)),
+        ]
+        if sw.observable is not None:
+            ratio_sq, stats = ratios[k]
+            params = dict(terms[k], **stats)
+            if classical_form:
+                # the no-jump Gamma is half the jump-rate operator
+                params["classical_form_lhs"] = _expm1(2.0 * params["mean_gamma"] * tau)
+            rows.append(BoundReport(
+                "tur-ml-open", _inv_sq_minus_one(floor), ratio_sq, positive, conditions, params
+            ))
+        out.append(rows)
+    return out
 
 
 def fid_ml_open(model: LindbladModel, state0, tau: float) -> BoundReport:
@@ -805,41 +754,48 @@ def tur_ml_open(model: LindbladModel, state0, tau: float, observable) -> BoundRe
     return _row("tur-ml-open", model, state0, tau, observable)
 
 
-def _mt_open_rows(sw: _Sweep, k: int) -> list[BoundReport]:
+def _mt_open_rows(sw: _Sweep) -> list[list[BoundReport]]:
     """fid-mt-open, qsl-mt-open and, given an observable, tur-mt-open over
-    [0, the ``k``-th time of ``sw``]."""
-    path, tau = sw.mt[k], sw.times[k]
-    integral, err, z = path.integral, path.quad_err, path.tr2
-    in_window = integral <= math.pi / 2.0 + WINDOW_TOL
-    fid = sw.fidelity[k]
-    ratio = fid / z
-    fid_ok = ratio <= 1.0 + 1e-10
-    rhs = float(np.arccos(np.clip(math.sqrt(min(ratio, 1.0)), 0.0, 1.0))) if fid_ok else float("nan")
-    raw_overlap = path.overlap / math.sqrt(z)
-    rows = [
-        BoundReport(
-            "fid-mt-open", path.overlap, math.sqrt(z) * math.cos(integral), in_window,
-            (("window_le_half_pi", in_window),),
-            {"tau": tau, "integral": integral, "survival_weight": z, "quad_err": err},
-        ),
-        BoundReport("qsl-mt-open", integral, rhs, fid_ok, (("fid_le_z", fid_ok),), {
-            "tau": tau,
-            "survival_weight": z,
-            "fidelity": fid,
-            "quad_err": err,
-            "underlying_rhs": float(np.arccos(np.clip(raw_overlap, 0.0, 1.0))),
-        }),
-    ]
+    [0, t] for each time t of ``sw``."""
+    paths = _mt_paths(sw.closed, sw.rho0, sw.start, sw.times, sw.steps)
+    fidelity = sw.fidelity
     if sw.observable is not None:
-        inside = integral < math.pi / 2.0
-        lhs = (1.0 / (z * math.cos(integral) ** 2) - 1.0) if inside else float("inf")
-        ratio_sq, stats = sw.open_ratios[k]
-        rows.append(BoundReport(
-            "tur-mt-open", lhs, ratio_sq, inside, (("window_lt_half_pi", inside),),
-            {"tau": tau, "integral": integral, "survival_weight": z, "quad_err": err,
-             "observable_convention": "lindblad-state", **stats},
-        ))
-    return rows
+        ratios = sw.open_ratios
+    out = []
+    for k, (path, tau) in enumerate(zip(paths, sw.times)):
+        integral, err, z = path.integral, path.quad_err, path.tr2
+        in_window = integral <= math.pi / 2.0 + WINDOW_TOL
+        fid = fidelity[k]
+        ratio = fid / z
+        fid_ok = ratio <= 1.0 + 1e-10
+        rhs = (float(np.arccos(np.clip(math.sqrt(min(ratio, 1.0)), 0.0, 1.0))) if fid_ok
+               else float("nan"))
+        raw_overlap = path.overlap / math.sqrt(z)
+        rows = [
+            BoundReport(
+                "fid-mt-open", path.overlap, math.sqrt(z) * math.cos(integral), in_window,
+                (("window_le_half_pi", in_window),),
+                {"tau": tau, "integral": integral, "survival_weight": z, "quad_err": err},
+            ),
+            BoundReport("qsl-mt-open", integral, rhs, fid_ok, (("fid_le_z", fid_ok),), {
+                "tau": tau,
+                "survival_weight": z,
+                "fidelity": fid,
+                "quad_err": err,
+                "underlying_rhs": float(np.arccos(np.clip(raw_overlap, 0.0, 1.0))),
+            }),
+        ]
+        if sw.observable is not None:
+            inside = integral < math.pi / 2.0
+            lhs = (1.0 / (z * math.cos(integral) ** 2) - 1.0) if inside else float("inf")
+            ratio_sq, stats = ratios[k]
+            rows.append(BoundReport(
+                "tur-mt-open", lhs, ratio_sq, inside, (("window_lt_half_pi", inside),),
+                {"tau": tau, "integral": integral, "survival_weight": z, "quad_err": err,
+                 "observable_convention": "lindblad-state", **stats},
+            ))
+        out.append(rows)
+    return out
 
 
 def fid_mt_open(
@@ -892,19 +848,29 @@ def tur_mt_open(
 # classical Markov special case
 
 
-def _classical_rows(sw: _Sweep, k: int) -> list[BoundReport]:
-    """qsl-classical and, given per-state values, tur-classical at the
-    ``k``-th time of ``sw``."""
-    p0, p1, activity = sw.classical
-    tau = sw.times[k]
-    params = {"tau": tau, "activity": activity}
-    rows = [BoundReport("qsl-classical", activity * tau, metrics.renyi_half(p0, p1[k]), True, (),
-                        params)]
+def _classical_rows(sw: _Sweep) -> list[list[BoundReport]]:
+    """qsl-classical and, given per-state values, tur-classical at each time
+    of ``sw``."""
+    chain = sw.chain
+    p = chain.propagate(sw.times)  # raises for a negative time
+    p0, p1, activity = chain.p0 / chain.p0.sum(), p / p.sum(axis=1, keepdims=True), chain.activity()
     if sw.values is not None:
-        ratio_sq, stats = sw.classical_ratios[k]
-        rows.append(BoundReport("tur-classical", _expm1(activity * tau), ratio_sq, True, (),
-                                dict(params, **stats)))
-    return rows
+        if sw.values.size != chain.n_states:
+            raise BadParameter("observable length differs from the state count")
+        op, eye = linalg.as_matrix(np.diag(sw.values)), np.eye(len(p0))
+        ratios = _scaled_ratios(*(metrics._observable_stats(op, (p[..., None] * eye).astype(complex))
+                                  for p in (p0[None], p1)))
+    out = []
+    for k, tau in enumerate(sw.times):
+        params = {"tau": tau, "activity": activity}
+        rows = [BoundReport("qsl-classical", activity * tau, metrics.renyi_half(p0, p1[k]), True,
+                            (), params)]
+        if sw.values is not None:
+            ratio_sq, stats = ratios[k]
+            rows.append(BoundReport("tur-classical", _expm1(activity * tau), ratio_sq, True, (),
+                                    dict(params, **stats)))
+        out.append(rows)
+    return out
 
 
 def qsl_classical(chain: ClassicalMarkovModel, tau: float) -> BoundReport:
@@ -976,12 +942,9 @@ def sweep(model, state0, times, groups, observable=None, *, start: float = 0.0,
         if observable is not None and not isinstance(observable, JumpCountObservable):
             observable = linalg.require_hermitian(observable, "observable")
     sw = _Sweep(model, chain, rho0, times, observable, start, steps)
-    builders = [FAMILIES[g][2] for g in groups]
-    out: list[tuple[float, BoundReport]] = []
-    for k, t in enumerate(sw.times):
-        for build in builders:
-            out.extend((t, report) for report in build(sw, k))
-    return out
+    per_group = [FAMILIES[g][2](sw) for g in groups] if sw.times else []
+    return [(t, report) for k, t in enumerate(sw.times) for rows in per_group
+            for report in rows[k]]
 
 
 def _row(kind: str, model, state0, tau: float, observable=None, **options) -> BoundReport:

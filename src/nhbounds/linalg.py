@@ -42,23 +42,23 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def hermiticity_defect(a) -> float:
-    """max |A_ij - conj(A_ji)|."""
-    m = as_matrix(a)
-    return max_abs(m - dag(m))
+def _hermiticity(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a matrix or each matrix of a stack ``(..., n, n)``: whether it is
+    Hermitian, max |A - A^dag| <= HERMITICITY_RTOL (1 + max |A|), and that
+    defect max |A - A^dag|."""
+    defect = np.abs(m - np.conj(np.swapaxes(m, -1, -2))).max(axis=(-2, -1), initial=0.0)
+    return defect <= HERMITICITY_RTOL * (1.0 + np.abs(m).max(axis=(-2, -1), initial=0.0)), defect
 
 
-def is_hermitian(a, rtol: float = HERMITICITY_RTOL) -> bool:
-    m = as_matrix(a)
-    return hermiticity_defect(m) <= rtol * (1.0 + max_abs(m))
+def is_hermitian(a) -> bool:
+    return bool(_hermiticity(as_matrix(a))[0])
 
 
 def require_hermitian(a, what: str = "matrix") -> np.ndarray:
     m = as_matrix(a)
-    if not is_hermitian(m):
-        raise HermiticityViolation(
-            f"{what} is not Hermitian: defect {hermiticity_defect(m):.3e}"
-        )
+    ok, defect = _hermiticity(m)
+    if not ok:
+        raise HermiticityViolation(f"{what} is not Hermitian: defect {defect:.3e}")
     return m
 
 
@@ -152,13 +152,10 @@ def expm(a) -> np.ndarray:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ShapeError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     x = m.reshape(-1, *m.shape[-2:])
-    size = np.abs(x)
-    norm = size.sum(axis=-2).max(axis=-1, initial=0.0)
+    norm = np.abs(x).sum(axis=-2).max(axis=-1, initial=0.0)
     if not np.isfinite(norm).all():
         raise NumericalOverflow("matrix exponential of a non-finite matrix")
-    defect = np.abs(x - x.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-    herm = defect <= HERMITICITY_RTOL * (1.0 + size.max(axis=(-2, -1), initial=0.0))
-    bucket = np.where(herm, -1, np.searchsorted(_PADE_EDGES, norm))  # -1: through eigh
+    bucket = np.where(_hermiticity(x)[0], -1, np.searchsorted(_PADE_EDGES, norm))  # -1: eigh
     groups = set(bucket.tolist())
     out = np.empty_like(x)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -185,10 +182,9 @@ def sqrtm_psd(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ShapeError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    defect = np.abs(m - np.conj(np.swapaxes(m, -1, -2))).max(axis=(-2, -1), initial=0.0)
-    bad = ~(defect <= HERMITICITY_RTOL * (1.0 + np.abs(m).max(axis=(-2, -1), initial=0.0)))
-    if bad.any():
-        raise HermiticityViolation(f"PSD input is not Hermitian: defect {defect[bad][0]:.3e}")
+    herm, defect = _hermiticity(m)
+    if not herm.all():
+        raise HermiticityViolation(f"PSD input is not Hermitian: defect {defect[~herm][0]:.3e}")
     w, v = np.linalg.eigh(m)
     low = w[..., :1] < PSD_REJECT
     if low.any():
@@ -205,13 +201,14 @@ def _stack_slices(members: int, n: int) -> list[slice]:
 
 
 def _expm_stack(times, n: int, build, reduce=None) -> np.ndarray:
-    """``reduce(expm(stack))`` for the stack of n x n matrices ``build(t)``,
-    one per time of ``times``, made and exponentiated in slices of at most
-    ``_STACK_BUDGET`` entries and concatenated.  ``expm`` treats each member
-    as if passed alone, so the slicing changes no value."""
-    times = list(times)
+    """``reduce(expm(build(ts)))`` over consecutive slices ``ts`` of the
+    ``times`` array, concatenated; ``build(ts)`` is the stack of n x n
+    matrices of the times ``ts``, one per time.  Each slice holds at most
+    ``_STACK_BUDGET`` entries.  ``expm`` treats each member as if passed
+    alone, so the slicing changes no value."""
+    times = np.asarray(times, dtype=float)
     parts = []
     for s in _stack_slices(len(times), n):
-        e = expm(np.stack([build(t) for t in times[s]]))
+        e = expm(build(times[s]))
         parts.append(e if reduce is None else reduce(e))
     return parts[0] if len(parts) == 1 else np.concatenate(parts)

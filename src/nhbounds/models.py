@@ -68,7 +68,7 @@ class ClassicalMarkovModel:
         if np.any(times < 0):
             raise BadParameter("time must be nonnegative")
         g = self.generator()
-        p = linalg._expm_stack(times.reshape(-1), self.n_states, lambda s: g * s,
+        p = linalg._expm_stack(times.reshape(-1), self.n_states, lambda s: g * s[:, None, None],
                                lambda e: e.real @ self.p0)
         return np.clip(p.reshape(*times.shape, -1), 0.0, None)
 

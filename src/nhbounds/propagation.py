@@ -238,7 +238,7 @@ def propagator(model: NonHermitianModel, t: float, steps: int | None = None) -> 
     if t == 0:
         return np.eye(model.dim, dtype=complex)
     if not model.is_time_dependent:
-        return _propagator_stack(model, [t])[0]
+        return _propagators(model, [t])[0]
     n = int(steps) if steps else DEFAULT_TD_STEPS
     if n < 1:
         raise BadParameter("steps must be a positive integer")
@@ -246,17 +246,6 @@ def propagator(model: NonHermitianModel, t: float, steps: int | None = None) -> 
     out = np.eye(model.dim, dtype=complex)
     for step in _midpoint_steps(model, [(k + 0.5) * dt for k in range(n)], dt):
         out = step @ out
-    return out
-
-
-def _propagator_stack(model: NonHermitianModel, times: Sequence[float]) -> np.ndarray:
-    """:func:`propagator` of a time-independent ``model`` at each of ``times``,
-    from stacked exponentials of -i t (H - i Gamma)."""
-    if any(t < 0 for t in times):
-        raise BadParameter("propagation time must be nonnegative")
-    gen = model.full_generator()
-    out = linalg._expm_stack(times, model.dim, lambda t: -1j * t * gen)
-    out[[t == 0 for t in times]] = np.eye(model.dim)
     return out
 
 
@@ -269,17 +258,26 @@ def _midpoint_steps(model: NonHermitianModel, mids: Sequence[float], dt) -> np.n
     return linalg.expm(np.stack([-1j * d * model.full_generator(m) for m, d in zip(mids, dts)]))
 
 
-def _propagators(model: NonHermitianModel, times: np.ndarray, max_step: float) -> np.ndarray:
-    """Propagators from time 0 to each of the sorted, nonnegative ``times``.
+def _propagators(model: NonHermitianModel, times, max_step: float = 0.0) -> np.ndarray:
+    """Propagators from time 0 to each of the sorted ``times``.
 
-    A constant generator takes one stacked ``expm`` of -i t G over all the
-    times.  A time-dependent one splits each gap between consecutive times
-    (the first from 0) into midpoint steps no longer than ``max_step``,
-    makes all of them in one ``_midpoint_steps`` stack and reads the
-    running product at each time.
+    A constant generator takes stacked ``expm`` calls of -i t G
+    (``linalg._expm_stack``), and the identity at t = 0.  A time-dependent
+    one splits each gap between consecutive times (the first from 0) into
+    midpoint steps no longer than ``max_step``, makes all of them in one
+    ``_midpoint_steps`` stack and reads the running product at each time.
+
+    Raises:
+        BadParameter: for a negative time.
     """
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0):
+        raise BadParameter("propagation time must be nonnegative")
     if not model.is_time_dependent:
-        return linalg.expm(-1j * times[:, None, None] * model.full_generator())
+        gen = model.full_generator()
+        out = linalg._expm_stack(times, model.dim, lambda ts: (-1j * ts)[:, None, None] * gen)
+        out[times == 0] = np.eye(model.dim)
+        return out
     gaps = np.diff(times, prepend=0.0)
     counts = (np.ceil(gaps / max_step).astype(int) if max_step > 0
               else np.zeros(len(times), dtype=int))
@@ -374,7 +372,7 @@ def _jump_count_moments(
         return (e[:, :n, n:][:, diag].sum(axis=1).reshape(-1, 2, n) @ vec).real
 
     out = []
-    for e01, e02 in linalg._expm_stack(times, 3 * n, lambda t: t * gen, moments):
+    for e01, e02 in linalg._expm_stack(times, 3 * n, lambda ts: ts[:, None, None] * gen, moments):
         mean = float(e01)
         out.append((mean, float(2.0 * e02 + mean - mean * mean)))
     return out
@@ -404,7 +402,8 @@ def _evolve_lindblad(model: LindbladModel, rho: np.ndarray, times: Sequence[floa
     if rho.shape[0] != d:
         raise ShapeError("state dimension differs from model dimension")
     lv, vec = liouvillian(model), rho.reshape(-1)
-    out = linalg._expm_stack(times, d * d, lambda t: lv * t, lambda e: e @ vec).reshape(-1, d, d)
+    out = linalg._expm_stack(times, d * d, lambda ts: lv * ts[:, None, None],
+                             lambda e: e @ vec).reshape(-1, d, d)
     out = 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
     tr = np.trace(out, axis1=-2, axis2=-1).real
     w = np.linalg.eigvalsh(out)[:, 0]

@@ -1,8 +1,9 @@
-"""One evaluation per sweep: ``bounds.sweep`` checks the model and validates
-the state and observable once, and a ``bounds._Sweep`` serves every row
-builder at every time point from one stack per part (ML propagators, MT
-paths, Lindblad states, fidelities, jump-count moments, chain
-distributions).  A grid sweep's rows equal those of one-point sweeps bit for
+"""One evaluation per sweep: ``bounds.sweep`` validates the state and
+observable once and calls each group's row builder once, which checks the
+model and evaluates one stack per part (ML propagators, MT paths, Lindblad
+states, fidelities, jump-count moments, chain distributions); both open
+groups read one Lindblad stack, one fidelity stack and one stack of open
+TUR ratios.  A grid sweep's rows equal those of one-point sweeps bit for
 bit, and the public row functions are one-point sweeps."""
 
 import math
@@ -65,10 +66,16 @@ def count_calls(monkeypatch, *names):
     return counts
 
 
-def sweep_of(model, state, times, observable=None):
-    """A sweep's shared evaluation, for calling the row builders directly."""
-    rho0 = as_density_matrix(state)
-    return bnd._Sweep(model, None, rho0, times, observable, 0.0, bnd.DEFAULT_QUAD_STEPS)
+def count_grid_propagators(monkeypatch, counts, times):
+    """Count the ML propagator stacks under ``_propagators``: the calls at
+    exactly the sweep's ``times`` (the MT paths' nodes are other times)."""
+    propagators = bnd._propagators
+
+    def counted(model, at, *args):
+        counts.update(["_propagators"] * (list(at) == list(times)))
+        return propagators(model, at, *args)
+
+    monkeypatch.setattr(bnd, "_propagators", counted)
 
 
 def count_fidelities(monkeypatch, counts):
@@ -85,25 +92,50 @@ def closed_case():
 
 
 def test_rows_of_a_time_point_share_one_path(closed_case, monkeypatch):
-    """Both closed builders, called twice at each of three time points, read
-    one quadrature for all paths and one propagator stack (one path and one
+    """Each group's builder runs once per sweep, in either group order, and
+    gives one list of rows per time point; the closed builders read one
+    quadrature for all paths and one propagator stack (one path and one
     propagator per time point before the stacks)."""
     model, psi = closed_case
-    counts = count_calls(monkeypatch, "_mt_paths", "_propagator_stack")
-    sw = sweep_of(model, psi, [0.3, 0.6, 0.9], np.diag([0.0, 0.0, 1.0]).astype(complex))
-    for k in range(3):
-        for build in (bnd._ml_rows, bnd._mt_rows, bnd._ml_rows, bnd._mt_rows):
-            build(sw, k)
-    assert counts == {"_mt_paths": 1, "_propagator_stack": 1}
+    times = [0.3, 0.6, 0.9]
+    counts = count_calls(monkeypatch, "_mt_paths")
+    count_grid_propagators(monkeypatch, counts, times)
+    for group in ("ml", "mt"):
+        kind, name, build = bnd.FAMILIES[group]
+
+        def counted(sw, _build=build, _group=group):
+            counts[_group] += 1
+            rows = _build(sw)
+            assert len(rows) == len(times)
+            return rows
+
+        monkeypatch.setitem(bnd.FAMILIES, group, (kind, name, counted))
+    sweep(model, psi, times, ["mt", "ml"], np.diag([0.0, 0.0, 1.0]).astype(complex))
+    assert counts == {"ml": 1, "mt": 1, "_mt_paths": 1, "_propagators": 1}
 
 
 def test_groups_of_a_sweep_point_share_one_path(closed_case, monkeypatch):
-    """The sweep-level twin: both closed groups of a three-point sweep read
-    one quadrature and one propagator stack."""
+    """Both closed groups of a three-point sweep read one quadrature and one
+    propagator stack."""
     model, psi = closed_case
-    counts = count_calls(monkeypatch, "_mt_paths", "_propagator_stack")
-    sweep(model, psi, [0.3, 0.6, 0.9], ["ml", "mt"], np.diag([0.0, 0.0, 1.0]).astype(complex))
-    assert counts == {"_mt_paths": 1, "_propagator_stack": 1}
+    times = [0.3, 0.6, 0.9]
+    counts = count_calls(monkeypatch, "_mt_paths")
+    count_grid_propagators(monkeypatch, counts, times)
+    sweep(model, psi, times, ["ml", "mt"], np.diag([0.0, 0.0, 1.0]).astype(complex))
+    assert counts == {"_mt_paths": 1, "_propagators": 1}
+
+
+@pytest.mark.parametrize("group", sorted(bnd.FAMILIES))
+def test_empty_grid_gives_no_rows(group):
+    """A sweep over no time points gives no rows and runs no builder."""
+    psi, obs = StateVector(np.ones(2) / np.sqrt(2.0)), np.diag([0.0, 1.0])
+    model, state, obs = {
+        "ml": (random_commuting(2, 1), psi, obs), "mt": (random_commuting(2, 1), psi, obs),
+        "ml-open": (make_dephasing(1.0), psi, JumpCountObservable()),
+        "mt-open": (make_dephasing(1.0), psi, obs),
+        "classical": (chain(), None, np.diag([0.0, 1.0, 3.0])),
+    }[group]
+    assert sweep(model, state, [], [group], obs) == []
 
 
 def test_public_calls_share_nothing(closed_case, monkeypatch):
@@ -206,40 +238,21 @@ def test_state_mutated_in_place_misses(closed_case, kind):
     assert after.lhs != before.lhs
 
 
-def test_lindblad_state_shared_by_the_open_rows(monkeypatch):
-    """Both open builders, called twice at each time point of a sweep, read
-    one path stack, one Lindblad stack and one fidelity stack per sweep, and
-    the jump-count sweep one stack of moments."""
-    model = make_dephasing(0.7)
-    psi = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
-    counts = count_calls(
-        monkeypatch, "_evolve_lindblad", "_mt_paths", "_jump_count_moments"
-    )
-    count_fidelities(monkeypatch, counts)
-    for obs in (np.diag([0.0, 1.0]).astype(complex), JumpCountObservable()):
-        sw = sweep_of(model, psi, [0.3, 0.6], obs)
-        for k in (0, 1, 0, 1):
-            bnd._ml_open_rows(sw, k)
-            bnd._mt_open_rows(sw, k)
-    assert counts == {
-        "_evolve_lindblad": 2, "_mt_paths": 2, "_jump_count_moments": 1, "fidelity": 2,
-    }
-
-
 def test_open_groups_of_a_sweep_point_share_one_lindblad_state(monkeypatch):
-    """The sweep-level twin: both open groups of a three-point sweep read one
-    path stack, one Lindblad stack, one fidelity stack and one stack of
-    moments."""
+    """Both open groups of a three-point sweep read one path stack, one
+    Lindblad stack and one fidelity stack, with a projector and with the
+    jump count, and the jump-count sweep one stack of moments."""
     model = make_dephasing(0.7)
     psi = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
     counts = count_calls(
         monkeypatch, "_evolve_lindblad", "_mt_paths", "_jump_count_moments"
     )
     count_fidelities(monkeypatch, counts)
-    sweep(model, psi, [0.2, 0.4, 0.6], ["ml-open", "mt-open"], JumpCountObservable())
-    assert counts == {
-        "_evolve_lindblad": 1, "_mt_paths": 1, "_jump_count_moments": 1, "fidelity": 1,
-    }
+    for obs, moments in ((np.diag([0.0, 1.0]).astype(complex), {}),
+                         (JumpCountObservable(), {"_jump_count_moments": 1})):
+        counts.clear()
+        sweep(model, psi, [0.2, 0.4, 0.6], ["ml-open", "mt-open"], obs)
+        assert counts == {"_evolve_lindblad": 1, "_mt_paths": 1, "fidelity": 1, **moments}
 
 
 def decay_model():
@@ -331,8 +344,8 @@ def test_work_count_closed_ml(tmp_path, monkeypatch):
     counts = run_check(tmp_path, monkeypatch, [
         "--model", "builtin:random-commuting?dim=3&seed=4", "--state", "plus",
         "--bounds", "ml", "--t-final", "1.0", "--steps", "4",
-    ], names=("_propagator_stack", "commutator_check"))
-    assert counts == {"_propagator_stack": 1, "commutator_check": 1}
+    ], names=("_propagators", "commutator_check"))
+    assert counts == {"_propagators": 1, "commutator_check": 1}
     assert len(expm_calls) == 1
 
 
