@@ -78,6 +78,13 @@ def count_grid_propagators(monkeypatch, counts, times):
     monkeypatch.setattr(bnd, "_propagators", counted)
 
 
+def sweep_of(model, state, times, observable=None):
+    """A sweep's shared evaluation, for calling the row builders directly."""
+    rho0 = as_density_matrix(state)
+    rho0.setflags(write=False)
+    return bnd._Sweep(model, None, rho0, times, observable, 0.0, bnd.DEFAULT_QUAD_STEPS)
+
+
 def count_fidelities(monkeypatch, counts):
     """Count the stacked fidelity calls under the key ``fidelity``."""
     fidelities = metrics._fidelities
@@ -236,6 +243,25 @@ def test_state_mutated_in_place_misses(closed_case, kind):
     after = qsl_mt(model, state, 0.0, 0.8)
     assert after.lhs == want.lhs and after.rhs == want.rhs
     assert after.lhs != before.lhs
+
+
+def test_lindblad_state_shared_by_the_open_rows(monkeypatch):
+    """Both open builders, called directly on one sweep, read one path stack,
+    one Lindblad stack and one fidelity stack per sweep, and the jump-count
+    sweep one stack of moments."""
+    model = make_dephasing(0.7)
+    psi = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
+    counts = count_calls(
+        monkeypatch, "_evolve_lindblad", "_mt_paths", "_jump_count_moments"
+    )
+    count_fidelities(monkeypatch, counts)
+    for obs in (np.diag([0.0, 1.0]).astype(complex), JumpCountObservable()):
+        sw = sweep_of(model, psi, [0.3, 0.6], obs)
+        for build in (bnd._ml_open_rows, bnd._mt_open_rows):
+            assert len(build(sw)) == 2
+    assert counts == {
+        "_evolve_lindblad": 2, "_mt_paths": 2, "_jump_count_moments": 1, "fidelity": 2,
+    }
 
 
 def test_open_groups_of_a_sweep_point_share_one_lindblad_state(monkeypatch):
