@@ -47,7 +47,6 @@ from . import linalg, metrics
 from .errors import BadParameter, CommutatorViolation, DegenerateObservable, QuadratureDiverged
 from .models import ClassicalMarkovModel, make_classical
 from .propagation import (
-    DEFAULT_TD_STEPS,
     LindbladModel,
     NonHermitianModel,
     _evolve_lindblad,
@@ -159,13 +158,11 @@ def _expm1(x: float) -> float:
         return math.inf
 
 
-def normalized_overlap(
-    model: NonHermitianModel, state0, tau1: float, tau2: float, steps: int | None = None
-) -> float:
+def normalized_overlap(model: NonHermitianModel, state0, tau1: float, tau2: float) -> float:
     """|<psi~(tau1)|psi~(tau2)>| along the normalized (purified) trajectory."""
     rho0 = as_density_matrix(state0)
-    m1 = propagator(model, tau1, steps)
-    m2 = propagator(model, tau2, steps)
+    m1 = propagator(model, tau1)
+    m2 = propagator(model, tau2)
     _, tr1 = _normalized_density(m1, rho0)
     _, tr2 = _normalized_density(m2, rho0)
     return abs(complex(np.trace(linalg.dag(m1) @ m2 @ rho0))) / math.sqrt(tr1 * tr2)
@@ -195,41 +192,41 @@ class _MTPath:
     overlap: float
 
 
-def _path_at(model: NonHermitianModel, rho0: np.ndarray, times: np.ndarray, max_step: float):
+def _path_at(model: NonHermitianModel, rho0: np.ndarray, times: np.ndarray):
     """Propagators, normalized states and traces at the sorted ``times``, and
     the generalized std of the full generator in each state.
 
     Raises:
         NormUnderflow: if a trace underflows (see ``_normalized_density``).
     """
-    mats = _propagators(model, times, max_step)
+    mats = _propagators(model, times)
     rho, tr = _normalized_density(mats, rho0)
     gen = (np.stack([model.full_generator(t) for t in times]) if model.is_time_dependent
            else model.full_generator())
     return mats, rho, tr, metrics.generalized_std(gen, rho)
 
 
-def _path_nodes(model: NonHermitianModel, rho0: np.ndarray, segments, max_steps, ends=()):
+def _path_nodes(model: NonHermitianModel, rho0: np.ndarray, segments, ends=()):
     """The generalized std at every time of ``segments`` (one sorted time
     array per MT window), concatenated, and the propagators, normalized
     states and traces at the flat indices ``ends``.
 
     A constant generator evaluates all segments as one stack, in calls of at
     most ``linalg._STACK_BUDGET`` matrix entries.  A time-dependent one takes
-    each segment through its own running product at its window's step
-    length ``max_steps``, so no window's nodes depend on the others.
+    each segment through its own running product, whose step its last time
+    sets (see ``_propagators``), so no window's nodes depend on the others.
     """
     flat = np.concatenate(segments)
     if model.is_time_dependent:
         cuts = np.cumsum([0, *map(len, segments)])
-        calls = [(slice(i, j), h) for i, j, h in zip(cuts[:-1], cuts[1:], max_steps)]
+        calls = [slice(i, j) for i, j in zip(cuts[:-1], cuts[1:])]
     else:
-        calls = [(s, 0.0) for s in linalg._stack_slices(flat.size, model.dim)]
+        calls = linalg._stack_slices(flat.size, model.dim)
     ends = np.asarray(ends, dtype=int)
     std = np.empty(flat.size)
     kept = []
-    for s, h in calls:
-        mats, rho, tr, std[s] = _path_at(model, rho0, flat[s], h)
+    for s in calls:
+        mats, rho, tr, std[s] = _path_at(model, rho0, flat[s])
         at = ends[(ends >= s.start) & (ends < s.stop)] - s.start
         kept.append((mats[at], rho[at], tr[at]))
     return std, [np.concatenate(part) for part in zip(*kept)]
@@ -252,7 +249,6 @@ class _Window:
     def __init__(self, t1: float, t2: float, n: int, gnorm: float):
         edges = np.linspace(t1, t2, n + 1)
         self.t1, self.t2, self.a, self.b = t1, t2, edges[:-1], edges[1:]
-        self.max_step = t2 / DEFAULT_TD_STEPS
         self.gnorm, self.dv = gnorm, 16.0 * _EPS * gnorm**2
         self.integral = self.err = 0.0
         self.splits = 0
@@ -330,7 +326,7 @@ def _mt_paths(
     segments = [np.insert(np.array([t1, w.t2]), 1, w.nodes()) for w in windows]
     lens = np.array([len(seg) for seg in segments])
     offsets = np.cumsum(lens) - lens
-    std, (mats, rho, tr) = _path_nodes(model, rho0, segments, [w.max_step for w in windows],
+    std, (mats, rho, tr) = _path_nodes(model, rho0, segments,
                                        np.stack([offsets, offsets + lens - 1], axis=1).ravel())
     rho.setflags(write=False)
     pending = [(w, std[o + 1:o + m - 1].reshape(-1, 15))
@@ -342,7 +338,7 @@ def _mt_paths(
         if not live:
             break
         nodes = [w.nodes() for w in live]
-        std = _path_nodes(model, rho0, nodes, [w.max_step for w in live])[0].reshape(-1, 15)
+        std = _path_nodes(model, rho0, nodes)[0].reshape(-1, 15)
         pending = list(zip(live, np.split(std, np.cumsum([len(x) // 15 for x in nodes])[:-1])))
     return [
         _MTPath(w.integral, w.err, rho[2 * k], rho[2 * k + 1], float(tr[2 * k]),
@@ -768,8 +764,7 @@ def _mt_open_rows(sw: _Sweep) -> list[list[BoundReport]]:
         fid = fidelity[k]
         ratio = fid / z
         fid_ok = ratio <= 1.0 + 1e-10
-        rhs = (float(np.arccos(np.clip(math.sqrt(min(ratio, 1.0)), 0.0, 1.0))) if fid_ok
-               else float("nan"))
+        rhs = metrics._fidelity_angle(min(ratio, 1.0)) if fid_ok else float("nan")
         raw_overlap = path.overlap / math.sqrt(z)
         rows = [
             BoundReport(

@@ -33,6 +33,14 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _square_stack(a) -> np.ndarray:
+    """Coerce ``a`` to a complex square matrix or a stack ``(..., n, n)`` of them."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ShapeError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    return m
+
+
 def dag(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.conj(a).T
@@ -148,9 +156,7 @@ def expm(a) -> np.ndarray:
     Raises:
         NumericalOverflow: if the input or the result is not finite.
     """
-    m = np.asarray(a, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ShapeError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    m = _square_stack(a)
     x = m.reshape(-1, *m.shape[-2:])
     norm = np.abs(x).sum(axis=-2).max(axis=-1, initial=0.0)
     if not np.isfinite(norm).all():
@@ -179,9 +185,7 @@ def sqrtm_psd(a) -> np.ndarray:
     Eigenvalues in ``[PSD_REJECT, 0)`` are treated as round-off and clamped
     to zero; anything below ``PSD_REJECT`` raises.
     """
-    m = np.asarray(a, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ShapeError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    m = _square_stack(a)
     herm, defect = _hermiticity(m)
     if not herm.all():
         raise HermiticityViolation(f"PSD input is not Hermitian: defect {defect[~herm][0]:.3e}")
@@ -195,9 +199,10 @@ def sqrtm_psd(a) -> np.ndarray:
 
 def _stack_slices(members: int, n: int) -> list[slice]:
     """Consecutive slices of a stack of ``members`` n x n matrices, each
-    within ``_STACK_BUDGET`` entries (one member at least)."""
+    within ``_STACK_BUDGET`` entries (one member at least); one empty slice
+    for an empty stack."""
     size = max(1, _STACK_BUDGET // (n * n))
-    return [slice(i, i + size) for i in range(0, members, size)]
+    return [slice(i, i + size) for i in range(0, max(members, 1), size)]
 
 
 def _expm_stack(times, n: int, build, reduce=None) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import HermiticityViolation, NotDistribution, ShapeError
+from .errors import HermiticityViolation, NotDistribution
 from .states import DensityOperator, StateVector, as_density_matrix
 
 
@@ -26,20 +26,12 @@ class ObservableStats:
     std: float
 
 
-def _square(a) -> np.ndarray:
-    """Complex square matrix, or a stack of them along leading axes."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
-        raise ShapeError(f"expected square matrices, got shape {m.shape}")
-    return m
-
-
 def _rho(state) -> np.ndarray:
     if isinstance(state, DensityOperator):
         return state.matrix
     if isinstance(state, StateVector):
         return as_density_matrix(state)
-    return _square(state)
+    return linalg._square_stack(state)
 
 
 def fidelity(rho1, rho2) -> float:
@@ -153,7 +145,7 @@ def generalized_std(op, state):
     ``op`` and ``state`` may also be stacks along a leading axis (operators
     and unit-trace density matrices); the stds then come back as an array.
     """
-    o = _square(op)
+    o = linalg._square_stack(op)
     rho = _rho(state)
     mean = np.einsum("...ij,...ji->...", o, rho)
     dev = o - mean[..., None, None] * np.eye(o.shape[-1])

@@ -70,7 +70,7 @@ class ClassicalMarkovModel:
         g = self.generator()
         p = linalg._expm_stack(times.reshape(-1), self.n_states, lambda s: g * s[:, None, None],
                                lambda e: e.real @ self.p0)
-        return np.clip(p.reshape(*times.shape, -1), 0.0, None)
+        return np.clip(p.reshape(*times.shape, self.n_states), 0.0, None)
 
     def activity(self, p: np.ndarray | None = None) -> float:
         """Total transition rate sum_{nu != mu} W[nu, mu] P(mu)."""

@@ -1,9 +1,9 @@
 """Time evolution engines.
 
-Closed-form non-Hermitian propagation (exact matrix exponential for constant
-generators, midpoint exponential product for time-dependent ones), the
-propagators at a sorted set of times (one stacked exponential for constant
-generators, one running midpoint product for time-dependent ones) and the
+Non-Hermitian propagators at a sorted set of times (one stacked exact
+exponential for constant generators; for time-dependent ones one running
+midpoint product, whose steps are no longer than the last time over
+``DEFAULT_TD_STEPS``, so a single time takes that many equal steps) and the
 normalized state M rho0 M^dag / Tr they carry, the Lindblad master equation
 via the exact vectorized-Liouvillian exponential, the exact mean and variance
 of the jump count (full counting statistics), the last two also at a stack
@@ -41,6 +41,7 @@ from .errors import (
 from .states import DensityOperator, StateVector, as_density_matrix, normalize
 
 DEFAULT_TD_STEPS = 2000        # midpoint steps for time-dependent propagation
+_CHUNK = 2048                  # trajectories stepped together in one chunk
 _LIFT_LEVELS = 40              # jump times resolve to 2^-40 of a node interval
 _LIFT_FULL = 1 << _LIFT_LEVELS
 
@@ -226,46 +227,26 @@ class NoJumpState:
 # closed (non-Hermitian) propagation
 
 
-def propagator(model: NonHermitianModel, t: float, steps: int | None = None) -> np.ndarray:
+def propagator(model: NonHermitianModel, t: float) -> np.ndarray:
     """Time-ordered exponential of -i * (H - i Gamma) up to time ``t``.
 
-    Constant generators use a single matrix exponential (exact).
-    Time-dependent ones use a second-order midpoint exponential product with
-    ``steps`` intervals (default ``DEFAULT_TD_STEPS``).
+    This is :func:`_propagators` at the one time ``t``: a single matrix
+    exponential (exact) for a constant generator, and a second-order
+    midpoint exponential product of ``DEFAULT_TD_STEPS`` equal steps for a
+    time-dependent one.
     """
-    if t < 0:
-        raise BadParameter("propagation time must be nonnegative")
-    if t == 0:
-        return np.eye(model.dim, dtype=complex)
-    if not model.is_time_dependent:
-        return _propagators(model, [t])[0]
-    n = int(steps) if steps else DEFAULT_TD_STEPS
-    if n < 1:
-        raise BadParameter("steps must be a positive integer")
-    dt = t / n
-    out = np.eye(model.dim, dtype=complex)
-    for step in _midpoint_steps(model, [(k + 0.5) * dt for k in range(n)], dt):
-        out = step @ out
-    return out
+    return _propagators(model, [t])[0]
 
 
-def _midpoint_steps(model: NonHermitianModel, mids: Sequence[float], dt) -> np.ndarray:
-    """exp(-i dt G(mid)) for each midpoint, made by one ``expm`` call.
-
-    ``dt`` is one step length or one per midpoint.
-    """
-    dts = np.broadcast_to(dt, (len(mids),))
-    return linalg.expm(np.stack([-1j * d * model.full_generator(m) for m, d in zip(mids, dts)]))
-
-
-def _propagators(model: NonHermitianModel, times, max_step: float = 0.0) -> np.ndarray:
+def _propagators(model: NonHermitianModel, times) -> np.ndarray:
     """Propagators from time 0 to each of the sorted ``times``.
 
     A constant generator takes stacked ``expm`` calls of -i t G
     (``linalg._expm_stack``), and the identity at t = 0.  A time-dependent
     one splits each gap between consecutive times (the first from 0) into
-    midpoint steps no longer than ``max_step``, makes all of them in one
-    ``_midpoint_steps`` stack and reads the running product at each time.
+    equal midpoint steps no longer than ``times[-1] / DEFAULT_TD_STEPS``,
+    makes all of them in one ``expm`` call and reads the running product at
+    each time.
 
     Raises:
         BadParameter: for a negative time.
@@ -279,14 +260,18 @@ def _propagators(model: NonHermitianModel, times, max_step: float = 0.0) -> np.n
         out[times == 0] = np.eye(model.dim)
         return out
     gaps = np.diff(times, prepend=0.0)
-    counts = (np.ceil(gaps / max_step).astype(int) if max_step > 0
-              else np.zeros(len(times), dtype=int))
-    mids = [s + (k + 0.5) * g / c for s, g, c in zip(times - gaps, gaps, counts) for k in range(c)]
-    prods = np.empty((len(mids) + 1, model.dim, model.dim), dtype=complex)
+    end = times[-1] if times.size else 0.0
+    # a lone time t has gap / t = 1 exactly, so it takes DEFAULT_TD_STEPS steps
+    counts = (np.ceil(gaps / end * DEFAULT_TD_STEPS).astype(int) if end > 0
+              else np.zeros(times.size, dtype=int))
+    steps = [(s + (k + 0.5) * g / c, g / c) for s, g, c in zip(times - gaps, gaps, counts)
+             for k in range(c)]
+    prods = np.empty((len(steps) + 1, model.dim, model.dim), dtype=complex)
     prods[0] = np.eye(model.dim)
-    dts = np.repeat(gaps / np.maximum(counts, 1), counts)
-    for k, step in enumerate(_midpoint_steps(model, mids, dts) if mids else ()):
-        prods[k + 1] = step @ prods[k]
+    if steps:
+        gens = np.stack([-1j * dt * model.full_generator(mid) for mid, dt in steps])
+        for k, e in enumerate(linalg.expm(gens)):
+            prods[k + 1] = e @ prods[k]
     return prods[np.cumsum(counts)]
 
 
@@ -655,7 +640,6 @@ def trajectory_ensemble(
     seed: int,
     *,
     sample_times: Sequence[float] | None = None,
-    chunk_size: int = 2048,
 ) -> TrajectoryEnsemble:
     """Run ``n_traj`` trajectories and accumulate order-independent statistics.
 
@@ -696,8 +680,8 @@ def trajectory_ensemble(
             sum_sq_re[pos] += sq_re
             sum_sq_im[pos] += sq_im
 
-    for start in range(0, n_traj, chunk_size):
-        traj = np.arange(start, min(start + chunk_size, n_traj), dtype=np.uint64)
+    for start in range(0, n_traj, _CHUNK):
+        traj = np.arange(start, min(start + _CHUNK, n_traj), dtype=np.uint64)
         jump_counts[start : start + traj.size] = _unravel(
             model, initial_rows(seed, traj), seed, traj, nodes, lifts, accumulate
         )

@@ -379,7 +379,7 @@ def test_criterion_10_oracle_equivalence():
         hs = np.stack([parts(s)[0] for s in mids])
         gs = np.stack([parts(s)[1] for s in mids])
         oracle = tree_product(expm_2x2(-1j * dt * (hs - 1j * gs)))
-        got = propagator(model, t_final, steps=1000)
+        got = propagator(model, t_final)
         dev = float(np.max(np.abs(got - oracle)))
         assert dev <= 1e-6
         worst_dev = max(worst_dev, dev)

@@ -24,7 +24,12 @@ from nhbounds import (
 from nhbounds import linalg
 from nhbounds.errors import NonPositiveGamma, NormUnderflow
 from nhbounds.models import ClassicalMarkovModel
-from nhbounds.propagation import _normalized_density, _propagators
+from nhbounds.propagation import (
+    _evolve_lindblad,
+    _jump_count_moments,
+    _normalized_density,
+    _propagators,
+)
 from conftest import SX, SZ, expm_2x2, random_hermitian, tree_product
 
 
@@ -131,7 +136,7 @@ class TestEvolveNonHermitian:
         mids = (np.arange(n) + 0.5) * dt
         gens = np.stack([-1j * dt * (parts(s)[0] - 1j * parts(s)[1]) for s in mids])
         oracle = tree_product(expm_2x2(gens))
-        got = propagator(model, t_final, steps=1000)
+        got = propagator(model, t_final)
         assert np.max(np.abs(got - oracle)) <= 1e-6
 
 
@@ -345,15 +350,15 @@ class TestPropagatorSpan:
                 t1 = float(rng.uniform(0.0, 1.0))
                 t2 = t1 + float(rng.uniform(0.1, 2.0))
                 times, want = sequential_span(model, t1, t2, n)
-                mats = _propagators(model, times, t2)
+                mats = _propagators(model, times)
                 assert mats.shape == want.shape
                 assert rel_dev(mats, want) <= 1e-11
                 if n:
                     assert rel_dev(mats[-1], propagator(model, t2)) <= 1e-11
 
     def test_time_dependent_running_product(self):
-        """Gaps that are whole multiples of the step read the uniform midpoint
-        product: 10, 15 and 45 steps of 0.01 reach 0.1, 0.25 and 0.7."""
+        """The last time sets the step: 0.7 / 2000 splits the gaps 0.1, 0.15
+        and 0.45 into 286, 429 and 1286 equal midpoint steps."""
 
         def parts(t):
             h = 0.4 * math.cos(1.3 * t) * SX + 0.3 * SZ
@@ -362,8 +367,27 @@ class TestPropagatorSpan:
 
         model = NonHermitianModel(*parts(0.0), time_dependence=parts)
         times = np.array([0.0, 0.1, 0.25, 0.7])
-        mats = _propagators(model, times, 0.01)
+        mats = _propagators(model, times)
         assert np.array_equal(mats[0], np.eye(2))
-        for t, m in zip(times[1:], mats[1:]):
-            want = propagator(model, t, steps=round(t / 0.01))
+        want = np.eye(2, dtype=complex)
+        for (s, t), n, m in zip(zip(times, times[1:]), (286, 429, 1286), mats[1:]):
+            dt = (t - s) / n
+            for k in range(n):
+                want = linalg.expm(-1j * dt * model.full_generator(s + (k + 0.5) * dt)) @ want
             assert np.max(np.abs(m - want)) <= 1e-13
+
+
+GRID_H, GRID_GAMMA = SZ, np.diag([0.0, 1.0])
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda: _propagators(NonHermitianModel(GRID_H, GRID_GAMMA), []),
+    lambda: _propagators(NonHermitianModel(GRID_H, GRID_GAMMA,
+                                           time_dependence=lambda t: (GRID_H, GRID_GAMMA)), []),
+    lambda: _evolve_lindblad(make_dephasing(1.0), np.eye(2) / 2, []),
+    lambda: _jump_count_moments(make_dephasing(1.0), np.eye(2) / 2, []),
+    lambda: ClassicalMarkovModel(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0])).propagate([]),
+], ids=["propagators-constant", "propagators-time-dependent", "evolve-lindblad",
+        "jump-count-moments", "classical-propagate"])
+def test_empty_grid_gives_empty_stack(evaluate):
+    assert len(evaluate()) == 0

@@ -90,7 +90,7 @@ def test_steps_is_a_minimum_node_count(steps, intervals, monkeypatch):
     sizes = []
     path_at = bnd._path_at
     monkeypatch.setattr(
-        bnd, "_path_at", lambda m, r, times, h: sizes.append(len(times)) or path_at(m, r, times, h)
+        bnd, "_path_at", lambda m, r, times: sizes.append(len(times)) or path_at(m, r, times)
     )
     model = random_commuting(2, 5, gamma_scale=0.5)
     bnd._mt_paths(model, as_density_matrix(random_pure_state(2, 6)), 0.0, [0.5], steps)

@@ -17,7 +17,7 @@ from nhbounds import (
     sample_trajectory,
     trajectory_ensemble,
 )
-from nhbounds import linalg
+from nhbounds import linalg, propagation
 from nhbounds.propagation import (
     _initial_rows,
     _lift_propagators,
@@ -175,10 +175,12 @@ class TestTrajectoryEnsemble:
         assert np.array_equal(a.jump_counts, b.jump_counts)
         assert np.array_equal(a.mean_states[0], b.mean_states[0])
 
-    def test_chunking_does_not_change_results(self):
+    def test_chunking_does_not_change_results(self, monkeypatch):
         for model, state0 in STREAM_CASES:
-            a = trajectory_ensemble(model, state0, 0.5, 50, seed=10, chunk_size=7)
-            b = trajectory_ensemble(model, state0, 0.5, 50, seed=10, chunk_size=50)
+            monkeypatch.setattr(propagation, "_CHUNK", 7)
+            a = trajectory_ensemble(model, state0, 0.5, 50, seed=10)
+            monkeypatch.setattr(propagation, "_CHUNK", 50)
+            b = trajectory_ensemble(model, state0, 0.5, 50, seed=10)
             assert np.array_equal(a.jump_counts, b.jump_counts)
             assert np.max(np.abs(a.mean_states[0] - b.mean_states[0])) <= 1e-15
 
