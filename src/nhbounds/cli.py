@@ -269,9 +269,9 @@ def _run_trajectory(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["traj", "jumps"])
-        writer.writerows(enumerate(ens.jump_counts.tolist()))
+        # the bytes csv.writer makes, \r\n terminators included, in one join
+        rows = (f"{i},{n}\r\n" for i, n in enumerate(ens.jump_counts.tolist()))
+        fh.write("traj,jumps\r\n" + "".join(rows))
 
     exact = evolve_lindblad(model, state, args.t_final)
     dev = np.abs(ens.mean_states[0] - exact)

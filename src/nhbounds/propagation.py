@@ -41,7 +41,7 @@ from .errors import (
 from .states import DensityOperator, StateVector, as_density_matrix, normalize
 
 DEFAULT_TD_STEPS = 2000        # midpoint steps for time-dependent propagation
-_CHUNK = 2048                  # trajectories stepped together in one chunk
+_CHUNK = 16384                 # trajectories stepped together in one chunk
 _LIFT_LEVELS = 40              # jump times resolve to 2^-40 of a node interval
 _LIFT_FULL = 1 << _LIFT_LEVELS
 
@@ -510,15 +510,17 @@ def _unravel(
     where ``||psi||^2`` decays to the threshold.  The jump-rate operator is
     PSD, so the squared norm only decreases and greedy binary lifting over
     the steps ``lifts[j, k]`` (interval j split 2^k times) finds that time
-    to 2^-K of the interval.  The first threshold is the second uniform of
-    draw block 0 (the first picks a mixed initial eigenstate).  At jump n,
-    block n gives the channel, drawn with weight ``||L_m psi||^2``, and the
-    next threshold.  Every draw is ``_uniform_pairs(seed, traj[i], n)``, a
-    pure function of the row's trajectory index and jump count, so no row
-    depends on the chunk it runs in.  ``on_node(j, psi)`` sees the
-    normalized states at ``nodes[j]``; ``events[i]``, when given, collects
-    the ``(time, channel)`` pairs of row ``i``.  ``psi`` ends holding the
-    normalized states at the last node.  Returns jump counts.
+    to 2^-K of the interval.  A row that does not jump in an interval takes
+    it in one step, so only the rows that jump are bisected.  The first
+    threshold is the second uniform of draw block 0 (the first picks a
+    mixed initial eigenstate).  At jump n, block n gives the channel, drawn
+    with weight ``||L_m psi||^2``, and the next threshold.  Every draw is
+    ``_uniform_pairs(seed, traj[i], n)``, a pure function of the row's
+    trajectory index and jump count, so no row depends on the chunk it runs
+    in.  ``on_node(j, psi)`` sees the normalized states at ``nodes[j]``;
+    ``events[i]``, when given, collects the ``(time, channel)`` pairs of row
+    ``i``.  ``psi`` ends holding the normalized states at the last node.
+    Returns jump counts.
     """
     ls = model.jumps
     c = psi.shape[0]
@@ -527,17 +529,30 @@ def _unravel(
     r = _uniform_pairs(seed, traj, 0)[:, 1] if ls else np.zeros(c)
     on_node(0, psi)
     for j, lift in enumerate(lifts):
-        pos = np.zeros(c, dtype=np.int64)
-        live = np.arange(c)
-        while live.size:
-            for k in range(_LIFT_LEVELS + 1):
+        # the rows still in the interval and their positions in it, in
+        # units of 2^-K of the interval
+        live, at = np.arange(c), np.zeros(c, dtype=np.int64)
+        while True:
+            cand = psi[live] @ lift[0]
+            keep = (at == 0) & (_norm_sq(cand) >= r[live])
+            psi[live[keep]] = cand[keep]
+            live, at = live[~keep], at[~keep]
+            if not live.size:
+                break
+            # the rows left are gathered once and bisected with masked
+            # updates in place, which costs far less than a gather and a
+            # scatter per level
+            a, thr = psi[live], r[live]
+            for k in range(1, _LIFT_LEVELS + 1):
                 stride = _LIFT_FULL >> k
-                rows = live[pos[live] + stride <= _LIFT_FULL]
-                cand = psi[rows] @ lift[k]
-                keep = _norm_sq(cand) >= r[rows]
-                psi[rows[keep]] = cand[keep]
-                pos[rows[keep]] += stride
-            live = live[pos[live] < _LIFT_FULL]
+                cand = a @ lift[k]
+                # a row back from a jump starts inside the interval: no step past its end
+                keep = (at + stride <= _LIFT_FULL) & (_norm_sq(cand) >= thr)
+                np.copyto(a, cand, where=keep[:, None])
+                at += stride * keep
+            psi[live] = a
+            jumped = at < _LIFT_FULL
+            live, at = live[jumped], at[jumped]
             if not live.size:
                 break
             amps = np.stack([psi[live] @ l.T for l in ls])
@@ -549,7 +564,7 @@ def _unravel(
             psi[live] = chosen / np.sqrt(_norm_sq(chosen))[:, None]
             r[live] = draws[:, 1]
             if events is not None:
-                times = nodes[j] + pos[live] * ((nodes[j + 1] - nodes[j]) / _LIFT_FULL)
+                times = nodes[j] + at * ((nodes[j + 1] - nodes[j]) / _LIFT_FULL)
                 for i, t, m in zip(live, times, ch):
                     events[i].append((float(t), int(m)))
         n2 = _norm_sq(psi)
@@ -648,10 +663,11 @@ def trajectory_ensemble(
     array as amplitudes); in the mixed case each trajectory first draws its
     initial eigenstate from the spectral decomposition.  Mean states are
     taken at exactly the requested ``sample_times`` (default ``[tau]``).
-    Trajectory i draws its uniforms from ``(seed, i)`` alone and
-    accumulation is in trajectory-index order, so the result is
-    deterministic for a fixed seed regardless of chunking.  ``seed`` must
-    lie in [0, 2^64), the Philox key range.
+    Trajectory i draws its uniforms from ``(seed, i)`` alone, and each sum
+    behind the mean states and standard errors is one running sum in
+    trajectory-index order, carried across chunks, so the result is the
+    same bit for bit for a fixed seed however the trajectories are
+    chunked.  ``seed`` must lie in [0, 2^64), the Philox key range.
     """
     if n_traj < 1:
         raise BadParameter("need at least one trajectory")
@@ -663,22 +679,22 @@ def trajectory_ensemble(
     times = np.array([tau] if sample_times is None else list(sample_times), dtype=float)
     nodes = _sample_nodes(tau, times)
     lifts = _lift_propagators(model, nodes)
-    positions = [np.flatnonzero(np.searchsorted(nodes, times) == j) for j in range(len(nodes))]
-
-    sum_rho = [np.zeros((d, d), dtype=complex) for _ in times]
-    sum_sq_re = [np.zeros((d, d)) for _ in times]
-    sum_sq_im = [np.zeros((d, d)) for _ in times]
+    node_of = np.searchsorted(nodes, times)
+    # per sampled node: the sums of |psi><psi|, of its squared real parts
+    # and of its squared imaginary parts
+    sums = {j: (np.zeros((d, d), dtype=complex), np.zeros((d, d)), np.zeros((d, d)))
+            for j in node_of.tolist()}
     jump_counts = np.zeros(n_traj, dtype=np.int64)
 
     def accumulate(j: int, psi: np.ndarray) -> None:
-        if not positions[j].size:
+        if j not in sums:
             return
         proj = np.einsum("ci,cj->cij", psi, np.conj(psi))
-        total, sq_re, sq_im = proj.sum(axis=0), (proj.real**2).sum(axis=0), (proj.imag**2).sum(axis=0)
-        for pos in positions[j]:
-            sum_rho[pos] += total
-            sum_sq_re[pos] += sq_re
-            sum_sq_im[pos] += sq_im
+        for total, terms in zip(sums[j], (proj, proj.real**2, proj.imag**2)):
+            # one running sum in trajectory order, whatever the chunk
+            # boundaries: the total so far enters as the first term
+            terms[0] += total
+            total[...] = np.add.accumulate(terms, axis=0, out=terms)[-1]
 
     for start in range(0, n_traj, _CHUNK):
         traj = np.arange(start, min(start + _CHUNK, n_traj), dtype=np.uint64)
@@ -687,11 +703,12 @@ def trajectory_ensemble(
         )
 
     means, se_re, se_im = [], [], []
-    for pos in range(len(times)):
-        mean = sum_rho[pos] / n_traj
+    for j in node_of:
+        sum_rho, sum_sq_re, sum_sq_im = sums[j]
+        mean = sum_rho / n_traj
         if n_traj > 1:
-            var_re = np.clip(sum_sq_re[pos] / n_traj - mean.real**2, 0.0, None)
-            var_im = np.clip(sum_sq_im[pos] / n_traj - mean.imag**2, 0.0, None)
+            var_re = np.clip(sum_sq_re / n_traj - mean.real**2, 0.0, None)
+            var_im = np.clip(sum_sq_im / n_traj - mean.imag**2, 0.0, None)
             fac = n_traj / (n_traj - 1)
             se_re.append(np.sqrt(fac * var_re / n_traj))
             se_im.append(np.sqrt(fac * var_im / n_traj))

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import numpy as np
 import pytest
@@ -414,7 +415,8 @@ class TestTrajectoryCommand:
         assert exc.value.code == 2
 
     def test_csv_bytes(self, tmp_path):
-        # one "index,count" line per trajectory with csv's \r\n terminator
+        # one "index,count" line per trajectory, byte for byte what the csv
+        # module writes, \r\n terminators included
         out = tmp_path / "traj.csv"
         args = [
             "trajectory",
@@ -428,8 +430,11 @@ class TestTrajectoryCommand:
         assert cli.main(args) == 0
         plus = StateVector(np.ones(2) / np.sqrt(2.0))
         counts = trajectory_ensemble(make_dephasing(1.5), plus, 0.7, 40, 6).jump_counts
-        expected = "traj,jumps\r\n" + "".join(f"{i},{int(c)}\r\n" for i, c in enumerate(counts))
-        assert out.read_bytes() == expected.encode()
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["traj", "jumps"])
+        writer.writerows(enumerate(counts.tolist()))
+        assert out.read_bytes() == expected.getvalue().encode()
 
     def test_deterministic(self, tmp_path):
         args = [

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -168,6 +169,27 @@ class TestTrajectoryEnsemble:
                 assert events[i] == single.jump_times
             assert ens.jump_counts.sum() > 0
 
+    def test_sampled_records_are_pinned(self):
+        # both sides of the stream test above run the same kernel, so a
+        # kernel change that moves any jump would go unseen there; this
+        # digest pins the jump counts and (time, channel) records over one
+        # and over several sample intervals and of a 10,000-run ensemble
+        h = hashlib.sha256()
+        for model, state0 in STREAM_CASES:
+            h.update(trajectory_ensemble(model, state0, 1.0, 64, seed=5).jump_counts.tobytes())
+            for i in range(8):
+                single = sample_trajectory(model, state0, 1.0, seed=5, traj_index=i)
+                h.update(repr(single.jump_times).encode())
+        model, state0 = STREAM_CASES[2]
+        times = [0.3, 0.7, 1.0]
+        ens = trajectory_ensemble(model, state0, 1.0, 64, seed=6, sample_times=times)
+        h.update(ens.jump_counts.tobytes())
+        single = sample_trajectory(model, state0, 1.0, seed=6, traj_index=3, sample_times=times)
+        h.update(repr(single.jump_times).encode())
+        ens = trajectory_ensemble(make_dephasing(1.0), PLUS, 1.0, 10_000, seed=7)
+        h.update(ens.jump_counts.tobytes())
+        assert h.hexdigest() == "157b86ddc2c0161b0aee450fdbd8c5de6d84b878df18080ef611efe1212f3bc9"
+
     def test_deterministic_across_runs(self):
         model = make_dephasing(1.0)
         a = trajectory_ensemble(model, PLUS, 1.0, 64, seed=9)
@@ -176,13 +198,18 @@ class TestTrajectoryEnsemble:
         assert np.array_equal(a.mean_states[0], b.mean_states[0])
 
     def test_chunking_does_not_change_results(self, monkeypatch):
+        # every sum runs over the trajectories in index order, so the mean
+        # states and standard errors are equal bit for bit, not just to round-off
         for model, state0 in STREAM_CASES:
             monkeypatch.setattr(propagation, "_CHUNK", 7)
-            a = trajectory_ensemble(model, state0, 0.5, 50, seed=10)
+            a = trajectory_ensemble(model, state0, 0.5, 50, seed=10, sample_times=[0.2, 0.5])
             monkeypatch.setattr(propagation, "_CHUNK", 50)
-            b = trajectory_ensemble(model, state0, 0.5, 50, seed=10)
+            b = trajectory_ensemble(model, state0, 0.5, 50, seed=10, sample_times=[0.2, 0.5])
             assert np.array_equal(a.jump_counts, b.jump_counts)
-            assert np.max(np.abs(a.mean_states[0] - b.mean_states[0])) <= 1e-15
+            for k in range(2):
+                assert np.array_equal(a.mean_states[k], b.mean_states[k])
+                assert np.array_equal(a.stderr_real[k], b.stderr_real[k])
+                assert np.array_equal(a.stderr_imag[k], b.stderr_imag[k])
 
     def test_dephasing_jump_rate(self):
         # <L^dag L> = gamma for every state, so the mean count is gamma*tau
