@@ -30,7 +30,8 @@ builder does its family's model checks and evaluates each part it reads
 (ML propagators, MT paths, Lindblad states, fidelities, observable
 statistics, jump-count moments, chain distributions) as one stack over the
 whole grid: one stacked exponential per part, and one adaptive quadrature
-for all MT windows.  The Lindblad states, their fidelities and the open TUR
+for all MT windows, the grid's [0, t] and the ``mt`` group's optional
+extra [tau1, tau2] alike.  The Lindblad states, their fidelities and the open TUR
 ratios, which both open groups read, are computed once per sweep.  Sweeps,
 and so public calls, share nothing.
 """
@@ -292,22 +293,21 @@ class _Window:
         self.a, self.b = a, b
 
 
-def _mt_paths(
-    model: NonHermitianModel, rho0: np.ndarray, t1: float, t2s, steps: int
-) -> list[_MTPath]:
+def _mt_paths(model: NonHermitianModel, rho0: np.ndarray, windows, steps: int) -> list[_MTPath]:
     """Integrate the generalized std along the normalized trajectory over
-    each window [t1, t2] of ``t2s`` by adaptive G7/K15 quadrature
+    each window [t1, t2] of ``windows`` by adaptive G7/K15 quadrature
     (QUADPACK's QAG), all windows together.
 
     ``steps`` is a minimum node count: each window starts as
     ceil(steps / 15) equal intervals.  Each round evaluates the nodes of
-    every pending interval of every window, in the first round with t1 and
-    each t2, through one :func:`_path_nodes` call, and bisects every
-    interval whose estimate (QUADPACK's qk15, floored at
+    every pending interval of every window, in the first round with each
+    window's t1 and t2, through one :func:`_path_nodes` call, and bisects
+    every interval whose estimate (QUADPACK's qk15, floored at
     50 eps (|K| + (b - a) ||G||_1)) exceeds both its share (b - a)/(t2 - t1)
     of ``_QUAD_RTOL`` max(1, |integral|) of its window and the std's own
     round-off near an eigenstate.  Each window keeps its own integral,
-    ``quad_err`` (the sum of its accepted estimates) and bisection count.
+    ``quad_err`` (the sum of its accepted estimates) and bisection count, so
+    its path does not depend on the other windows.
 
     Raises:
         QuadratureDiverged: when a window's refinement needs more than
@@ -315,22 +315,22 @@ def _mt_paths(
     """
     if steps < 1:
         raise BadParameter("quadrature steps must be a positive integer")
-    if not all(0 <= t1 <= t2 for t2 in t2s):
+    if not all(0 <= t1 <= t2 for t1, t2 in windows):
         raise BadParameter("need 0 <= t1 <= t2")
     n = -(-int(steps) // 15)
     if model.is_time_dependent:
-        gnorms = [max(_generator_norm(model, t1), _generator_norm(model, t2)) for t2 in t2s]
+        gnorms = [max(_generator_norm(model, t1), _generator_norm(model, t2)) for t1, t2 in windows]
     else:
-        gnorms = [_generator_norm(model, t1)] * len(t2s)
-    windows = [_Window(t1, t2, n if t2 > t1 else 0, g) for t2, g in zip(t2s, gnorms)]
-    segments = [np.insert(np.array([t1, w.t2]), 1, w.nodes()) for w in windows]
+        gnorms = [_generator_norm(model, 0.0)] * len(windows)
+    wins = [_Window(t1, t2, n if t2 > t1 else 0, g) for (t1, t2), g in zip(windows, gnorms)]
+    segments = [np.insert(np.array([w.t1, w.t2], dtype=float), 1, w.nodes()) for w in wins]
     lens = np.array([len(seg) for seg in segments])
     offsets = np.cumsum(lens) - lens
     std, (mats, rho, tr) = _path_nodes(model, rho0, segments,
                                        np.stack([offsets, offsets + lens - 1], axis=1).ravel())
     rho.setflags(write=False)
     pending = [(w, std[o + 1:o + m - 1].reshape(-1, 15))
-               for w, o, m in zip(windows, offsets, lens) if w.a.size]
+               for w, o, m in zip(wins, offsets, lens) if w.a.size]
     while pending:
         for w, f in pending:
             w.refine(f)
@@ -344,7 +344,7 @@ def _mt_paths(
         _MTPath(w.integral, w.err, rho[2 * k], rho[2 * k + 1], float(tr[2 * k]),
                 float(tr[2 * k + 1]),
                 abs(complex(np.trace(linalg.dag(mats[2 * k]) @ mats[2 * k + 1] @ rho0))))
-        for k, w in enumerate(windows)
+        for k, w in enumerate(wins)
     ]
 
 
@@ -387,7 +387,8 @@ class _Sweep:
     ``model`` is the quantum model (a chain's embedding where an open group
     needs one), ``closed`` the model the ML and MT rows read, ``chain`` the
     classical chain, ``rho0`` the read-only initial state, ``times`` the
-    grid, and ``start`` and ``steps`` the MT window start and node count.
+    grid, ``window`` the extra ``mt`` window (t1, t2) or None, and ``steps``
+    the minimum MT quadrature node count.
     ``observable`` is the sweep's observable, validated; ``matrix`` is what
     the ML and MT families read of it (None for a jump count) and
     ``values`` what the classical family reads (its diagonal).
@@ -397,9 +398,9 @@ class _Sweep:
     Every other stack belongs to the one group builder that reads it.
     """
 
-    def __init__(self, model, chain, rho0, times, observable, start: float, steps: int):
+    def __init__(self, model, chain, rho0, times, observable, window, steps: int):
         self.model, self.chain, self.rho0, self.times = model, chain, rho0, list(times)
-        self.observable, self.start, self.steps = observable, start, steps
+        self.observable, self.window, self.steps = observable, window, steps
         self.closed = model.no_jump_model() if isinstance(model, LindbladModel) else model
         self.matrix = None if isinstance(observable, JumpCountObservable) else observable
         self.values = None if self.matrix is None else np.diag(self.matrix).real
@@ -514,7 +515,7 @@ def fid_ml(model: NonHermitianModel, state0, tau: float) -> BoundReport:
     Requires a time-independent model with commuting (H, Gamma) and PSD
     Gamma; expectations are taken in the initial state.
     """
-    return _row("fid-ml", model, state0, tau)
+    return _row("fid-ml", model, state0, [tau])
 
 
 def qsl_ml(model: NonHermitianModel, state0, tau: float) -> BoundReport:
@@ -526,7 +527,7 @@ def qsl_ml(model: NonHermitianModel, state0, tau: float) -> BoundReport:
     ``params["simple"]`` together with the weakest linear-in-tau form and
     the geometric minimum-time estimate it implies.
     """
-    return _row("qsl-ml", model, state0, tau)
+    return _row("qsl-ml", model, state0, [tau])
 
 
 def tur_ml(model: NonHermitianModel, state0, tau: float, observable) -> BoundReport:
@@ -536,7 +537,7 @@ def tur_ml(model: NonHermitianModel, state0, tau: float, observable) -> BoundRep
     ||psi(tau)||^2 / floor^2 - 1; the loose norm-free variant sits under
     ``params["loose"]``.  Applicable only while the floor is positive.
     """
-    return _row("tur-ml", model, state0, tau, observable)
+    return _row("tur-ml", model, state0, [tau], observable)
 
 
 # ---------------------------------------------------------------------------
@@ -545,16 +546,19 @@ def tur_ml(model: NonHermitianModel, state0, tau: float, observable) -> BoundRep
 
 def _mt_rows(sw: _Sweep) -> list[list[BoundReport]]:
     """fid-mt, qsl-mt and, given an observable, tur-mt and energy-time over
-    [``sw.start``, t] for each time t of ``sw``."""
-    paths, tau1 = _mt_paths(sw.closed, sw.rho0, sw.start, sw.times, sw.steps), sw.start
+    [0, t] for each time t of ``sw``, then over ``sw.window`` if it is set;
+    all windows are integrated in one quadrature."""
+    windows = [(0.0, t) for t in sw.times] + ([sw.window] if sw.window is not None else [])
+    paths = _mt_paths(sw.closed, sw.rho0, windows, sw.steps)
     starts, ends = (np.stack([getattr(p, name) for p in paths]) for name in ("rho1", "rho2"))
     fidelities = metrics._fidelities(starts, ends)
     if sw.matrix is not None:
         start_stats, end_stats = (metrics._observable_stats(sw.matrix, rho) for rho in (starts, ends))
         ratios = _scaled_ratios(start_stats, end_stats)
-        energy_times = _energy_times(sw.closed, ends, sw.times, sw.matrix, end_stats)
+        energy_times = _energy_times(sw.closed, ends, [t2 for _, t2 in windows], sw.matrix,
+                                     end_stats)
     out = []
-    for k, (path, tau2) in enumerate(zip(paths, sw.times)):
+    for k, (path, (tau1, tau2)) in enumerate(zip(paths, windows)):
         integral, err = path.integral, path.quad_err
         in_window = integral <= math.pi / 2.0 + WINDOW_TOL
         conditions = (("window_le_half_pi", in_window),)
@@ -601,7 +605,7 @@ def fid_mt(
     The cosine form is only a valid floor while the integral stays within
     [0, pi/2]; outside that window the report is flagged inapplicable.
     """
-    return _row("fid-mt", model, state0, tau2, start=tau1, steps=steps)
+    return _row("fid-mt", model, state0, [], window=(tau1, tau2), steps=steps)
 
 
 def qsl_mt(
@@ -612,7 +616,7 @@ def qsl_mt(
     Also emits the implied minimum time ``tau_min`` = angle / (time-averaged
     std) in the params.
     """
-    return _row("qsl-mt", model, state0, tau2, start=tau1, steps=steps)
+    return _row("qsl-mt", model, state0, [], window=(tau1, tau2), steps=steps)
 
 
 def energy_time_check(model: NonHermitianModel, state0, t: float, observable) -> BoundReport:
@@ -665,7 +669,7 @@ def tur_mt(
     energy-time variant evaluated at tau2 is attached under
     ``params["energy_time"]``.
     """
-    return _row("tur-mt", model, state0, tau2, observable, start=tau1, steps=steps)
+    return _row("tur-mt", model, state0, [], observable, window=(tau1, tau2), steps=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -724,13 +728,13 @@ def fid_ml_open(model: LindbladModel, state0, tau: float) -> BoundReport:
     Requires H_S to commute with the jump-rate operator (satisfied by the
     dephasing model, the refrigerator, and every classical embedding).
     """
-    return _row("fid-ml-open", model, state0, tau)
+    return _row("fid-ml-open", model, state0, [tau])
 
 
 def qsl_ml_open(model: LindbladModel, state0, tau: float) -> BoundReport:
     """Open mean-based speed limit against the Bures angle of the Lindblad
     endpoints (the averaged, unconditioned evolution)."""
-    return _row("qsl-ml-open", model, state0, tau)
+    return _row("qsl-ml-open", model, state0, [tau])
 
 
 def tur_ml_open(model: LindbladModel, state0, tau: float, observable) -> BoundReport:
@@ -747,13 +751,13 @@ def tur_ml_open(model: LindbladModel, state0, tau: float, observable) -> BoundRe
     raw density matrix, for either observable kind; a raw 1-D array is
     rejected, as it is for every row kind.
     """
-    return _row("tur-ml-open", model, state0, tau, observable)
+    return _row("tur-ml-open", model, state0, [tau], observable)
 
 
 def _mt_open_rows(sw: _Sweep) -> list[list[BoundReport]]:
     """fid-mt-open, qsl-mt-open and, given an observable, tur-mt-open over
     [0, t] for each time t of ``sw``."""
-    paths = _mt_paths(sw.closed, sw.rho0, sw.start, sw.times, sw.steps)
+    paths = _mt_paths(sw.closed, sw.rho0, [(0.0, t) for t in sw.times], sw.steps)
     fidelity = sw.fidelity
     if sw.observable is not None:
         ratios = sw.open_ratios
@@ -804,7 +808,7 @@ def fid_mt_open(
     full (non-Hermitian) effective generator.  Its trace at tau is the
     survival weight Z, and its overlap is the record overlap |Tr[M(tau) rho0]|.
     """
-    return _row("fid-mt-open", model, state0, tau, steps=steps)
+    return _row("fid-mt-open", model, state0, [tau], steps=steps)
 
 
 def qsl_mt_open(
@@ -819,7 +823,7 @@ def qsl_mt_open(
     pre-monotonicity rhs (arccos of the normalized no-jump overlap) is
     always attached in params.
     """
-    return _row("qsl-mt-open", model, state0, tau, steps=steps)
+    return _row("qsl-mt-open", model, state0, [tau], steps=steps)
 
 
 def tur_mt_open(
@@ -836,7 +840,7 @@ def tur_mt_open(
     pseudo-state alternative is noted in params.  Jump-count statistics work
     as in :func:`tur_ml_open`.
     """
-    return _row("tur-mt-open", model, state0, tau, observable, steps=steps)
+    return _row("tur-mt-open", model, state0, [tau], observable, steps=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -870,7 +874,7 @@ def _classical_rows(sw: _Sweep) -> list[list[BoundReport]]:
 
 def qsl_classical(chain: ClassicalMarkovModel, tau: float) -> BoundReport:
     """Classical speed limit: activity * tau >= D_{1/2}(P(0) || P(tau))."""
-    return _row("qsl-classical", chain, None, tau)
+    return _row("qsl-classical", chain, None, [tau])
 
 
 def tur_classical(chain: ClassicalMarkovModel, tau: float, observable) -> BoundReport:
@@ -880,7 +884,7 @@ def tur_classical(chain: ClassicalMarkovModel, tau: float, observable) -> BoundR
     against P(0) and P(tau).
     """
     values = np.asarray(observable, dtype=float).reshape(-1)
-    return _row("tur-classical", chain, None, tau, np.diag(values))
+    return _row("tur-classical", chain, None, [tau], np.diag(values))
 
 
 # ---------------------------------------------------------------------------
@@ -897,7 +901,7 @@ FAMILIES = {
 }
 
 
-def sweep(model, state0, times, groups, observable=None, *, start: float = 0.0,
+def sweep(model, state0, times, groups, observable=None, *, window=None,
           steps: int = DEFAULT_QUAD_STEPS) -> list[tuple[float, BoundReport]]:
     """The rows of the bound ``groups`` at each of ``times``, as ``nhbounds
     check`` writes them: ``(t, report)`` pairs time by time and group by
@@ -908,12 +912,14 @@ def sweep(model, state0, times, groups, observable=None, *, start: float = 0.0,
     ``p0``, and the open groups through its Lindblad embedding.
     ``observable`` adds the TUR rows: a Hermitian matrix to every group
     (``classical`` reads its diagonal), a :class:`JumpCountObservable` to
-    the open groups.  ``start`` opens the ``mt`` window [start, t], and
+    the open groups.  ``window`` = (tau1, tau2) adds the ``mt`` rows over
+    [tau1, tau2] at t = tau2 after every grid row, integrated in the same
+    quadrature as the grid's [0, t] windows; ``times`` may then be empty.
     ``steps`` is the minimum MT quadrature node count.
 
     Raises:
         BadParameter: for an unknown or repeated group, a group the model
-            cannot serve, or a nonzero ``start`` with a group other than ``mt``.
+            cannot serve, or a ``window`` without the ``mt`` group.
     """
     chain = model if isinstance(model, ClassicalMarkovModel) else None
     kinds = []
@@ -926,8 +932,8 @@ def sweep(model, state0, times, groups, observable=None, *, start: float = 0.0,
         if not (isinstance(model, kind) or (kind is LindbladModel and chain is not None)):
             raise BadParameter(f"bound group {g!r} needs a {name} model")
         kinds.append(kind)
-    if start != 0.0 and set(groups) - {"mt"}:
-        raise BadParameter("a window start applies to the mt group alone")
+    if window is not None and "mt" not in groups:
+        raise BadParameter("a window applies to the mt group, which is not among the groups")
     if chain is not None and LindbladModel in kinds:
         model = make_classical(chain)
     rho0 = None
@@ -936,15 +942,18 @@ def sweep(model, state0, times, groups, observable=None, *, start: float = 0.0,
         rho0.setflags(write=False)
         if observable is not None and not isinstance(observable, JumpCountObservable):
             observable = linalg.require_hermitian(observable, "observable")
-    sw = _Sweep(model, chain, rho0, times, observable, start, steps)
-    per_group = [FAMILIES[g][2](sw) for g in groups] if sw.times else []
-    return [(t, report) for k, t in enumerate(sw.times) for rows in per_group
-            for report in rows[k]]
+    sw = _Sweep(model, chain, rho0, times, observable, window, steps)
+    per_group = [FAMILIES[g][2](sw) for g in groups] if sw.times or window else []
+    out = [(t, report) for k, t in enumerate(sw.times) for rows in per_group for report in rows[k]]
+    if window is not None:
+        out += [(window[1], report) for report in per_group[groups.index("mt")][-1]]
+    return out
 
 
-def _row(kind: str, model, state0, tau: float, observable=None, **options) -> BoundReport:
-    """The ``kind`` report of a one-point sweep of its group at ``tau``."""
-    for _, report in sweep(model, state0, [tau], [kind.split("-", 1)[1]], observable, **options):
+def _row(kind: str, model, state0, times, observable=None, **options) -> BoundReport:
+    """The ``kind`` report of a sweep of its group over ``times``, which is
+    one point, or no point beside a ``window``."""
+    for _, report in sweep(model, state0, times, [kind.split("-", 1)[1]], observable, **options):
         if report.kind == kind:
             return report
     raise BadParameter(f"no {kind} row for observable {observable!r}")

@@ -194,18 +194,17 @@ def _run_check(args) -> int:
     times = [args.t_final * (k + 1) / n for k in range(n)]
     if times[0] <= 0:  # t_final / n underflowed to 0
         raise SimulationError("time grid must be strictly positive")
-    window = args.tau1 is not None or args.tau2 is not None
-    if window:
+    window = None
+    if args.tau1 is not None or args.tau2 is not None:
         if "mt" not in groups:
             raise BadParameter("--tau1/--tau2 set a window of the mt group; add mt to --bounds")
         if args.tau1 is None or args.tau2 is None or not 0 <= args.tau1 < args.tau2:
             raise SimulationError("--tau1/--tau2 must satisfy 0 <= tau1 < tau2")
+        window = (args.tau1, args.tau2)
 
     observable = _parse_observable(args.observable, state.dim)
-    reports = bnd.sweep(model, state, times, groups, observable, steps=args.quad_panels)
-    if window:
-        reports += bnd.sweep(model, state, [args.tau2], ["mt"], observable,
-                             start=args.tau1, steps=args.quad_panels)
+    reports = bnd.sweep(model, state, times, groups, observable, window=window,
+                        steps=args.quad_panels)
     rows = [_report_row(t, r) for t, r in reports]
 
     out = Path(args.out)

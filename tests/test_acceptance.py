@@ -80,7 +80,7 @@ def test_criterion_1_closed_inequality_battery():
         gap = float(np.trace(model.h @ rho0).real) - float(np.linalg.eigvalsh(model.h)[0])
         decay = float(np.trace(model.gamma @ rho0).real)
         t_pos = _positivity_horizon(decay, max(gap, 1e-9))
-        std0 = _mt_paths(model, rho0, 0.0, [1e-9], 4)[0].integral / 1e-9
+        std0 = _mt_paths(model, rho0, [(0.0, 1e-9)], 4)[0].integral / 1e-9
         t_window = 0.85 * (math.pi / 2.0) / max(std0, 0.05)
         tau = float(rng.uniform(0.2, 0.9)) * min(t_pos, t_window)
         reports = None
@@ -397,9 +397,9 @@ def test_criterion_10_oracle_equivalence():
             rho0 = as_density_matrix(random_pure_state(dim, 91_000 + case))
             t1 = float(rng.uniform(0.0, 0.3))
             t2 = t1 + float(rng.uniform(0.1, 1.0))
-            path = _mt_paths(model, rho0, t1, [t2], panels)[0]
+            path = _mt_paths(model, rho0, [(t1, t2)], panels)[0]
             coarse, estimate = path.integral, path.quad_err
-            fine = _mt_paths(model, rho0, t1, [t2], 10 * panels)[0].integral
+            fine = _mt_paths(model, rho0, [(t1, t2)], 10 * panels)[0].integral
             total += 1
             if abs(coarse - fine) <= estimate:
                 covered += 1

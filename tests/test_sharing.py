@@ -82,7 +82,7 @@ def sweep_of(model, state, times, observable=None):
     """A sweep's shared evaluation, for calling the row builders directly."""
     rho0 = as_density_matrix(state)
     rho0.setflags(write=False)
-    return bnd._Sweep(model, None, rho0, times, observable, 0.0, bnd.DEFAULT_QUAD_STEPS)
+    return bnd._Sweep(model, None, rho0, times, observable, None, bnd.DEFAULT_QUAD_STEPS)
 
 
 def count_fidelities(monkeypatch, counts):
@@ -187,7 +187,7 @@ def test_changed_argument_misses(closed_case, change, monkeypatch):
         linalg, "expm", lambda a: members.append(len(a.reshape(-1, 3, 3))) or expm(a)
     )
     args = {"model": model, "t1": 0.1, "t2": 0.6, "steps": 40}
-    first = bnd._mt_paths(model, rho0, 0.1, [0.6], 40)[0]
+    first = bnd._mt_paths(model, rho0, [(0.1, 0.6)], 40)[0]
     first_nodes = sum(members)
     members.clear()
     args[change] = {
@@ -196,7 +196,7 @@ def test_changed_argument_misses(closed_case, change, monkeypatch):
         "t2": 0.7,
         "model": random_commuting(3, 7, gamma_scale=0.8),  # equal contents, new model
     }[change]
-    fresh = bnd._mt_paths(args["model"], rho0, args["t1"], [args["t2"]], args["steps"])[0]
+    fresh = bnd._mt_paths(args["model"], rho0, [(args["t1"], args["t2"])], args["steps"])[0]
     assert fresh is not first
     if change == "model":
         assert_same_path(fresh, first)
@@ -351,13 +351,15 @@ def test_work_count_classical_chain(tmp_path, monkeypatch):
 
 
 def test_work_count_closed_window(tmp_path, monkeypatch):
-    """One quadrature for the grid's paths and one for the extra window (one
-    path per time point and one for the window before the stacks)."""
+    """One quadrature for the grid's paths and the extra window together (one
+    for the grid and one for the window in two sweeps before the window
+    joined the grid's sweep, one path per time point and one for the window
+    before the stacks)."""
     counts = run_check(tmp_path, monkeypatch, [
         "--model", "builtin:random-commuting?dim=3&seed=4", "--state", "plus",
         "--bounds", "mt", "--t-final", "1.0", "--steps", "2", "--tau1", "0.2", "--tau2", "0.7",
     ])
-    assert counts == {"_mt_paths": 2}
+    assert counts == {"_mt_paths": 1}
 
 
 def test_work_count_closed_ml(tmp_path, monkeypatch):
@@ -502,6 +504,38 @@ def test_grid_rows_equal_one_point_sweeps(case, monkeypatch):
         assert t == t1 and repr(report) == repr(single)
 
 
+def noncommuting_model():
+    """[H, Gamma] != 0, so G = H - i Gamma is not normal."""
+    rng = np.random.default_rng(13)
+    a, b = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2))
+    return NonHermitianModel(0.5 * (a + a.conj().T), 0.2 * b @ b.conj().T)
+
+
+WINDOW_CASES = {
+    "normal": (lambda: random_commuting(3, 7, gamma_scale=0.8), random_pure_state(3, 8),
+               np.diag([0.0, 0.0, 1.0])),
+    "non-normal": (noncommuting_model, random_pure_state(3, 14), np.diag([0.0, 0.0, 1.0])),
+    "time-dependent": (timed_model, random_pure_state(2, 12), np.diag([0.0, 1.0])),
+}
+
+
+@pytest.mark.parametrize("tau2", [0.7, 1.6])
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_window_rows_equal_a_window_alone(case, tau2):
+    """The rows of a window [0.2, tau2], inside the grid's span (t_final = 1)
+    or beyond it, are by ``repr`` those of a sweep of the window alone, and
+    the grid rows before them those of a sweep without the window: the
+    window joins the grid's quadrature but keeps its own intervals, nodes
+    and running products."""
+    make, state, obs = WINDOW_CASES[case]
+    model, times = make(), [0.25, 0.5, 0.75, 1.0]
+    both = sweep(model, state, times, ["mt"], obs, window=(0.2, tau2))
+    alone = sweep(model, state, [], ["mt"], obs, window=(0.2, tau2))
+    grid = sweep(model, state, times, ["mt"], obs)
+    assert [t for t, _ in alone] == [tau2] * 4
+    assert [(t, repr(r)) for t, r in both] == [(t, repr(r)) for t, r in grid + alone]
+
+
 @pytest.mark.parametrize("case", ["closed-window", "refrigerator-projector",
                                   "refrigerator-jump-count", "classical"])
 def test_public_rows_equal_sweep_rows(case):
@@ -514,7 +548,8 @@ def test_public_rows_equal_sweep_rows(case):
         model, psi = random_commuting(3, 7, gamma_scale=0.8), random_pure_state(3, 8)
         obs, tau1, steps = np.diag([0.0, 0.0, 1.0]).astype(complex), 0.2, 40
         swept = rows_by_kind(sweep(model, psi, [tau], ["ml"], obs))
-        swept.update(rows_by_kind(sweep(model, psi, [tau], ["mt"], obs, start=tau1, steps=steps)))
+        swept.update(rows_by_kind(sweep(model, psi, [], ["mt"], obs, window=(tau1, tau),
+                                         steps=steps)))
         public = [bnd.fid_ml(model, psi, tau), bnd.qsl_ml(model, psi, tau),
                   bnd.tur_ml(model, psi, tau, obs), bnd.fid_mt(model, psi, tau1, tau, steps),
                   bnd.qsl_mt(model, psi, tau1, tau, steps),
@@ -565,8 +600,8 @@ def test_sweep_rows_in_csv_order():
     ("lindblad", ["mt"], {}, "'mt' needs a nonhermitian model"),
     ("lindblad", ["classical"], {}, "'classical' needs a classical model"),
     ("chain", ["ml"], {}, "'ml' needs a nonhermitian model"),
-    ("closed", ["mt", "ml"], {"start": 0.1}, "applies to the mt group alone"),
-    ("lindblad", ["mt-open"], {"start": 0.1}, "applies to the mt group alone"),
+    ("closed", ["ml"], {"window": (0.1, 0.5)}, "applies to the mt group"),
+    ("lindblad", ["mt-open"], {"window": (0.1, 0.5)}, "applies to the mt group"),
 ])
 def test_sweep_rejects_groups_the_model_cannot_serve(model, groups, options, message):
     """Checked before the state is read, so any state will do."""
