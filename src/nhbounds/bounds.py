@@ -31,7 +31,10 @@ builder does its family's model checks and evaluates each part it reads
 statistics, jump-count moments, chain distributions) as one stack over the
 whole grid: one stacked exponential per part, and one adaptive quadrature
 for all MT windows, the grid's [0, t] and the ``mt`` group's optional
-extra [tau1, tau2] alike.  The Lindblad states, their fidelities and the open TUR
+extra [tau1, tau2] alike.  Where a constant generator G = H - i Gamma is
+normal to round-off, the MT integrand at the quadrature nodes comes from
+its spectrum (built once per model) instead of propagators; the window ends
+keep their propagators.  The Lindblad states, their fidelities and the open TUR
 ratios, which both open groups read, are computed once per sweep.  Sweeps,
 and so public calls, share nothing.
 """
@@ -50,6 +53,7 @@ from .models import ClassicalMarkovModel, make_classical
 from .propagation import (
     LindbladModel,
     NonHermitianModel,
+    _built_once,
     _evolve_lindblad,
     _jump_count_moments,
     _normalized_density,
@@ -64,6 +68,7 @@ DEFAULT_QUAD_STEPS = 15     # minimum MT quadrature nodes: one G7/K15 interval
 _QUAD_RTOL = 1e-13          # relative accuracy the adaptive MT quadrature aims at
 _MAX_SPLITS = 1000          # bisections before the quadrature gives up
 _EPS = float(np.finfo(float).eps)
+_SPECTRAL_TOL = 64.0        # residual of U diag(lam) U^dag, in eps * dim * max(1, ||G||_1)
 
 # QUADPACK's qk15 rule on [-1, 1] (Piessens et al., 1983), nodes ascending:
 # the 15 Kronrod nodes and weights, and the weights of the 7-point Gauss rule
@@ -207,23 +212,70 @@ def _path_at(model: NonHermitianModel, rho0: np.ndarray, times: np.ndarray):
     return mats, rho, tr, metrics.generalized_std(gen, rho)
 
 
+@_built_once
+def _spectrum(model: NonHermitianModel):
+    """``(U, lam)`` with G = U diag(lam) U^dag to round-off, or None.
+
+    U holds the eigenvectors of H + (pi/7) Gamma and lam = diag(U^dag G U).
+    When [H, Gamma] = 0, G is normal and U diagonalizes it unless the
+    generic shift pi/7 happens to merge two eigenvalues that G keeps apart.
+    None when the residual ||U diag(lam) U^dag - G||_1 exceeds
+    ``_SPECTRAL_TOL`` eps dim max(1, ||G||_1): G is not normal, or U missed.
+    """
+    g = model.full_generator()
+    _, u = np.linalg.eigh(model.h + (math.pi / 7.0) * model.gamma)
+    lam = np.einsum("ki,kl,li->i", u.conj(), g, u)
+    residual = np.abs((u * lam) @ u.conj().T - g).sum(axis=0).max()
+    norm = np.abs(g).sum(axis=0).max()
+    return (u, lam) if residual <= _SPECTRAL_TOL * _EPS * model.dim * max(1.0, norm) else None
+
+
+def _spectral_std(spectrum, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The generalized std of G = U diag(lam) U^dag in the normalized state at
+    each of ``times``, from the populations alone:
+    sqrt(sum_k p_k |lam_k - sum_j p_j lam_j|^2), where
+    p_k(t) is (U^dag rho0 U)_kk exp(2 Im(lam_k) t), normalized in log space
+    so that no population underflows before the others.  The std is
+    shift-invariant; shifting lam by lam_0 makes it exactly 0 where G is a
+    multiple of the identity."""
+    u, lam = spectrum
+    w = np.einsum("ki,kl,li->i", u.conj(), rho0, u).real
+    with np.errstate(divide="ignore"):
+        x = np.log(np.maximum(w, 0.0)) + 2.0 * np.multiply.outer(times, lam.imag)
+    p = np.exp(x - x.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    shifted = lam - lam[0]
+    dev = shifted - (p @ shifted)[:, None]
+    return np.sqrt((p * (dev.real**2 + dev.imag**2)).sum(axis=1))
+
+
 def _path_nodes(model: NonHermitianModel, rho0: np.ndarray, segments, ends=()):
     """The generalized std at every time of ``segments`` (one sorted time
     array per MT window), concatenated, and the propagators, normalized
     states and traces at the flat indices ``ends``.
 
-    A constant generator evaluates all segments as one stack, in calls of at
-    most ``linalg._STACK_BUDGET`` matrix entries.  A time-dependent one takes
-    each segment through its own running product, whose step its last time
-    sets (see ``_propagators``), so no window's nodes depend on the others.
+    Where :func:`_spectrum` diagonalizes a constant generator, the std comes
+    from the spectrum at every time, and only the ``ends`` take propagators
+    (stacked ``expm``).  Any other constant generator evaluates all segments
+    as one stack of propagators, in calls of at most ``linalg._STACK_BUDGET``
+    matrix entries.  A time-dependent one takes each segment through its own
+    running product, whose step its last time sets (see ``_propagators``),
+    so no window's nodes depend on the others.
     """
     flat = np.concatenate(segments)
+    ends = np.asarray(ends, dtype=int)
+    spectrum = None if model.is_time_dependent else _spectrum(model)
+    if spectrum is not None:
+        std = _spectral_std(spectrum, rho0, flat)
+        if not ends.size:
+            return std, []
+        mats = _propagators(model, flat[ends])
+        return std, [mats, *_normalized_density(mats, rho0)]
     if model.is_time_dependent:
         cuts = np.cumsum([0, *map(len, segments)])
         calls = [slice(i, j) for i, j in zip(cuts[:-1], cuts[1:])]
     else:
         calls = linalg._stack_slices(flat.size, model.dim)
-    ends = np.asarray(ends, dtype=int)
     std = np.empty(flat.size)
     kept = []
     for s in calls:
@@ -301,7 +353,9 @@ def _mt_paths(model: NonHermitianModel, rho0: np.ndarray, windows, steps: int) -
     ``steps`` is a minimum node count: each window starts as
     ceil(steps / 15) equal intervals.  Each round evaluates the nodes of
     every pending interval of every window, in the first round with each
-    window's t1 and t2, through one :func:`_path_nodes` call, and bisects
+    window's t1 and t2, through one :func:`_path_nodes` call (the std from
+    the spectrum of a normal constant generator, else from propagators; the
+    ends' states, traces and overlap always from propagators), and bisects
     every interval whose estimate (QUADPACK's qk15, floored at
     50 eps (|K| + (b - a) ||G||_1)) exceeds both its share (b - a)/(t2 - t1)
     of ``_QUAD_RTOL`` max(1, |integral|) of its window and the std's own

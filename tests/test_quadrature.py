@@ -7,7 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from nhbounds import NonHermitianModel, StateVector, random_commuting, random_pure_state
+from nhbounds import (
+    NonHermitianModel,
+    StateVector,
+    random_commuting,
+    random_density,
+    random_pure_state,
+)
 from nhbounds import bounds as bnd
 from nhbounds.states import as_density_matrix
 
@@ -83,18 +89,92 @@ def test_constant_callback_matches_constant_model(case):
         assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12
 
 
+def spy_path_nodes(monkeypatch):
+    """Record how many times each ``_path_nodes`` call hands to the integrand."""
+    sizes = []
+    path_nodes = bnd._path_nodes
+    monkeypatch.setattr(bnd, "_path_nodes", lambda m, r, segments, *ends: sizes.append(
+        sum(map(len, segments))) or path_nodes(m, r, segments, *ends))
+    return sizes
+
+
 @pytest.mark.parametrize("steps, intervals", [(1, 1), (15, 1), (16, 2), (40, 3), (400, 27)])
 def test_steps_is_a_minimum_node_count(steps, intervals, monkeypatch):
     """``steps`` nodes round up to whole 15-node intervals; the first round
-    evaluates them with both endpoints in one stack."""
-    sizes = []
-    path_at = bnd._path_at
-    monkeypatch.setattr(
-        bnd, "_path_at", lambda m, r, times: sizes.append(len(times)) or path_at(m, r, times)
-    )
+    hands them to the integrand with both endpoints in one call."""
+    sizes = spy_path_nodes(monkeypatch)
     model = random_commuting(2, 5, gamma_scale=0.5)
     bnd._mt_paths(model, as_density_matrix(random_pure_state(2, 6)), [(0.0, 0.5)], steps)
     assert sizes[0] == 15 * intervals + 2
+
+
+def noncommuting_model(dim: int, seed: int) -> NonHermitianModel:
+    """[H, Gamma] != 0, so G = H - i Gamma is not normal."""
+    rng = np.random.default_rng(seed)
+    a, b = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2))
+    return NonHermitianModel(0.5 * (a + a.conj().T), 0.2 * b @ b.conj().T)
+
+
+class TestSpectralIntegrand:
+    """A normal generator's std comes from its spectrum; every other model
+    keeps the propagator path."""
+
+    @pytest.mark.parametrize("case", range(20))
+    def test_matches_the_propagator_std(self, case):
+        """On random commuting models of dim 2-6, from pure and mixed states,
+        the spectral std agrees with the std of the Pade-propagated state to
+        1e-12 relative."""
+        dim = 2 + case % 5
+        model = random_commuting(dim, 900 + case, gamma_scale=1.5, h_scale=1.0 + case % 3)
+        state = random_pure_state(dim, 950 + case) if case % 2 else random_density(dim, 950 + case)
+        rho0 = as_density_matrix(state)
+        times = np.linspace(0.0, 3.0, 61)
+        want = bnd._path_at(model, rho0, times)[3]
+        got = bnd._spectral_std(bnd._spectrum(model), rho0, times)
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    def test_built_once_per_model(self):
+        model = random_commuting(3, 7)
+        assert bnd._spectrum(model) is bnd._spectrum(model) is not None
+        assert bnd._spectrum(random_commuting(3, 7)) is not bnd._spectrum(model)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_non_normal_generator_has_none(self, dim):
+        assert bnd._spectrum(noncommuting_model(dim, dim)) is None
+
+    @pytest.mark.parametrize("case", ["normal", "non-normal", "time-dependent"])
+    def test_only_other_models_reach_the_propagator_path(self, case, monkeypatch):
+        """``_path_at`` evaluates every Kronrod node of a non-normal or
+        time-dependent model, with the window ends in the first round, and
+        is never reached for a normal one."""
+        base = random_commuting(2, 5, gamma_scale=0.5)
+        model = {
+            "normal": base,
+            "non-normal": noncommuting_model(2, 5),
+            "time-dependent": NonHermitianModel(base.h, base.gamma, time_dependence=lambda t: (
+                base.h * (1.0 + 0.5 * math.sin(3.0 * t)), base.gamma * (1.0 + 0.3 * t))),
+        }[case]
+        calls = []
+        path_at = bnd._path_at
+        monkeypatch.setattr(
+            bnd, "_path_at", lambda m, r, times: calls.append(times) or path_at(m, r, times)
+        )
+        steps = []
+        refine = bnd._Window.refine
+
+        def spy(self, f):
+            steps.append(self.nodes())
+            refine(self, f)
+
+        monkeypatch.setattr(bnd._Window, "refine", spy)
+        bnd._mt_paths(model, as_density_matrix(random_pure_state(2, 6)), [(0.1, 0.9)], 40)
+        if case == "normal":
+            assert calls == []
+        else:
+            assert len(calls) == len(steps)
+            assert np.array_equal(calls[0], np.concatenate([[0.1], steps[0], [0.9]]))
+            for times, nodes in zip(calls[1:], steps[1:]):
+                assert np.array_equal(times, nodes)
 
 
 def test_integer_window_ends_read_as_floats():

@@ -36,7 +36,7 @@ from nhbounds import (
     tur_mt_open,
 )
 from nhbounds import bounds as bnd
-from nhbounds import cli, linalg, metrics
+from nhbounds import cli, linalg, metrics, serialize
 from nhbounds.errors import BadParameter, SimulationError
 from nhbounds.states import as_density_matrix
 
@@ -176,16 +176,15 @@ def test_public_tur_rows_need_an_observable(row):
 def test_changed_argument_misses(closed_case, change, monkeypatch):
     """``_mt_paths`` reads every argument: a changed one gives a fresh path.
 
-    More ``steps`` evaluate more nodes, counted as members of the stacks
-    passed to ``linalg.expm``; the integral need not change, because the
-    K15 rule is exact to round-off on a smooth integrand either way."""
+    More ``steps`` evaluate more nodes, counted as the times handed to the
+    integrand; the integral need not change, because the K15 rule is exact
+    to round-off on a smooth integrand either way."""
     model, psi = closed_case
     rho0 = as_density_matrix(psi)
     members = []
-    expm = linalg.expm
-    monkeypatch.setattr(
-        linalg, "expm", lambda a: members.append(len(a.reshape(-1, 3, 3))) or expm(a)
-    )
+    path_nodes = bnd._path_nodes
+    monkeypatch.setattr(bnd, "_path_nodes", lambda m, r, segments, *ends: members.append(
+        sum(map(len, segments))) or path_nodes(m, r, segments, *ends))
     args = {"model": model, "t1": 0.1, "t2": 0.6, "steps": 40}
     first = bnd._mt_paths(model, rho0, [(0.1, 0.6)], 40)[0]
     first_nodes = sum(members)
@@ -400,15 +399,27 @@ def test_expm_calls_do_not_grow_with_the_grid(tmp_path, monkeypatch):
 
 
 def test_stack_budget_bounds_every_exponential(tmp_path, monkeypatch):
-    """A 256-point, 400-node refrigerator check splits its stacks so that no
-    ``linalg.expm`` call holds more than ``_STACK_BUDGET`` matrix entries."""
+    """256-point, 400-node checks split their stacks so that no
+    ``linalg.expm`` call holds more than ``_STACK_BUDGET`` matrix entries:
+    one on the refrigerator, whose MT nodes take the spectral integrand,
+    and one on a non-normal dim-3 model, whose nodes all take propagators."""
+    rng = np.random.default_rng(3)
+    a, b = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2))
+    model_file = tmp_path / "nonnormal.json"
+    serialize.save_model(model_file, NonHermitianModel(0.5 * (a + a.conj().T),
+                                                       0.2 * b @ b.conj().T))
     shapes = spy_expm(monkeypatch)
-    run_check(tmp_path, monkeypatch, [
-        *REFRIGERATOR, "--t-final", "2", "--steps", "256", "--quad-panels", "400",
-    ], names=())
-    entries = [math.prod(shape) for shape in shapes]
+    runs = []
+    for argv in (REFRIGERATOR, ["--model", str(model_file), "--state", "plus", "--bounds", "mt"]):
+        shapes.clear()
+        run_check(tmp_path, monkeypatch, [
+            *argv, "--t-final", "2", "--steps", "256", "--quad-panels", "400",
+        ], names=())
+        runs.append([math.prod(shape) for shape in shapes])
+    entries = [e for run in runs for e in run]
     assert max(entries) <= linalg._STACK_BUDGET
     assert sum(entries) > 10 * linalg._STACK_BUDGET  # the budget did split the stacks
+    assert all(sum(run) > linalg._STACK_BUDGET for run in runs)  # in each check
 
 
 def test_work_count_open_ml(tmp_path, monkeypatch):
