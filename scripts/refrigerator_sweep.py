@@ -37,8 +37,7 @@ def run(args) -> int:
     for t, r in sweep(model, psi0, times, ["ml-open", "mt-open"], obs):
         rows[t, r.kind] = r
     worst, holds = np.inf, True
-    for t in times:
-        rho_t = evolve_lindblad(model, pure_density(psi0), t)
+    for t, rho_t in zip(times, evolve_lindblad(model, pure_density(psi0), times)):
         coh = np.max(np.abs(rho_t - np.diag(np.diagonal(rho_t))))
         cells = []
         for kind in ("qsl-ml-open", "tur-ml-open", "qsl-mt-open", "tur-mt-open"):

@@ -363,13 +363,18 @@ def _jump_count_moments(
     return out
 
 
-def evolve_lindblad(model: LindbladModel, rho0, t: float) -> np.ndarray:
+def evolve_lindblad(model: LindbladModel, rho0, t) -> np.ndarray:
     """Exact Lindblad evolution via the vectorized-Liouvillian exponential.
 
-    ``rho0`` is anything :func:`~nhbounds.states.as_density_matrix` reads;
-    the state at ``t`` comes back as a read-only unit-trace matrix.
+    ``rho0`` is anything :func:`~nhbounds.states.as_density_matrix` reads.
+    For one time ``t`` the state comes back as a read-only unit-trace
+    matrix; for a 1-D sequence of times, as the read-only stack of the
+    states at each, from stacked exponentials.
     """
-    return _evolve_lindblad(model, as_density_matrix(rho0), [t])[0]
+    if np.ndim(t) > 1:
+        raise BadParameter("times must be one time or a 1-D sequence of them")
+    rho = as_density_matrix(rho0)
+    return _evolve_lindblad(model, rho, t) if np.ndim(t) else _evolve_lindblad(model, rho, [t])[0]
 
 
 def _evolve_lindblad(model: LindbladModel, rho: np.ndarray, times: Sequence[float]) -> np.ndarray:

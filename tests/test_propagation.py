@@ -22,7 +22,7 @@ from nhbounds import (
     random_density,
 )
 from nhbounds import linalg
-from nhbounds.errors import NonPositiveGamma, NormUnderflow
+from nhbounds.errors import BadParameter, NonPositiveGamma, NormUnderflow
 from nhbounds.models import ClassicalMarkovModel
 from nhbounds.propagation import (
     _evolve_lindblad,
@@ -193,6 +193,20 @@ class TestEvolveLindblad:
         out = evolve_lindblad(model, rho0, 0.8)
         u = linalg.expm(-0.8j * SZ)
         assert np.max(np.abs(out - u @ rho0.matrix @ u.conj().T)) <= 1e-12
+
+    def test_time_sequence_gives_the_stack(self):
+        """A 1-D sequence of times gives the read-only stack of the states one
+        call per time gives, bit for bit; a 2-D one is rejected."""
+        model = make_refrigerator(1.0, 1.0, 1.0, 1.0, 1.05, 0.9)
+        rho0 = random_density(3, 6)
+        times = [0.25, 0.5, 1.5]
+        out = evolve_lindblad(model, rho0, times)
+        assert out.shape == (3, 3, 3) and not out.flags.writeable
+        for t, rho in zip(times, out):
+            assert np.array_equal(rho, evolve_lindblad(model, rho0, t))
+        assert evolve_lindblad(model, rho0, np.array(times)).tobytes() == out.tobytes()
+        with pytest.raises(BadParameter):
+            evolve_lindblad(model, rho0, [times])
 
     def test_returns_read_only_matrix(self):
         out = evolve_lindblad(make_dephasing(1.0), StateVector(np.ones(2) / np.sqrt(2.0)), 0.5)
