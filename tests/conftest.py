@@ -40,6 +40,13 @@ def random_hermitian(dim, rng, scale=1.0):
     return scale * 0.5 * (g + g.conj().T) / np.sqrt(dim)
 
 
+def noncommuting_model(dim, seed):
+    """A constant model with [H, Gamma] != 0, so G = H - i Gamma is not normal."""
+    rng = np.random.default_rng(seed)
+    a, b = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2))
+    return NonHermitianModel(0.5 * (a + a.conj().T), 0.2 * b @ b.conj().T)
+
+
 def p1_closed(t):
     """Excited population of the worked two-level example."""
     return np.exp(-t) / (1.0 + np.exp(-t))

@@ -17,6 +17,8 @@ from nhbounds import (
 from nhbounds import bounds as bnd
 from nhbounds.states import as_density_matrix
 
+from conftest import noncommuting_model
+
 
 def monomial_integral(k: int) -> float:
     """The integral of x^k over [-1, 1]."""
@@ -106,13 +108,6 @@ def test_steps_is_a_minimum_node_count(steps, intervals, monkeypatch):
     model = random_commuting(2, 5, gamma_scale=0.5)
     bnd._mt_paths(model, as_density_matrix(random_pure_state(2, 6)), [(0.0, 0.5)], steps)
     assert sizes[0] == 15 * intervals + 2
-
-
-def noncommuting_model(dim: int, seed: int) -> NonHermitianModel:
-    """[H, Gamma] != 0, so G = H - i Gamma is not normal."""
-    rng = np.random.default_rng(seed)
-    a, b = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2))
-    return NonHermitianModel(0.5 * (a + a.conj().T), 0.2 * b @ b.conj().T)
 
 
 class TestSpectralIntegrand:

@@ -40,6 +40,8 @@ from nhbounds import cli, linalg, metrics, serialize
 from nhbounds.errors import BadParameter, SimulationError
 from nhbounds.states import as_density_matrix
 
+from conftest import noncommuting_model
+
 PATH_FIELDS = ("integral", "quad_err", "rho1", "rho2", "tr1", "tr2", "overlap")
 
 
@@ -403,11 +405,8 @@ def test_stack_budget_bounds_every_exponential(tmp_path, monkeypatch):
     ``linalg.expm`` call holds more than ``_STACK_BUDGET`` matrix entries:
     one on the refrigerator, whose MT nodes take the spectral integrand,
     and one on a non-normal dim-3 model, whose nodes all take propagators."""
-    rng = np.random.default_rng(3)
-    a, b = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2))
     model_file = tmp_path / "nonnormal.json"
-    serialize.save_model(model_file, NonHermitianModel(0.5 * (a + a.conj().T),
-                                                       0.2 * b @ b.conj().T))
+    serialize.save_model(model_file, noncommuting_model(3, 3))
     shapes = spy_expm(monkeypatch)
     runs = []
     for argv in (REFRIGERATOR, ["--model", str(model_file), "--state", "plus", "--bounds", "mt"]):
@@ -515,17 +514,11 @@ def test_grid_rows_equal_one_point_sweeps(case, monkeypatch):
         assert t == t1 and repr(report) == repr(single)
 
 
-def noncommuting_model():
-    """[H, Gamma] != 0, so G = H - i Gamma is not normal."""
-    rng = np.random.default_rng(13)
-    a, b = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2))
-    return NonHermitianModel(0.5 * (a + a.conj().T), 0.2 * b @ b.conj().T)
-
-
 WINDOW_CASES = {
     "normal": (lambda: random_commuting(3, 7, gamma_scale=0.8), random_pure_state(3, 8),
                np.diag([0.0, 0.0, 1.0])),
-    "non-normal": (noncommuting_model, random_pure_state(3, 14), np.diag([0.0, 0.0, 1.0])),
+    "non-normal": (lambda: noncommuting_model(3, 13), random_pure_state(3, 14),
+                   np.diag([0.0, 0.0, 1.0])),
     "time-dependent": (timed_model, random_pure_state(2, 12), np.diag([0.0, 1.0])),
 }
 
