@@ -226,8 +226,8 @@ def _spectrum(model: NonHermitianModel):
     _, u = np.linalg.eigh(model.h + (math.pi / 7.0) * model.gamma)
     lam = np.einsum("ki,kl,li->i", u.conj(), g, u)
     residual = np.abs((u * lam) @ u.conj().T - g).sum(axis=0).max()
-    norm = np.abs(g).sum(axis=0).max()
-    return (u, lam) if residual <= _SPECTRAL_TOL * _EPS * model.dim * max(1.0, norm) else None
+    bound = _SPECTRAL_TOL * _EPS * model.dim * max(1.0, _generator_norm(model, 0.0))
+    return (u, lam) if residual <= bound else None
 
 
 def _spectral_std(spectrum, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
