@@ -27,16 +27,17 @@ Every row comes from :func:`sweep`, which evaluates bound groups along a
 time grid; each public row function is a one-point sweep.  A sweep converts
 the state and observable once and calls each group's row builder once.  The
 builder does its family's model checks and evaluates each part it reads
-(ML propagators, MT paths, Lindblad states, fidelities, observable
-statistics, jump-count moments, chain distributions) as one stack over the
-whole grid: one stacked exponential per part, and one adaptive quadrature
-for all MT windows, the grid's [0, t] and the ``mt`` group's optional
-extra [tau1, tau2] alike.  Where a constant generator G = H - i Gamma is
-normal to round-off, the MT integrand at the quadrature nodes comes from
-its spectrum (built once per model) instead of propagators; the window ends
-keep their propagators.  The Lindblad states, their fidelities and the open TUR
-ratios, which both open groups read, are computed once per sweep.  Sweeps,
-and so public calls, share nothing.
+(MT integrals, Lindblad states, fidelities, observable statistics,
+jump-count moments, chain distributions) as one stack over the whole grid:
+one stacked exponential per part, and one adaptive quadrature for all MT
+windows, the grid's [0, t] and the ``mt`` group's optional extra
+[tau1, tau2] alike.  Both families read the propagators at the ends of
+these windows, and their normalized states, from one stack per sweep.
+Where a constant generator G = H - i Gamma is normal to round-off, the MT
+integrand at the quadrature nodes comes from its spectrum (built once per
+model) instead of propagators.  The window ends, the Lindblad states, their
+fidelities and the open TUR ratios are computed at most once per sweep.
+Sweeps, and so public calls, share nothing.
 """
 
 from __future__ import annotations
@@ -178,40 +179,6 @@ def normalized_overlap(model: NonHermitianModel, state0, tau1: float, tau2: floa
 # one sweep's stacks
 
 
-@dataclass(eq=False, frozen=True)
-class _MTPath:
-    """What the MT rows read from one normalized path over [t1, t2].
-
-    ``integral``/``quad_err``: adaptive G7/K15 integral of the generalized
-    std of the full generator and the sum of its accepted intervals' error
-    estimates.  ``rho1``/``rho2`` and ``tr1``/``tr2``: normalized states and
-    traces Tr[M rho0 M^dag] at the endpoints.  ``overlap``:
-    |Tr[M(t1)^dag M(t2) rho0]|, unnormalized.
-    """
-
-    integral: float
-    quad_err: float
-    rho1: np.ndarray
-    rho2: np.ndarray
-    tr1: float
-    tr2: float
-    overlap: float
-
-
-def _path_at(model: NonHermitianModel, rho0: np.ndarray, times: np.ndarray):
-    """Propagators, normalized states and traces at the sorted ``times``, and
-    the generalized std of the full generator in each state.
-
-    Raises:
-        NormUnderflow: if a trace underflows (see ``_normalized_density``).
-    """
-    mats = _propagators(model, times)
-    rho, tr = _normalized_density(mats, rho0)
-    gen = (np.stack([model.full_generator(t) for t in times]) if model.is_time_dependent
-           else model.full_generator())
-    return mats, rho, tr, metrics.generalized_std(gen, rho)
-
-
 @_built_once
 def _spectrum(model: NonHermitianModel):
     """``(U, lam)`` with G = U diag(lam) U^dag to round-off, or None.
@@ -249,40 +216,34 @@ def _spectral_std(spectrum, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
     return np.sqrt((p * (dev.real**2 + dev.imag**2)).sum(axis=1))
 
 
-def _path_nodes(model: NonHermitianModel, rho0: np.ndarray, segments, ends=()):
-    """The generalized std at every time of ``segments`` (one sorted time
-    array per MT window), concatenated, and the propagators, normalized
-    states and traces at the flat indices ``ends``.
+def _path_nodes(model: NonHermitianModel, rho0: np.ndarray, segments) -> np.ndarray:
+    """The generalized std of the full generator in the normalized state at
+    every time of ``segments`` (one sorted time array per MT window),
+    concatenated.
 
     Where :func:`_spectrum` diagonalizes a constant generator, the std comes
-    from the spectrum at every time, and only the ``ends`` take propagators
-    (stacked ``expm``).  Any other constant generator evaluates all segments
+    from the spectrum.  Any other constant generator evaluates all segments
     as one stack of propagators, in calls of at most ``linalg._STACK_BUDGET``
     matrix entries.  A time-dependent one takes each segment through its own
     running product, whose step its last time sets (see ``_propagators``),
     so no window's nodes depend on the others.
+
+    Raises:
+        NormUnderflow: if a propagated trace underflows.
     """
     flat = np.concatenate(segments)
-    ends = np.asarray(ends, dtype=int)
     spectrum = None if model.is_time_dependent else _spectrum(model)
     if spectrum is not None:
-        std = _spectral_std(spectrum, rho0, flat)
-        if not ends.size:
-            return std, []
-        mats = _propagators(model, flat[ends])
-        return std, [mats, *_normalized_density(mats, rho0)]
-    if model.is_time_dependent:
-        cuts = np.cumsum([0, *map(len, segments)])
-        calls = [slice(i, j) for i, j in zip(cuts[:-1], cuts[1:])]
-    else:
-        calls = linalg._stack_slices(flat.size, model.dim)
-    std = np.empty(flat.size)
-    kept = []
-    for s in calls:
-        mats, rho, tr, std[s] = _path_at(model, rho0, flat[s])
-        at = ends[(ends >= s.start) & (ends < s.stop)] - s.start
-        kept.append((mats[at], rho[at], tr[at]))
-    return std, [np.concatenate(part) for part in zip(*kept)]
+        return _spectral_std(spectrum, rho0, flat)
+    calls = (segments if model.is_time_dependent
+             else [flat[s] for s in linalg._stack_slices(flat.size, model.dim)])
+    std = []
+    for times in calls:
+        rho, _ = _normalized_density(_propagators(model, times), rho0)
+        gen = (np.stack([model.full_generator(t) for t in times]) if model.is_time_dependent
+               else model.full_generator())
+        std.append(metrics.generalized_std(gen, rho))
+    return np.concatenate(std)
 
 
 def _kronrod_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -345,23 +306,22 @@ class _Window:
         self.a, self.b = a, b
 
 
-def _mt_paths(model: NonHermitianModel, rho0: np.ndarray, windows, steps: int) -> list[_MTPath]:
-    """Integrate the generalized std along the normalized trajectory over
-    each window [t1, t2] of ``windows`` by adaptive G7/K15 quadrature
-    (QUADPACK's QAG), all windows together.
+def _mt_paths(model: NonHermitianModel, rho0: np.ndarray, windows, steps: int):
+    """``(integral, quad_err)`` of each window [t1, t2] of ``windows`` (each
+    0 <= t1 <= t2): the generalized std integrated along the normalized
+    trajectory by adaptive G7/K15 quadrature (QUADPACK's QAG), all windows
+    together, and the sum of the accepted intervals' error estimates.
 
     ``steps`` is a minimum node count: each window starts as
     ceil(steps / 15) equal intervals.  Each round evaluates the nodes of
-    every pending interval of every window, in the first round with each
-    window's t1 and t2, through one :func:`_path_nodes` call (the std from
-    the spectrum of a normal constant generator, else from propagators; the
-    ends' states, traces and overlap always from propagators), and bisects
-    every interval whose estimate (QUADPACK's qk15, floored at
-    50 eps (|K| + (b - a) ||G||_1)) exceeds both its share (b - a)/(t2 - t1)
-    of ``_QUAD_RTOL`` max(1, |integral|) of its window and the std's own
-    round-off near an eigenstate.  Each window keeps its own integral,
-    ``quad_err`` (the sum of its accepted estimates) and bisection count, so
-    its path does not depend on the other windows.
+    every pending interval of every window through one :func:`_path_nodes`
+    call, and bisects every interval whose estimate (QUADPACK's qk15,
+    floored at 50 eps (|K| + (b - a) ||G||_1)) exceeds both its share
+    (b - a)/(t2 - t1) of ``_QUAD_RTOL`` max(1, |integral|) of its window and
+    the std's own round-off near an eigenstate.  Each window keeps its own
+    integral, ``quad_err`` and bisection count, so its numbers do not depend
+    on the other windows.  The window ends are not nodes: the rows read
+    them from the sweep's ``ends``.
 
     Raises:
         QuadratureDiverged: when a window's refinement needs more than
@@ -369,37 +329,20 @@ def _mt_paths(model: NonHermitianModel, rho0: np.ndarray, windows, steps: int) -
     """
     if steps < 1:
         raise BadParameter("quadrature steps must be a positive integer")
-    if not all(0 <= t1 <= t2 for t1, t2 in windows):
-        raise BadParameter("need 0 <= t1 <= t2")
     n = -(-int(steps) // 15)
     if model.is_time_dependent:
         gnorms = [max(_generator_norm(model, t1), _generator_norm(model, t2)) for t1, t2 in windows]
     else:
         gnorms = [_generator_norm(model, 0.0)] * len(windows)
     wins = [_Window(t1, t2, n if t2 > t1 else 0, g) for (t1, t2), g in zip(windows, gnorms)]
-    segments = [np.insert(np.array([w.t1, w.t2], dtype=float), 1, w.nodes()) for w in wins]
-    lens = np.array([len(seg) for seg in segments])
-    offsets = np.cumsum(lens) - lens
-    std, (mats, rho, tr) = _path_nodes(model, rho0, segments,
-                                       np.stack([offsets, offsets + lens - 1], axis=1).ravel())
-    rho.setflags(write=False)
-    pending = [(w, std[o + 1:o + m - 1].reshape(-1, 15))
-               for w, o, m in zip(wins, offsets, lens) if w.a.size]
-    while pending:
-        for w, f in pending:
-            w.refine(f)
-        live = [w for w, _ in pending if w.a.size]
-        if not live:
-            break
+    live = [w for w in wins if w.a.size]
+    while live:
         nodes = [w.nodes() for w in live]
-        std = _path_nodes(model, rho0, nodes)[0].reshape(-1, 15)
-        pending = list(zip(live, np.split(std, np.cumsum([len(x) // 15 for x in nodes])[:-1])))
-    return [
-        _MTPath(w.integral, w.err, rho[2 * k], rho[2 * k + 1], float(tr[2 * k]),
-                float(tr[2 * k + 1]),
-                abs(complex(np.trace(linalg.dag(mats[2 * k]) @ mats[2 * k + 1] @ rho0))))
-        for k, w in enumerate(wins)
-    ]
+        std = _path_nodes(model, rho0, nodes).reshape(-1, 15)
+        for w, f in zip(live, np.split(std, np.cumsum([len(x) // 15 for x in nodes])[:-1])):
+            w.refine(f)
+        live = [w for w in live if w.a.size]
+    return [(w.integral, w.err) for w in wins]
 
 
 def _scaled_ratios(start, end) -> list[tuple[float, dict]]:
@@ -436,7 +379,7 @@ def _count_ratio(mean: float, var: float) -> tuple[float, dict]:
 
 
 class _Sweep:
-    """One sweep's inputs, and the stacks both open groups read.
+    """One sweep's inputs, and the stacks more than one group reads.
 
     ``model`` is the quantum model (a chain's embedding where an open group
     needs one), ``closed`` the model the ML and MT rows read, ``chain`` the
@@ -447,9 +390,11 @@ class _Sweep:
     the ML and MT families read of it (None for a jump count) and
     ``values`` what the classical family reads (its diagonal).
 
-    ``lindblad``, ``fidelity`` and ``open_ratios`` are stacks over ``times``
-    that both open groups read, each computed at most once, on first use.
-    Every other stack belongs to the one group builder that reads it.
+    ``windows``, ``ends``, ``states`` and ``overlaps`` are what the ML and MT
+    families read of ``closed``; ``lindblad``, ``fidelity`` and
+    ``open_ratios`` are stacks over ``times`` that both open groups read.
+    Each is computed at most once, on first use.  Every other stack belongs
+    to the one group builder that reads it.
     """
 
     def __init__(self, model, chain, rho0, times, observable, window, steps: int):
@@ -458,6 +403,42 @@ class _Sweep:
         self.closed = model.no_jump_model() if isinstance(model, LindbladModel) else model
         self.matrix = None if isinstance(observable, JumpCountObservable) else observable
         self.values = None if self.matrix is None else np.diag(self.matrix).real
+
+    @functools.cached_property
+    def windows(self) -> list[tuple[float, float]]:
+        """[0, t] for each time of the grid, then ``window`` if it is set;
+        a ``BadParameter`` unless 0 <= t1 <= t2 in each."""
+        windows = [(0.0, t) for t in self.times]
+        if self.window is not None:
+            windows.append(self.window)
+        if not all(0 <= t1 <= t2 for t1, t2 in windows):
+            raise BadParameter("need 0 <= t1 <= t2")
+        return windows
+
+    @functools.cached_property
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(mats, at)``: the propagators of ``closed`` at both ends of every
+        window, and the indices ``at[k]`` of window k's (t1, t2) in ``mats``.
+        A constant generator takes one stack over the distinct times, each
+        member computed as if alone; a time-dependent one takes one running
+        product per window, so no window's ends depend on the grid."""
+        model, windows = self.closed, self.windows
+        if model.is_time_dependent:
+            mats = np.concatenate([_propagators(model, w) for w in windows])
+            return mats, np.arange(len(mats)).reshape(-1, 2)
+        times, at = np.unique(windows, return_inverse=True)
+        return _propagators(model, times), at.reshape(-1, 2)
+
+    @functools.cached_property
+    def states(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_normalized_density`` of the ``ends``, indexed by their ``at``."""
+        return _normalized_density(self.ends[0], self.rho0)
+
+    @functools.cached_property
+    def overlaps(self) -> list[float]:
+        """|Tr[M(t1)^dag M(t2) rho0]| of each window, unnormalized."""
+        mats, at = self.ends
+        return [abs(complex(np.trace(linalg.dag(mats[i]) @ mats[j] @ self.rho0))) for i, j in at]
 
     @functools.cached_property
     def lindblad(self) -> np.ndarray:
@@ -478,17 +459,17 @@ class _Sweep:
                               metrics._observable_stats(self.matrix, self.lindblad))
 
 
-def _ml_stack(sw: _Sweep) -> tuple[np.ndarray, list[float], list[dict]]:
+def _ml_stack(sw: _Sweep) -> tuple[list[float], list[dict]]:
     """The model checks of the ML family, then what its rows read at the
-    times of ``sw``: the propagators M to each time, the overlaps
-    |Tr[M rho0]| and the terms of each time's floor (each row copies them
-    before adding its own keys).
+    times of ``sw``: the overlaps |Tr[M rho0]| of the propagators M to each
+    time (the sweep's ``overlaps`` of the windows [0, t]) and the terms of
+    each time's floor (each row copies them before adding its own keys).
 
-    Only the closed rows normalize their states, so the open rows give
-    numbers where a state would underflow.  The open family reads this on
-    ``no_jump_model()``, whose Gamma is half the jump-rate operator: there
-    ``floor_raw`` is the open floor exp(-activity*tau/2) - tau(<H_S> - E_g)
-    and the overlaps are the record overlaps.
+    Only the closed rows read the normalized ``states``, so the open rows
+    give numbers where a state would underflow.  The open family reads this
+    on ``no_jump_model()``, whose Gamma is half the jump-rate operator:
+    there ``floor_raw`` is the open floor exp(-activity*tau/2) -
+    tau(<H_S> - E_g) and the overlaps are the record overlaps.
     """
     model, rho0 = sw.closed, sw.rho0
     if model.is_time_dependent:
@@ -499,10 +480,8 @@ def _ml_stack(sw: _Sweep) -> tuple[np.ndarray, list[float], list[dict]]:
     terms = {"mean_h": _expectation(model.h, rho0),
              "mean_gamma": _expectation(model.gamma, rho0),
              "ground_energy": ground_energy(model.h), "commutator_norm": norm}
-    mats = _propagators(model, sw.times)  # raises for a negative time
     de = terms["mean_h"] - terms["ground_energy"]
-    overlaps = np.trace(mats @ rho0, axis1=-2, axis2=-1)
-    return mats, [abs(complex(o)) for o in overlaps], [
+    return sw.overlaps[:len(sw.times)], [
         {"tau": tau, **terms, "floor_raw": math.exp(-terms["mean_gamma"] * tau) - tau * de}
         for tau in sw.times
     ]
@@ -516,8 +495,8 @@ def _ml_rows(sw: _Sweep) -> list[list[BoundReport]]:
     """fid-ml, qsl-ml, qsl-ml-simple and, given an observable, tur-ml at each
     time of ``sw``."""
     rho0 = sw.rho0
-    mats, overlaps, terms = _ml_stack(sw)
-    rho, tr = _normalized_density(mats, rho0)
+    overlaps, terms = _ml_stack(sw)
+    rho, tr = (part[sw.ends[1][:len(sw.times), 1]] for part in sw.states)
     fidelities = metrics._fidelities(rho0, rho)
     if sw.matrix is not None:
         ratios = _scaled_ratios(metrics._observable_stats(sw.matrix, rho0[None]),
@@ -602,9 +581,9 @@ def _mt_rows(sw: _Sweep) -> list[list[BoundReport]]:
     """fid-mt, qsl-mt and, given an observable, tur-mt and energy-time over
     [0, t] for each time t of ``sw``, then over ``sw.window`` if it is set;
     all windows are integrated in one quadrature."""
-    windows = [(0.0, t) for t in sw.times] + ([sw.window] if sw.window is not None else [])
-    paths = _mt_paths(sw.closed, sw.rho0, windows, sw.steps)
-    starts, ends = (np.stack([getattr(p, name) for p in paths]) for name in ("rho1", "rho2"))
+    windows, (rho, tr), at = sw.windows, sw.states, sw.ends[1]
+    quads = _mt_paths(sw.closed, sw.rho0, windows, sw.steps)
+    starts, ends = rho[at[:, 0]], rho[at[:, 1]]
     fidelities = metrics._fidelities(starts, ends)
     if sw.matrix is not None:
         start_stats, end_stats = (metrics._observable_stats(sw.matrix, rho) for rho in (starts, ends))
@@ -612,8 +591,7 @@ def _mt_rows(sw: _Sweep) -> list[list[BoundReport]]:
         energy_times = _energy_times(sw.closed, ends, [t2 for _, t2 in windows], sw.matrix,
                                      end_stats)
     out = []
-    for k, (path, (tau1, tau2)) in enumerate(zip(paths, windows)):
-        integral, err = path.integral, path.quad_err
+    for k, ((integral, err), (tau1, tau2), (i, j)) in enumerate(zip(quads, windows, at)):
         in_window = integral <= math.pi / 2.0 + WINDOW_TOL
         conditions = (("window_le_half_pi", in_window),)
         angle = metrics._fidelity_angle(fidelities[k])
@@ -623,8 +601,8 @@ def _mt_rows(sw: _Sweep) -> list[list[BoundReport]]:
             tau_min = 0.0 if angle == 0.0 else float("inf")
         rows = [
             BoundReport(
-                "fid-mt", path.overlap / math.sqrt(path.tr1 * path.tr2), math.cos(integral),
-                in_window, conditions,
+                "fid-mt", sw.overlaps[k] / math.sqrt(float(tr[i]) * float(tr[j])),
+                math.cos(integral), in_window, conditions,
                 {"tau1": tau1, "tau2": tau2, "integral": integral, "quad_err": err},
             ),
             BoundReport("qsl-mt", integral, angle, in_window, conditions, {
@@ -746,7 +724,7 @@ def open_overlap(model: LindbladModel, state0, tau: float) -> float:
 def _ml_open_rows(sw: _Sweep) -> list[list[BoundReport]]:
     """fid-ml-open, qsl-ml-open and, given an observable, tur-ml-open at each
     time of ``sw``."""
-    _, overlaps, terms = _ml_stack(sw)
+    overlaps, terms = _ml_stack(sw)
     fidelity = sw.fidelity
     if sw.observable is not None:
         ratios = sw.open_ratios
@@ -811,22 +789,23 @@ def tur_ml_open(model: LindbladModel, state0, tau: float, observable) -> BoundRe
 def _mt_open_rows(sw: _Sweep) -> list[list[BoundReport]]:
     """fid-mt-open, qsl-mt-open and, given an observable, tur-mt-open over
     [0, t] for each time t of ``sw``."""
-    paths = _mt_paths(sw.closed, sw.rho0, [(0.0, t) for t in sw.times], sw.steps)
+    (_, tr), at = sw.states, sw.ends[1]
+    quads = _mt_paths(sw.closed, sw.rho0, sw.windows, sw.steps)
     fidelity = sw.fidelity
     if sw.observable is not None:
         ratios = sw.open_ratios
     out = []
-    for k, (path, tau) in enumerate(zip(paths, sw.times)):
-        integral, err, z = path.integral, path.quad_err, path.tr2
+    for k, ((integral, err), tau) in enumerate(zip(quads, sw.times)):
+        z, overlap = float(tr[at[k, 1]]), sw.overlaps[k]
         in_window = integral <= math.pi / 2.0 + WINDOW_TOL
         fid = fidelity[k]
         ratio = fid / z
         fid_ok = ratio <= 1.0 + 1e-10
         rhs = metrics._fidelity_angle(min(ratio, 1.0)) if fid_ok else float("nan")
-        raw_overlap = path.overlap / math.sqrt(z)
+        raw_overlap = overlap / math.sqrt(z)
         rows = [
             BoundReport(
-                "fid-mt-open", path.overlap, math.sqrt(z) * math.cos(integral), in_window,
+                "fid-mt-open", overlap, math.sqrt(z) * math.cos(integral), in_window,
                 (("window_le_half_pi", in_window),),
                 {"tau": tau, "integral": integral, "survival_weight": z, "quad_err": err},
             ),

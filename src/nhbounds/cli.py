@@ -57,22 +57,33 @@ def _parse_scalar(text: str):
         return text
 
 
+# the parameters of each builtin model, keyed as the ``models`` flags are
+_BUILTIN_KEYS = {
+    "dephasing": ("gamma",),
+    "refrigerator": ("gamma", "omega1", "omega2", "beta1", "beta2", "beta3"),
+    "classical": ("rates", "p0"),
+    "random-commuting": ("dim", "seed", "gamma_scale", "h_scale"),
+}
+
+
 def _builtin(name: str, params: dict):
     """The builtin model ``name``, its parameters keyed and defaulted as the
     ``models`` flags are."""
 
     def num(key: str, default=1.0, kind=float):
+        value = params.get(key, default)
+        if kind is int and not (type(value) is int
+                                or isinstance(value, float) and value.is_integer()):
+            raise BadParameter(f"builtin parameter {key!r} must be an integer, got {value!r}")
         try:
-            return kind(params.get(key, default))
+            return kind(value)
         except TypeError:
             raise BadParameter(f"builtin parameter {key!r} must be a number") from None
 
     if name == "dephasing":
         return make_dephasing(num("gamma"))
     if name == "refrigerator":
-        return make_refrigerator(
-            *(num(k) for k in ("gamma", "omega1", "omega2", "beta1", "beta2", "beta3"))
-        )
+        return make_refrigerator(*map(num, _BUILTIN_KEYS["refrigerator"]))
     if name == "classical":
         if params.get("rates") is None or params.get("p0") is None:
             raise BadParameter("classical model needs rates and p0")
@@ -88,7 +99,8 @@ def _builtin(name: str, params: dict):
 
 
 def _parse_builtin(spec: str):
-    """``builtin:name?key=value&key=value`` -> (model, None)."""
+    """``builtin:name?key=value&key=value`` -> (model, None); a key the model
+    does not take is a ``BadParameter``."""
     body = spec.split(":", 1)[1]
     name, _, query = body.partition("?")
     params: dict = {}
@@ -96,6 +108,10 @@ def _parse_builtin(spec: str):
         for item in query.split("&"):
             key, _, value = item.partition("=")
             params[key.replace("-", "_")] = _parse_scalar(value)
+    unknown = sorted(set(params) - set(_BUILTIN_KEYS.get(name, params)))
+    if unknown:
+        raise BadParameter(f"builtin model {name!r} takes no parameter {unknown[0]!r} "
+                           f"(it takes {', '.join(_BUILTIN_KEYS[name])})")
     return _builtin(name, params), None
 
 

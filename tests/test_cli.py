@@ -130,6 +130,33 @@ class TestModelsCommand:
         assert "builtin parameter 'gamma' must be a number" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("spec, message", [
+        ("dephasing?gama=2", "builtin model 'dephasing' takes no parameter 'gama'"),
+        ("refrigerator?beta2=1.05&beta4=0.9", "takes no parameter 'beta4'"),
+        ("classical?rates=[[0,1],[1,0]]&p0=[1,0]&p1=[0,1]", "takes no parameter 'p1'"),
+        ("random-commuting?dim=2.7&seed=1", "parameter 'dim' must be an integer, got 2.7"),
+        ("random-commuting?dim=2&seed=1.5", "parameter 'seed' must be an integer, got 1.5"),
+        ("random-commuting?dim=true", "parameter 'dim' must be an integer, got True"),
+        ("random-commuting?seed=false", "parameter 'seed' must be an integer, got False"),
+        ("random-commuting?dim=Infinity", "parameter 'dim' must be an integer, got inf"),
+    ])
+    def test_builtin_spec_rejects_unknown_and_non_integral_parameters(
+            self, tmp_path, capsys, spec, message):
+        # a misspelled key once read as its default, and int() truncated 2.7 to 2
+        bounds = "classical" if spec.startswith("classical") else (
+            "ml" if spec.startswith("random-commuting") else "ml-open")
+        argv = ["check", "--model", f"builtin:{spec}", "--state", "plus", "--bounds", bounds,
+                "--t-final", "1.0", "--steps", "1", "--out", str(tmp_path / "out.csv")]
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_builtin_spec_takes_integral_floats(self):
+        model, _ = cli._parse_builtin("builtin:random-commuting?dim=3.0&seed=4.0")
+        want, _ = cli._parse_builtin("builtin:random-commuting?dim=3&seed=4")
+        assert serialize.model_to_dict(model) == serialize.model_to_dict(want)
+
+
 class TestCheckCommand:
     def test_dephasing_open_sweep(self, tmp_path):
         out = tmp_path / "dephasing.csv"

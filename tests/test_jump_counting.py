@@ -181,7 +181,8 @@ class TestCheckJumpCount:
     def test_short_dephasing_sweep_holds(self, tmp_path, seed):
         # rhs = gamma*tau < e^(gamma*tau) - 1 = lhs; sampled moments broke it
         assert cli.main(check_argv(tmp_path, seed)) == 0
-        rows = list(csv.DictReader(open(tmp_path / "out.csv")))
+        with open(tmp_path / "out.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
         tur = [r for r in rows if r["bound"] in ("tur-ml-open", "tur-mt-open")]
         assert len(tur) == 8
         for r in tur:

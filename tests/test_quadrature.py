@@ -15,6 +15,8 @@ from nhbounds import (
     random_pure_state,
 )
 from nhbounds import bounds as bnd
+from nhbounds import metrics
+from nhbounds.propagation import _normalized_density, _propagators
 from nhbounds.states import as_density_matrix
 
 from conftest import noncommuting_model
@@ -59,55 +61,64 @@ class TestUnrefinedEstimate:
         in a pulse of width 1/800 at t = 0."""
         model = NonHermitianModel(np.zeros((2, 2)), np.diag([0.0, 400.0]))
         rho0 = as_density_matrix(StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0)))
-        path = bnd._mt_paths(model, rho0, [(0.0, 2.0)], steps)[0]
-        assert abs(path.integral - math.pi / 4) <= path.quad_err
+        integral, err = bnd._mt_paths(model, rho0, [(0.0, 2.0)], steps)[0]
+        assert abs(integral - math.pi / 4) <= err
 
     @pytest.mark.parametrize("case", range(12))
     def test_one_interval_on_a_long_window(self, case, monkeypatch):
         model = random_commuting(2 + case % 3, 7_000 + case, gamma_scale=3.0, h_scale=3.0)
         rho0 = as_density_matrix(random_pure_state(model.dim, 8_000 + case))
-        coarse = bnd._mt_paths(model, rho0, [(0.0, 3.0)], 15)[0]
+        coarse, err = bnd._mt_paths(model, rho0, [(0.0, 3.0)], 15)[0]
         monkeypatch.setattr(bnd, "_QUAD_RTOL", 1e-13)
-        fine = bnd._mt_paths(model, rho0, [(0.0, 3.0)], 150)[0].integral
-        assert abs(coarse.integral - fine) <= coarse.quad_err
+        fine = bnd._mt_paths(model, rho0, [(0.0, 3.0)], 150)[0][0]
+        assert abs(coarse - fine) <= err
+
+
+def window_ends(model, rho0, t1, t2):
+    """The normalized states, traces and overlap at the ends of [t1, t2], as
+    a sweep of that window alone reads them."""
+    sw = bnd._Sweep(model, None, rho0, [], None, (t1, t2), bnd.DEFAULT_QUAD_STEPS)
+    (rho, tr), (i, j) = sw.states, sw.ends[1][0]
+    return {"rho1": rho[i], "rho2": rho[j], "tr1": tr[i], "tr2": tr[j], "overlap": sw.overlaps[0]}
 
 
 @pytest.mark.parametrize("case", range(4))
 def test_constant_callback_matches_constant_model(case):
     """A time-dependent model whose callback returns fixed (H, Gamma) goes
-    through the midpoint running product, and still reads the constant
-    model's integral and endpoints."""
+    through the midpoint running products, and still reads the constant
+    model's integral and window ends."""
     model = random_commuting(2 + case % 2, 300 + case, gamma_scale=0.8)
     timed = NonHermitianModel(model.h, model.gamma,
                               time_dependence=lambda t: (model.h, model.gamma))
     rho0 = as_density_matrix(random_pure_state(model.dim, 400 + case))
     t1, t2 = 0.1 * case, 0.1 * case + 0.9
-    want = bnd._mt_paths(model, rho0, [(t1, t2)], bnd.DEFAULT_QUAD_STEPS)[0]
-    got = bnd._mt_paths(timed, rho0, [(t1, t2)], bnd.DEFAULT_QUAD_STEPS)[0]
-    assert abs(got.integral - want.integral) <= 1e-12
+    want = bnd._mt_paths(model, rho0, [(t1, t2)], bnd.DEFAULT_QUAD_STEPS)[0][0]
+    got = bnd._mt_paths(timed, rho0, [(t1, t2)], bnd.DEFAULT_QUAD_STEPS)[0][0]
+    assert abs(got - want) <= 1e-12
+    want, got = window_ends(model, rho0, t1, t2), window_ends(timed, rho0, t1, t2)
     for name in ("rho1", "rho2"):
-        assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-12
+        assert np.max(np.abs(got[name] - want[name])) <= 1e-12
     for name in ("tr1", "tr2", "overlap"):
-        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12
+        assert abs(got[name] - want[name]) <= 1e-12
 
 
 def spy_path_nodes(monkeypatch):
     """Record how many times each ``_path_nodes`` call hands to the integrand."""
     sizes = []
     path_nodes = bnd._path_nodes
-    monkeypatch.setattr(bnd, "_path_nodes", lambda m, r, segments, *ends: sizes.append(
-        sum(map(len, segments))) or path_nodes(m, r, segments, *ends))
+    monkeypatch.setattr(bnd, "_path_nodes", lambda m, r, segments: sizes.append(
+        sum(map(len, segments))) or path_nodes(m, r, segments))
     return sizes
 
 
 @pytest.mark.parametrize("steps, intervals", [(1, 1), (15, 1), (16, 2), (40, 3), (400, 27)])
 def test_steps_is_a_minimum_node_count(steps, intervals, monkeypatch):
     """``steps`` nodes round up to whole 15-node intervals; the first round
-    hands them to the integrand with both endpoints in one call."""
+    hands them to the integrand in one call, without the window ends."""
     sizes = spy_path_nodes(monkeypatch)
     model = random_commuting(2, 5, gamma_scale=0.5)
     bnd._mt_paths(model, as_density_matrix(random_pure_state(2, 6)), [(0.0, 0.5)], steps)
-    assert sizes[0] == 15 * intervals + 2
+    assert sizes[0] == 15 * intervals
 
 
 class TestSpectralIntegrand:
@@ -124,7 +135,8 @@ class TestSpectralIntegrand:
         state = random_pure_state(dim, 950 + case) if case % 2 else random_density(dim, 950 + case)
         rho0 = as_density_matrix(state)
         times = np.linspace(0.0, 3.0, 61)
-        want = bnd._path_at(model, rho0, times)[3]
+        rho, _ = _normalized_density(_propagators(model, times), rho0)
+        want = metrics.generalized_std(model.full_generator(), rho)
         got = bnd._spectral_std(bnd._spectrum(model), rho0, times)
         assert np.all(np.abs(got - want) <= 1e-12 * want)
 
@@ -139,9 +151,9 @@ class TestSpectralIntegrand:
 
     @pytest.mark.parametrize("case", ["normal", "non-normal", "time-dependent"])
     def test_only_other_models_reach_the_propagator_path(self, case, monkeypatch):
-        """``_path_at`` evaluates every Kronrod node of a non-normal or
-        time-dependent model, with the window ends in the first round, and
-        is never reached for a normal one."""
+        """The quadrature's propagators evaluate every Kronrod node of a
+        non-normal or time-dependent model, and no window end, and are
+        never reached for a normal one."""
         base = random_commuting(2, 5, gamma_scale=0.5)
         model = {
             "normal": base,
@@ -150,9 +162,9 @@ class TestSpectralIntegrand:
                 base.h * (1.0 + 0.5 * math.sin(3.0 * t)), base.gamma * (1.0 + 0.3 * t))),
         }[case]
         calls = []
-        path_at = bnd._path_at
+        propagators = bnd._propagators
         monkeypatch.setattr(
-            bnd, "_path_at", lambda m, r, times: calls.append(times) or path_at(m, r, times)
+            bnd, "_propagators", lambda m, times: calls.append(times) or propagators(m, times)
         )
         steps = []
         refine = bnd._Window.refine
@@ -167,8 +179,7 @@ class TestSpectralIntegrand:
             assert calls == []
         else:
             assert len(calls) == len(steps)
-            assert np.array_equal(calls[0], np.concatenate([[0.1], steps[0], [0.9]]))
-            for times, nodes in zip(calls[1:], steps[1:]):
+            for times, nodes in zip(calls, steps):
                 assert np.array_equal(times, nodes)
 
 

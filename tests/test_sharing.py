@@ -42,18 +42,6 @@ from nhbounds.states import as_density_matrix
 
 from conftest import noncommuting_model
 
-PATH_FIELDS = ("integral", "quad_err", "rho1", "rho2", "tr1", "tr2", "overlap")
-
-
-def assert_same_path(a, b):
-    for name in PATH_FIELDS:
-        x, y = getattr(a, name), getattr(b, name)
-        if isinstance(x, np.ndarray):
-            assert np.array_equal(x, y), name
-        else:
-            assert x == y, name
-
-
 def count_calls(monkeypatch, *names):
     """Count calls made through the names ``bounds`` imports."""
     counts = Counter()
@@ -68,16 +56,19 @@ def count_calls(monkeypatch, *names):
     return counts
 
 
-def count_grid_propagators(monkeypatch, counts, times):
-    """Count the ML propagator stacks under ``_propagators``: the calls at
-    exactly the sweep's ``times`` (the MT paths' nodes are other times)."""
+def count_propagators(monkeypatch, counts):
+    """Count every ``_propagators`` stack under ``_propagators``, and return
+    the list of each stack's member count."""
+    members = []
     propagators = bnd._propagators
 
-    def counted(model, at, *args):
-        counts.update(["_propagators"] * (list(at) == list(times)))
-        return propagators(model, at, *args)
+    def counted(model, times):
+        counts["_propagators"] += 1
+        members.append(len(times))
+        return propagators(model, times)
 
     monkeypatch.setattr(bnd, "_propagators", counted)
+    return members
 
 
 def sweep_of(model, state, times, observable=None):
@@ -108,7 +99,7 @@ def test_rows_of_a_time_point_share_one_path(closed_case, monkeypatch):
     model, psi = closed_case
     times = [0.3, 0.6, 0.9]
     counts = count_calls(monkeypatch, "_mt_paths")
-    count_grid_propagators(monkeypatch, counts, times)
+    count_propagators(monkeypatch, counts)
     for group in ("ml", "mt"):
         kind, name, build = bnd.FAMILIES[group]
 
@@ -129,7 +120,7 @@ def test_groups_of_a_sweep_point_share_one_path(closed_case, monkeypatch):
     model, psi = closed_case
     times = [0.3, 0.6, 0.9]
     counts = count_calls(monkeypatch, "_mt_paths")
-    count_grid_propagators(monkeypatch, counts, times)
+    count_propagators(monkeypatch, counts)
     sweep(model, psi, times, ["ml", "mt"], np.diag([0.0, 0.0, 1.0]).astype(complex))
     assert counts == {"_mt_paths": 1, "_propagators": 1}
 
@@ -185,8 +176,8 @@ def test_changed_argument_misses(closed_case, change, monkeypatch):
     rho0 = as_density_matrix(psi)
     members = []
     path_nodes = bnd._path_nodes
-    monkeypatch.setattr(bnd, "_path_nodes", lambda m, r, segments, *ends: members.append(
-        sum(map(len, segments))) or path_nodes(m, r, segments, *ends))
+    monkeypatch.setattr(bnd, "_path_nodes", lambda m, r, segments: members.append(
+        sum(map(len, segments))) or path_nodes(m, r, segments))
     args = {"model": model, "t1": 0.1, "t2": 0.6, "steps": 40}
     first = bnd._mt_paths(model, rho0, [(0.1, 0.6)], 40)[0]
     first_nodes = sum(members)
@@ -200,11 +191,11 @@ def test_changed_argument_misses(closed_case, change, monkeypatch):
     fresh = bnd._mt_paths(args["model"], rho0, [(args["t1"], args["t2"])], args["steps"])[0]
     assert fresh is not first
     if change == "model":
-        assert_same_path(fresh, first)
+        assert fresh == first
     elif change == "steps":
         assert sum(members) > first_nodes
     else:
-        assert fresh.integral != first.integral
+        assert fresh[0] != first[0]
 
 
 @pytest.mark.parametrize("case", range(20))
@@ -378,6 +369,23 @@ def test_work_count_closed_ml(tmp_path, monkeypatch):
     assert len(expm_calls) == 1
 
 
+@pytest.mark.parametrize("argv, members", [
+    (["--model", "builtin:random-commuting?dim=3&seed=4", "--state", "plus", "--bounds", "ml,mt",
+      "--t-final", "1.0", "--steps", "2", "--tau1", "0.2", "--tau2", "0.7"], 5),
+    ([*REFRIGERATOR, "--t-final", "1.0", "--steps", "16"], 17),
+], ids=["closed-window", "open-sweep"])
+def test_one_propagator_stack_per_sweep(tmp_path, monkeypatch, argv, members):
+    """A sweep of a normal constant generator takes one propagator stack, over
+    the distinct ends of its windows: t = 0, the grid times and the window
+    ends.  (Two stacks, of 2 and 6 members for the closed sweep and of 16
+    and 32 for the open one, before both families read the shared ends.)"""
+    counts = Counter()
+    stacks = count_propagators(monkeypatch, counts)
+    run_check(tmp_path, monkeypatch, argv, names=())
+    assert counts == {"_propagators": 1}
+    assert stacks == [members]
+
+
 def spy_expm(monkeypatch):
     """Record the member count and matrix size of every ``linalg.expm`` call."""
     shapes = []
@@ -387,9 +395,10 @@ def spy_expm(monkeypatch):
 
 
 def test_expm_calls_do_not_grow_with_the_grid(tmp_path, monkeypatch):
-    """A refrigerator sweep makes three exponential calls at 4 and at 16 time
-    points: the ML propagators, the Lindblad states and the first (and, on
-    this smooth grid, only) quadrature round of every path."""
+    """A refrigerator sweep makes two exponential calls at 4 and at 16 time
+    points: the propagators at the window ends, which both families read,
+    and the Lindblad states.  Its quadrature takes the spectral integrand,
+    which needs none."""
     shapes = spy_expm(monkeypatch)
     counts = []
     for steps in ("4", "16"):
@@ -397,7 +406,7 @@ def test_expm_calls_do_not_grow_with_the_grid(tmp_path, monkeypatch):
         run_check(tmp_path, monkeypatch, [*REFRIGERATOR, "--t-final", "1.0", "--steps", steps],
                   names=())
         counts.append(len(shapes))
-    assert counts == [3, 3]
+    assert counts == [2, 2]
 
 
 def test_stack_budget_bounds_every_exponential(tmp_path, monkeypatch):
@@ -538,6 +547,39 @@ def test_window_rows_equal_a_window_alone(case, tau2):
     grid = sweep(model, state, times, ["mt"], obs)
     assert [t for t, _ in alone] == [tau2] * 4
     assert [(t, repr(r)) for t, r in both] == [(t, repr(r)) for t, r in grid + alone]
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_window_on_grid_times_equals_the_window_alone(case, monkeypatch):
+    """A window [0.25, 0.75] whose ends are grid times gives, by ``repr``, the
+    rows of a sweep of the window alone, after those of the grid alone.  A
+    constant generator's end stack holds each distinct time once (t = 0 and
+    the four grid times); a time-dependent one takes one product per
+    window."""
+    make, state, obs = WINDOW_CASES[case]
+    model, times = make(), [0.25, 0.5, 0.75, 1.0]
+    stacks = count_propagators(monkeypatch, Counter())
+    both = sweep(model, state, times, ["mt"], obs, window=(0.25, 0.75))
+    if case == "time-dependent":
+        assert stacks[:5] == [2] * 5
+    else:
+        assert stacks[0] == 5
+    alone = sweep(model, state, [], ["mt"], obs, window=(0.25, 0.75))
+    grid = sweep(model, state, times, ["mt"], obs)
+    assert [(t, repr(r)) for t, r in both] == [(t, repr(r)) for t, r in grid + alone]
+
+
+@pytest.mark.parametrize("window", [(0.7, 0.2), (-0.1, 0.5)], ids=["reversed", "negative"])
+def test_bad_window_raises_before_any_propagator(window, monkeypatch):
+    """A reversed or negative window is rejected before any propagator or
+    exponential is built: a time-dependent running product over an unsorted
+    pair would read the wrong product without an error."""
+    counts = Counter()
+    count_propagators(monkeypatch, counts)
+    shapes = spy_expm(monkeypatch)
+    with pytest.raises(BadParameter, match="need 0 <= t1 <= t2"):
+        sweep(timed_model(), random_pure_state(2, 12), [0.5, 1.0], ["mt"], window=window)
+    assert not counts and shapes == []
 
 
 @pytest.mark.parametrize("case", ["closed-window", "refrigerator-projector",
