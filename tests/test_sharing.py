@@ -1,10 +1,11 @@
 """One evaluation per sweep: ``bounds.sweep`` validates the state and
 observable once and calls each group's row builder once, which checks the
-model and evaluates one stack per part (ML propagators, MT paths, Lindblad
-states, fidelities, jump-count moments, chain distributions); both open
-groups read one Lindblad stack, one fidelity stack and one stack of open
-TUR ratios.  A grid sweep's rows equal those of one-point sweeps bit for
-bit, and the public row functions are one-point sweeps."""
+model and evaluates one stack per part (MT integrals, Lindblad states,
+fidelities, jump-count moments, chain distributions); the ML and MT families
+read one stack of propagators at the window ends, and both open groups one
+Lindblad stack, one fidelity stack and one stack of open TUR ratios.  A
+grid sweep's rows equal those of one-point sweeps bit for bit, and the
+public row functions are one-point sweeps."""
 
 import math
 from collections import Counter
