@@ -12,15 +12,11 @@ from .bounds import (
     JumpCountObservable,
     SLACK_TOL,
     commutator_check,
-    dynamical_activity,
-    energy_time_check,
     fid_ml,
     fid_ml_open,
     fid_mt,
     fid_mt_open,
     ground_energy,
-    normalized_overlap,
-    open_overlap,
     qsl_classical,
     qsl_ml,
     qsl_ml_open,
@@ -49,11 +45,8 @@ from .errors import (
     SimulationError,
 )
 from .metrics import (
-    ObservableStats,
-    bures_angle,
     fidelity,
     generalized_std,
-    observable_stats,
     renyi_half,
 )
 from .models import (
@@ -69,14 +62,12 @@ from .models import (
 )
 from .propagation import (
     LindbladModel,
-    NoJumpState,
     NonHermitianModel,
     Trajectory,
     TrajectoryEnsemble,
     evolve_lindblad,
     jump_count_moments,
     liouvillian,
-    no_jump_state,
     propagator,
     sample_trajectory,
     trajectory_ensemble,

@@ -59,7 +59,6 @@ from .propagation import (
     _jump_count_moments,
     _normalized_density,
     _propagators,
-    propagator,
 )
 from .states import as_density_matrix
 
@@ -163,16 +162,6 @@ def _expm1(x: float) -> float:
         return math.expm1(x)
     except OverflowError:
         return math.inf
-
-
-def normalized_overlap(model: NonHermitianModel, state0, tau1: float, tau2: float) -> float:
-    """|<psi~(tau1)|psi~(tau2)>| along the normalized (purified) trajectory."""
-    rho0 = as_density_matrix(state0)
-    m1 = propagator(model, tau1)
-    m2 = propagator(model, tau2)
-    _, tr1 = _normalized_density(m1, rho0)
-    _, tr2 = _normalized_density(m2, rho0)
-    return abs(complex(np.trace(linalg.dag(m1) @ m2 @ rho0))) / math.sqrt(tr1 * tr2)
 
 
 # ---------------------------------------------------------------------------
@@ -651,22 +640,14 @@ def qsl_mt(
     return _row("qsl-mt", model, state0, [], window=(tau1, tau2), steps=steps)
 
 
-def energy_time_check(model: NonHermitianModel, state0, t: float, observable) -> BoundReport:
-    """Energy-time relation: spread(C) * spread(generator) >= |d<C>/dt| / 2.
+def _energy_times(model: NonHermitianModel, rho: np.ndarray, times, obs, stats) -> list[BoundReport]:
+    """The energy-time relation spread(C) * spread(generator) >= |d<C>/dt| / 2
+    in each normalized state of the stack ``rho`` at its time of ``times``,
+    given the observable's ``(means, stds)`` there.
 
     The time derivative is exact along the normalized trajectory:
     d<C>/dt = i<[H, C]> - <{C, Gamma}> + 2<C><Gamma>, with H and Gamma
-    taken at t.
-    """
-    obs = linalg.require_hermitian(observable, "observable")
-    rho_t, _ = _normalized_density(propagator(model, t), as_density_matrix(state0))
-    return _energy_times(model, rho_t[None], [t], obs,
-                         metrics._observable_stats(obs, rho_t[None]))[0]
-
-
-def _energy_times(model: NonHermitianModel, rho: np.ndarray, times, obs, stats) -> list[BoundReport]:
-    """:func:`energy_time_check` in each normalized state of the stack ``rho``
-    at its time of ``times``, given the observable's ``(means, stds)`` there."""
+    taken at t."""
     h, g = (np.stack(part) for part in zip(*(model.parts(t) for t in times)))
     std_gen = metrics.generalized_std(h - 1j * g, rho)
     flow = 1j * (h @ obs - obs @ h) - (obs @ g + g @ obs)
@@ -706,19 +687,6 @@ def tur_mt(
 
 # ---------------------------------------------------------------------------
 # open system (continuous measurement)
-
-
-def dynamical_activity(model: LindbladModel, state0) -> float:
-    """Expected jump rate Tr[sum L^dag L rho] in the given state."""
-    rho = as_density_matrix(state0)
-    return _expectation(model.jump_rate_operator(), rho)
-
-
-def open_overlap(model: LindbladModel, state0, tau: float) -> float:
-    """|<Psi(0)|Psi(tau)>| of the measurement record state: |Tr[M rho0]|
-    with M = exp(-i H_eff tau) the propagator of ``model.no_jump_model()``."""
-    rho0 = as_density_matrix(state0)
-    return abs(complex(np.trace(propagator(model.no_jump_model(), tau) @ rho0)))
 
 
 def _ml_open_rows(sw: _Sweep) -> list[list[BoundReport]]:

@@ -75,6 +75,8 @@ def _builtin(name: str, params: dict):
         if kind is int and not (type(value) is int
                                 or isinstance(value, float) and value.is_integer()):
             raise BadParameter(f"builtin parameter {key!r} must be an integer, got {value!r}")
+        if type(value) is bool:
+            raise BadParameter(f"builtin parameter {key!r} must be a number, got {value!r}")
         try:
             return kind(value)
         except TypeError:

@@ -58,10 +58,6 @@ def _hermiticity(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return defect <= HERMITICITY_RTOL * (1.0 + np.abs(m).max(axis=(-2, -1), initial=0.0)), defect
 
 
-def is_hermitian(a) -> bool:
-    return bool(_hermiticity(as_matrix(a))[0])
-
-
 def require_hermitian(a, what: str = "matrix") -> np.ndarray:
     m = as_matrix(a)
     ok, defect = _hermiticity(m)

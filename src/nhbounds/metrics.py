@@ -1,29 +1,19 @@
 """Distances and statistics on states and observables.
 
-Uhlmann fidelity, Bures angle, observable moments (Hermitian, and the
-generalized standard deviation of a non-Hermitian operator), and the Renyi
-divergence D_1/2 between classical distributions.  The fidelity and the
-moments also run over stacks of states, for the stacked sweeps of
+Uhlmann fidelity and its Bures angle, observable moments (Hermitian, and
+the generalized standard deviation of a non-Hermitian operator), and the
+Renyi divergence D_1/2 between classical distributions.  The fidelity and
+the moments also run over stacks of states, for the stacked sweeps of
 :mod:`nhbounds.bounds`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import HermiticityViolation, NotDistribution
 from .states import DensityOperator, StateVector, as_density_matrix
-
-
-@dataclass(frozen=True)
-class ObservableStats:
-    """First and second moments of a Hermitian observable in a state."""
-
-    mean: float
-    std: float
 
 
 def _rho(state) -> np.ndarray:
@@ -88,33 +78,20 @@ def _rank_one(top: np.ndarray, other: np.ndarray) -> float:
     return float(np.real(np.vdot(top, other @ top)))
 
 
-def bures_angle(rho1, rho2) -> float:
-    """arccos of the square-root fidelity, in [0, pi/2]."""
-    return _fidelity_angle(fidelity(rho1, rho2))
-
-
 def _fidelity_angle(fid: float) -> float:
     """The Bures angle arccos(sqrt(fid)) of a fidelity, in [0, pi/2]."""
     return float(np.arccos(np.clip(np.sqrt(fid), 0.0, 1.0)))
 
 
-def observable_stats(c, state) -> ObservableStats:
-    """Mean and standard deviation of a Hermitian observable.
-
-    ``state`` may be a normalized StateVector or a unit-trace
-    DensityOperator.  The variance is the centered <(C - <C>)^2>, which has
-    no cancellation where the one-pass <C^2> - <C>^2 loses the digits of a
-    small spread.  It is taken for C - C_00 I (the variance is
-    shift-invariant), so a multiple of the identity has exactly zero spread
-    instead of one set by the rounding of Tr rho.
-    """
-    mean, std = _observable_stats(linalg.require_hermitian(c, "observable"), _rho(state)[None])
-    return ObservableStats(mean=float(mean[0]), std=float(std[0]))
-
-
 def _observable_stats(op: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`observable_stats` of the Hermitian matrix ``op``, already
-    checked, in each state of the stack ``rho``: the means and the stds.
+    """Mean and standard deviation of the Hermitian matrix ``op``, already
+    checked, in each unit-trace state of the stack ``rho``.
+
+    The variance is the centered <(C - <C>)^2>, which has no cancellation
+    where the one-pass <C^2> - <C>^2 loses the digits of a small spread.  It
+    is taken for C - C_00 I (the variance is shift-invariant), so a multiple
+    of the identity has exactly zero spread instead of one set by the
+    rounding of Tr rho.
 
     Raises:
         HermiticityViolation: at the first state whose mean has an imaginary
@@ -136,8 +113,8 @@ def _observable_stats(op: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.n
 def generalized_std(op, state):
     """Standard deviation sqrt(<(O - <O>)^dag (O - <O>)>) of any operator.
 
-    Reduces to ``observable_stats(...).std`` when ``op`` is Hermitian and is
-    invariant under shifts ``op -> op - lam*I`` for any complex ``lam``.
+    Reduces to the std of ``_observable_stats`` for a Hermitian ``op``, and
+    is invariant under shifts ``op -> op - lam*I`` for any complex ``lam``.
     The centered form has no cancellation: it is exactly 0 up to the
     rounding of ``<O>`` when the state is an eigenstate, where the one-pass
     form sqrt(<O^dag O> - |<O>|^2) carries sqrt(machine-eps) noise.

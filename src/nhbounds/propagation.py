@@ -1,15 +1,15 @@
 """Time evolution engines.
 
-Non-Hermitian propagators at a sorted set of times (one stacked exact
-exponential for constant generators; for time-dependent ones one running
-midpoint product, whose steps are no longer than the last time over
+Non-Hermitian propagators at a set of times (one stacked exact exponential
+for constant generators; for time-dependent ones, at sorted times, one
+running midpoint product, whose steps are no longer than the last time over
 ``DEFAULT_TD_STEPS``, so a single time takes that many equal steps) and the
 normalized state M rho0 M^dag / Tr they carry, the Lindblad master equation
 via the exact vectorized-Liouvillian exponential, the exact mean and variance
 of the jump count (full counting statistics), the last two also at a stack
-of times through stacked exponentials, exact-in-time (waiting-time)
-quantum-jump trajectory sampling, and the no-jump conditioned state with its
-survival weight, which is the normalized state of the equivalent
+of times through stacked exponentials, and exact-in-time (waiting-time)
+quantum-jump trajectory sampling.  The no-jump conditioned state and its
+survival weight are the normalized state and trace of the equivalent
 non-Hermitian model.  Trajectory randomness is stateless: each uniform is a
 Philox4x32-10 block of (seed; trajectory index, jump number), evaluated
 over a whole chunk at once, so no per-trajectory generator exists.
@@ -210,19 +210,6 @@ class TrajectoryEnsemble:
         return self.jump_count_std() / math.sqrt(self.n_trajectories)
 
 
-@dataclass(frozen=True)
-class NoJumpState:
-    """No-jump conditioned state (a read-only matrix) and its survival weight.
-
-    ``weight`` is the trace of the unnormalized no-jump branch (the paper's
-    normalization of the conditional state); it is non-increasing in time
-    when the jump-rate operator is PSD.
-    """
-
-    state: np.ndarray
-    weight: float
-
-
 # ---------------------------------------------------------------------------
 # closed (non-Hermitian) propagation
 
@@ -239,17 +226,18 @@ def propagator(model: NonHermitianModel, t: float) -> np.ndarray:
 
 
 def _propagators(model: NonHermitianModel, times) -> np.ndarray:
-    """Propagators from time 0 to each of the sorted ``times``.
+    """Propagators from time 0 to each of ``times``.
 
     A constant generator takes stacked ``expm`` calls of -i t G
-    (``linalg._expm_stack``), and the identity at t = 0.  A time-dependent
-    one splits each gap between consecutive times (the first from 0) into
-    equal midpoint steps no longer than ``times[-1] / DEFAULT_TD_STEPS``,
-    makes all of them in one ``expm`` call and reads the running product at
-    each time.
+    (``linalg._expm_stack``), in any order, and the identity at t = 0.  A
+    time-dependent one needs sorted times: it splits each gap between
+    consecutive times (the first from 0) into equal midpoint steps no longer
+    than ``times[-1] / DEFAULT_TD_STEPS``, makes all of them in one ``expm``
+    call and reads the running product at each time.
 
     Raises:
-        BadParameter: for a negative time.
+        BadParameter: for a negative time, or for decreasing times of a
+            time-dependent model.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
@@ -260,6 +248,8 @@ def _propagators(model: NonHermitianModel, times) -> np.ndarray:
         out[times == 0] = np.eye(model.dim)
         return out
     gaps = np.diff(times, prepend=0.0)
+    if np.any(gaps < 0):
+        raise BadParameter("time-dependent propagation needs nondecreasing times")
     end = times[-1] if times.size else 0.0
     # a lone time t has gap / t = 1 exactly, so it takes DEFAULT_TD_STEPS steps
     counts = (np.ceil(gaps / end * DEFAULT_TD_STEPS).astype(int) if end > 0
@@ -731,26 +721,3 @@ def trajectory_ensemble(
         jump_counts=jump_counts,
         n_steps=len(lifts),
     )
-
-
-# ---------------------------------------------------------------------------
-# no-jump conditioned state
-
-
-def no_jump_state(model: LindbladModel, rho0, t: float) -> NoJumpState:
-    """No-jump conditioned state M rho0 M^dag / Z with M = exp(-i H_eff t).
-
-    This is the normalized state of ``model.no_jump_model()``, returned
-    read-only.  ``Z`` is the survival weight Tr[M rho0 M^dag]; it equals the
-    squared norm of the no-jump branch for pure initial states.  ``rho0`` is
-    anything :func:`~nhbounds.states.as_density_matrix` reads.
-
-    Raises:
-        NormUnderflow: if Z falls to 1e-14 or below.
-    """
-    rho = as_density_matrix(rho0)
-    if rho.shape[0] != model.dim:
-        raise ShapeError("state dimension differs from model dimension")
-    state, z = _normalized_density(propagator(model.no_jump_model(), t), rho)
-    state.setflags(write=False)
-    return NoJumpState(state=state, weight=float(z))

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from nhbounds import LindbladModel, NonHermitianModel, StateVector
+from nhbounds import LindbladModel, NonHermitianModel, StateVector, random_commuting, sweep
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -45,6 +47,19 @@ def noncommuting_model(dim, seed):
     rng = np.random.default_rng(seed)
     a, b = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2))
     return NonHermitianModel(0.5 * (a + a.conj().T), 0.2 * b @ b.conj().T)
+
+
+def timed_model():
+    """A time-dependent model: its paths run through midpoint products."""
+    base = random_commuting(2, 11, gamma_scale=0.6)
+    return NonHermitianModel(base.h, base.gamma, time_dependence=lambda t: (
+        base.h * (1.0 + 0.5 * math.sin(3.0 * t)), base.gamma * (1.0 + 0.3 * t)))
+
+
+def energy_time_row(model, state0, t, observable):
+    """The ``energy-time`` row that a sweep of the ``mt`` group reports at ``t``."""
+    return next(r for _, r in sweep(model, state0, [t], ["mt"], observable)
+                if r.kind == "energy-time")
 
 
 def p1_closed(t):

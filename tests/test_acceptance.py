@@ -15,13 +15,11 @@ from nhbounds import (
     ClassicalMarkovModel,
     NonHermitianModel,
     StateVector,
-    energy_time_check,
     evolve_lindblad,
     fid_ml_open,
     fid_mt_open,
     make_dephasing,
     make_refrigerator,
-    open_overlap,
     propagator,
     pure_density,
     qsl_classical,
@@ -43,7 +41,7 @@ from nhbounds import (
 from nhbounds import linalg
 from nhbounds.bounds import _mt_paths
 from nhbounds.states import as_density_matrix
-from conftest import SX, expm_2x2, random_hermitian, tree_product
+from conftest import SX, energy_time_row, expm_2x2, random_hermitian, tree_product
 
 PLUS = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
 
@@ -217,7 +215,7 @@ def test_criterion_5_dephasing_equalities():
     worst = 0.0
     for gt in (0.1, 0.5, 1.0, 2.0):
         want = math.exp(-0.5 * gamma * gt)
-        overlap = open_overlap(model, PLUS, gt)
+        overlap = fid_ml_open(model, PLUS, gt).lhs
         ml = fid_ml_open(model, PLUS, gt).rhs
         mt = fid_mt_open(model, PLUS, gt).rhs
         for value in (overlap, ml, mt):
@@ -351,7 +349,7 @@ def test_criterion_9_energy_time_relation():
         )
         obs = random_hermitian(dim, rng)
         t = float(rng.uniform(1e-4, 1.0))
-        rep = energy_time_check(model, state, t, obs)
+        rep = energy_time_row(model, state, t, obs)
         assert rep.slack >= -1e-12, (case, rep.slack)
         min_slack = min(min_slack, rep.slack)
     print(f"[acceptance] C9 energy-time relation: PASS (50 instances, min slack {min_slack:.3e})")

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -8,13 +9,11 @@ from nhbounds import (
     NonHermitianModel,
     StateVector,
     commutator_check,
-    energy_time_check,
     fid_ml,
     fid_mt,
     generalized_std,
     ground_energy,
     make_refrigerator,
-    normalized_overlap,
     propagator,
     pure_density,
     qsl_ml,
@@ -29,7 +28,7 @@ from nhbounds import linalg
 from nhbounds.bounds import _scaled_ratios
 from nhbounds.metrics import _observable_stats
 from nhbounds.errors import BadParameter, CommutatorViolation, DegenerateObservable
-from conftest import SX, SZ, p1_closed, random_hermitian
+from conftest import SX, SZ, energy_time_row, p1_closed, random_hermitian
 
 PLUS = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
 PROJ1 = np.diag([0.0, 1.0]).astype(complex)
@@ -101,10 +100,9 @@ class TestMlFidelityBound:
         assert got == pytest.approx(0.705714, abs=1e-6)
 
     def test_floor_below_measured_fidelity(self, two_level_model):
-        floor = fid_ml(two_level_model, PLUS, 0.5).rhs
-        measured = normalized_overlap(two_level_model, PLUS, 0.0, 0.5)
-        assert measured == pytest.approx(0.961991, abs=1e-6)
-        assert measured >= floor
+        rep = fid_ml(two_level_model, PLUS, 0.5)
+        assert rep.lhs == pytest.approx(0.961991, abs=1e-6)
+        assert rep.lhs >= rep.rhs
 
     def test_report_form(self, two_level_model):
         rep = fid_ml(two_level_model, PLUS, 0.5)
@@ -130,7 +128,8 @@ class TestQslMl:
         rep = qsl_ml(two_level_model, PLUS, 0.5)
         norm = math.sqrt((1 + math.exp(-0.5)) / 2.0)
         assert rep.lhs == pytest.approx(1.0 + (0.25 - math.exp(-0.125)) / norm, abs=1e-12)
-        overlap = normalized_overlap(two_level_model, PLUS, 0.0, 0.5)
+        # |<psi(0)|psi(t)>| / |psi(t)| with psi(t) = (1, e^{-it-t/2})/sqrt(2)
+        overlap = abs(1.0 + cmath.exp(-0.5j - 0.25)) / 2.0 / norm
         assert rep.rhs == pytest.approx(1.0 - overlap, abs=1e-9)
         assert rep.satisfied and rep.applicable
 
@@ -211,8 +210,8 @@ class TestMtFidelityBound:
         model = rabi_model()
         psi0 = StateVector(np.array([1.0, 0.0]))
         for tau in (0.5, 1.5, 3.0):
-            floor = fid_mt(model, psi0, 0.0, tau).rhs
-            measured = normalized_overlap(model, psi0, 0.0, tau)
+            rep = fid_mt(model, psi0, 0.0, tau)
+            floor, measured = rep.rhs, rep.lhs
             assert measured == pytest.approx(abs(math.cos(0.5 * tau)), abs=1e-12)
             if tau * 0.5 <= math.pi / 2:
                 assert floor == pytest.approx(measured, abs=1e-9)
@@ -269,7 +268,7 @@ class TestTurMt:
     def test_energy_time_against_analytic_derivative(self, two_level_model):
         # d<P1>/dt = -p(1-p) for the worked model
         t = 0.25
-        rep = energy_time_check(two_level_model, PLUS, t, PROJ1)
+        rep = energy_time_row(two_level_model, PLUS, t, PROJ1)
         p = p1_closed(t)
         assert rep.params["mean_derivative"] == pytest.approx(-p * (1 - p), abs=1e-12)
         assert rep.lhs == pytest.approx(
@@ -282,7 +281,7 @@ class TestTurMt:
         model = rabi_model()
         psi0 = StateVector(np.array([1.0, 0.0]))
         proj0 = np.diag([1.0, 0.0]).astype(complex)
-        rep = energy_time_check(model, psi0, 0.3, proj0)
+        rep = energy_time_row(model, psi0, 0.3, proj0)
         assert rep.slack == pytest.approx(0.0, abs=1e-12)
 
     def test_window_exceeded_flagged(self):

@@ -139,10 +139,14 @@ class TestModelsCommand:
         ("random-commuting?dim=true", "parameter 'dim' must be an integer, got True"),
         ("random-commuting?seed=false", "parameter 'seed' must be an integer, got False"),
         ("random-commuting?dim=Infinity", "parameter 'dim' must be an integer, got inf"),
+        ("dephasing?gamma=true", "parameter 'gamma' must be a number, got True"),
+        ("refrigerator?omega1=true", "parameter 'omega1' must be a number, got True"),
+        ("random-commuting?h_scale=false", "parameter 'h_scale' must be a number, got False"),
     ])
     def test_builtin_spec_rejects_unknown_and_non_integral_parameters(
             self, tmp_path, capsys, spec, message):
-        # a misspelled key once read as its default, and int() truncated 2.7 to 2
+        # a misspelled key once read as its default, int() truncated 2.7 to 2,
+        # and float() read true as 1.0
         bounds = "classical" if spec.startswith("classical") else (
             "ml" if spec.startswith("random-commuting") else "ml-open")
         argv = ["check", "--model", f"builtin:{spec}", "--state", "plus", "--bounds", bounds,

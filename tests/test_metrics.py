@@ -6,14 +6,27 @@ from hypothesis import strategies as st
 from nhbounds import (
     DensityOperator,
     StateVector,
-    bures_angle,
     fidelity,
     generalized_std,
-    observable_stats,
+    random_commuting,
     renyi_half,
+    tur_ml,
 )
 from nhbounds.errors import HermiticityViolation, NotDistribution
+from nhbounds.metrics import _fidelity_angle, _observable_stats
 from nhbounds.models import random_density, random_pure_state
+from nhbounds.states import as_density_matrix
+
+
+def bures_angle(rho1, rho2):
+    """The Bures angle the speed-limit rows report: arccos sqrt(Fid)."""
+    return _fidelity_angle(fidelity(rho1, rho2))
+
+
+def observable_stats(c, state):
+    """``(mean, std)`` of the Hermitian ``c`` in one state, as the TUR rows read them."""
+    mean, std = _observable_stats(np.asarray(c, dtype=complex), as_density_matrix(state)[None])
+    return float(mean[0]), float(std[0])
 
 
 def dists(seed, size):
@@ -89,30 +102,32 @@ class TestBuresAngle:
 
 class TestObservableStats:
     def test_identity(self):
-        s = observable_stats(np.eye(2), StateVector(np.array([0.6, 0.8])))
-        assert s.mean == pytest.approx(1.0)
-        assert s.std == pytest.approx(0.0, abs=1e-12)
+        mean, std = observable_stats(np.eye(2), StateVector(np.array([0.6, 0.8])))
+        assert mean == pytest.approx(1.0)
+        assert std == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetric_superposition(self):
-        s = observable_stats(
+        mean, std = observable_stats(
             np.diag([0.0, 1.0]), StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
         )
-        assert s.mean == pytest.approx(0.5)
-        assert s.std == pytest.approx(0.5)
+        assert mean == pytest.approx(0.5)
+        assert std == pytest.approx(0.5)
 
     def test_bernoulli_moments(self):
         # the worked two-level example population at t = 0.5
         p1 = np.exp(-0.5) / (1.0 + np.exp(-0.5))
         rho = DensityOperator(np.diag([1.0 - p1, p1]))
-        s = observable_stats(np.diag([0.0, 1.0]), rho)
-        assert s.mean == pytest.approx(p1, abs=1e-14)
-        assert s.std == pytest.approx(np.sqrt(p1 * (1.0 - p1)), abs=1e-14)
-        assert s.mean == pytest.approx(0.377541, abs=1e-6)
-        assert s.std == pytest.approx(0.484772, abs=1e-6)
+        mean, std = observable_stats(np.diag([0.0, 1.0]), rho)
+        assert mean == pytest.approx(p1, abs=1e-14)
+        assert std == pytest.approx(np.sqrt(p1 * (1.0 - p1)), abs=1e-14)
+        assert mean == pytest.approx(0.377541, abs=1e-6)
+        assert std == pytest.approx(0.484772, abs=1e-6)
 
     def test_rejects_non_hermitian(self):
+        # a row checks its observable where it enters, before any statistics
         with pytest.raises(HermiticityViolation):
-            observable_stats(np.array([[0.0, 1.0], [0.0, 0.0]]), random_density(2, 3))
+            tur_ml(random_commuting(2, 1), random_density(2, 3), 0.5,
+                   np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestGeneralizedStd:
@@ -126,7 +141,7 @@ class TestGeneralizedStd:
         h = 0.5 * (g + g.conj().T)
         psi = random_pure_state(3, 9)
         assert generalized_std(h, psi) == pytest.approx(
-            observable_stats(h, psi).std, abs=1e-12
+            observable_stats(h, psi)[1], abs=1e-12
         )
 
     def test_two_level_closed_form(self):

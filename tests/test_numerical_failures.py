@@ -32,7 +32,6 @@ from nhbounds import (
     fid_ml,
     fid_mt,
     make_dephasing,
-    observable_stats,
     qsl_ml,
     qsl_mt,
     random_commuting,
@@ -45,6 +44,7 @@ from nhbounds import (
 )
 from nhbounds import bounds as bnd
 from nhbounds.errors import NormUnderflow, QuadratureDiverged
+from nhbounds.metrics import _observable_stats
 
 PLUS = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
 PROJ1 = np.diag([0.0, 1.0]).astype(complex)
@@ -205,12 +205,14 @@ class TestCenteredVariance:
         rho = evolve_lindblad(model, DensityOperator(np.diag([1.0, 0.0])), 1.451)
         p0, p1 = rho[0, 0].real, rho[1, 1].real
         assert np.count_nonzero(rho - np.diag(np.diag(rho))) == 0 and p0 < 1e-13
-        stats = observable_stats(PROJ1, DensityOperator(rho))
-        assert stats.std**2 == pytest.approx(p0 * p1 / (p0 + p1) ** 2, rel=1e-12, abs=0.0)
+        _, std = _observable_stats(PROJ1, DensityOperator(rho).matrix[None])
+        assert std[0] ** 2 == pytest.approx(p0 * p1 / (p0 + p1) ** 2, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("scale", [1.0, 0.3, -7.1])
     def test_identity_multiple_has_zero_spread(self, scale):
-        assert observable_stats(scale * np.eye(3), random_density(3, 2)).std == 0.0
+        _, std = _observable_stats(scale * np.eye(3, dtype=complex),
+                                   random_density(3, 2).matrix[None])
+        assert std[0] == 0.0
 
     def test_saturated_open_turs(self, tmp_path):
         model_file = tmp_path / "model.json"

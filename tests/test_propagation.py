@@ -10,16 +10,17 @@ from nhbounds import (
     NonHermitianModel,
     StateVector,
     evolve_lindblad,
+    fid_mt_open,
     generalized_std,
     liouvillian,
     make_classical,
     make_dephasing,
     make_refrigerator,
-    no_jump_state,
     propagator,
     pure_density,
     random_commuting,
     random_density,
+    sweep,
 )
 from nhbounds import linalg
 from nhbounds.errors import BadParameter, NonPositiveGamma, NormUnderflow
@@ -30,7 +31,8 @@ from nhbounds.propagation import (
     _normalized_density,
     _propagators,
 )
-from conftest import SX, SZ, expm_2x2, random_hermitian, tree_product
+from nhbounds.states import as_density_matrix
+from conftest import SX, SZ, expm_2x2, random_hermitian, timed_model, tree_product
 
 
 def lindblad_rhs_oracle(model, rho):
@@ -248,53 +250,62 @@ class TestEvolveLindblad:
             assert linalg.max_abs(off) <= 1e-10
 
 
+def no_jump_state(model, rho0, t):
+    """The no-jump conditioned state M rho0 M^dag / Z, M = exp(-i H_eff t):
+    the normalized state of ``model.no_jump_model()``."""
+    m = propagator(model.no_jump_model(), t)
+    return _normalized_density(m, as_density_matrix(rho0))[0]
+
+
+def survival_weight(model, rho0, t):
+    """Z = Tr[M rho0 M^dag], as the open MT rows report it."""
+    return fid_mt_open(model, rho0, t).params["survival_weight"]
+
+
 class TestNoJumpState:
     def test_no_jumps_is_unitary_weight_one(self):
         model = LindbladModel(SZ, ())
         rho0 = random_density(2, 9)
-        cond = no_jump_state(model, rho0, 1.1)
-        assert cond.weight == pytest.approx(1.0, abs=1e-12)
+        assert survival_weight(model, rho0, 1.1) == pytest.approx(1.0, abs=1e-12)
         u = linalg.expm(-1.1j * SZ)
-        assert np.max(np.abs(cond.state - u @ rho0.matrix @ u.conj().T)) <= 1e-12
+        state = no_jump_state(model, rho0, 1.1)
+        assert np.max(np.abs(state - u @ rho0.matrix @ u.conj().T)) <= 1e-12
 
     def test_dephasing_scalar_form(self):
         gamma, t = 1.0, 0.7
         model = make_dephasing(gamma)
         rho0 = random_density(2, 10)
-        cond = no_jump_state(model, rho0, t)
-        assert cond.weight == pytest.approx(np.exp(-gamma * t), abs=1e-12)
-        assert np.max(np.abs(cond.state - rho0.matrix)) <= 1e-12
+        assert survival_weight(model, rho0, t) == pytest.approx(np.exp(-gamma * t), abs=1e-12)
+        assert np.max(np.abs(no_jump_state(model, rho0, t) - rho0.matrix)) <= 1e-12
 
     def test_weight_equals_branch_norm_for_pure_states(self, two_level_lindblad):
         psi0 = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
         t = 0.8
-        cond = no_jump_state(two_level_lindblad, pure_density(psi0), t)
+        weight = survival_weight(two_level_lindblad, pure_density(psi0), t)
         branch = linalg.expm(-1j * t * two_level_lindblad.effective_hamiltonian()) @ psi0.amplitudes
-        assert cond.weight == pytest.approx(float(np.vdot(branch, branch).real), abs=1e-10)
+        assert weight == pytest.approx(float(np.vdot(branch, branch).real), abs=1e-10)
 
     def test_refrigerator_vs_expm_oracle(self):
         model = make_refrigerator(0.8, 1.0, 1.0, 1.2, 0.9, 1.1)
         rho0 = random_density(3, 11)
         t = 0.5
-        cond = no_jump_state(model, rho0, t)
         m = linalg.expm(-1j * t * model.effective_hamiltonian())
         raw = m @ rho0.matrix @ m.conj().T
         z = np.trace(raw).real
-        assert np.max(np.abs(cond.state - raw / z)) <= 1e-10
-        assert cond.weight == pytest.approx(z, abs=1e-10)
-
-    def test_state_is_read_only(self, two_level_lindblad):
-        cond = no_jump_state(two_level_lindblad, random_density(2, 17), 0.4)
-        assert isinstance(cond.state, np.ndarray) and not cond.state.flags.writeable
+        assert np.max(np.abs(no_jump_state(model, rho0, t) - raw / z)) <= 1e-10
+        assert survival_weight(model, rho0, t) == pytest.approx(z, abs=1e-10)
 
     def test_weight_underflow(self):
         model = make_dephasing(1.0)
         with pytest.raises(NormUnderflow):
-            no_jump_state(model, random_density(2, 12), 40.0)
+            survival_weight(model, random_density(2, 12), 40.0)
 
     def test_weight_decreasing(self, two_level_lindblad):
         rho0 = random_density(2, 13)
-        weights = [no_jump_state(two_level_lindblad, rho0, t).weight for t in np.linspace(0, 2, 9)]
+        weights = [r.params["survival_weight"]
+                   for _, r in sweep(two_level_lindblad, rho0, np.linspace(0, 2, 9), ["mt-open"])
+                   if r.kind == "fid-mt-open"]
+        assert len(weights) == 9
         assert all(b <= a + 1e-12 for a, b in zip(weights, weights[1:]))
 
 
@@ -303,7 +314,7 @@ class TestNoJumpHeffStd:
 
     @staticmethod
     def heff_std(model, rho0, t):
-        return generalized_std(model.effective_hamiltonian(), no_jump_state(model, rho0, t).state)
+        return generalized_std(model.effective_hamiltonian(), no_jump_state(model, rho0, t))
 
     def test_scalar_effective_hamiltonian(self):
         model = make_dephasing(1.0)
@@ -389,6 +400,20 @@ class TestPropagatorSpan:
             for k in range(n):
                 want = linalg.expm(-1j * dt * model.full_generator(s + (k + 0.5) * dt)) @ want
             assert np.max(np.abs(m - want)) <= 1e-13
+
+    def test_time_dependent_times_must_not_decrease(self):
+        """The running product only moves forward, so decreasing times would
+        read it at the wrong time (0.19997 for 0.2 here)."""
+        with pytest.raises(BadParameter, match="nondecreasing"):
+            _propagators(timed_model(), [0.7, 0.2])
+        mats = _propagators(timed_model(), [0.2, 0.2, 0.7])
+        assert np.array_equal(mats[0], mats[1])
+
+    def test_constant_times_in_any_order(self):
+        # the MT quadrature hands window nodes over in no global order
+        model = random_commuting(2, 11, gamma_scale=0.6)
+        mats = _propagators(model, [0.7, 0.0, 0.2])
+        assert np.array_equal(mats, _propagators(model, [0.2, 0.0, 0.7])[::-1])
 
 
 GRID_H, GRID_GAMMA = SZ, np.diag([0.0, 1.0])

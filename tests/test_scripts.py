@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import nhbounds
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
 
@@ -38,3 +40,27 @@ def test_readme_quick_start_runs():
     with contextlib.redirect_stdout(io.StringIO()) as out:
         exec(compile(block, "README.md", "exec"), {})
     assert "qsl-ml" in out.getvalue()
+
+
+PUBLIC_NAMES = [
+    "BadParameter", "BoundReport", "ClassicalMarkovModel", "CommutatorViolation",
+    "DegenerateObservable", "DensityOperator", "HermiticityViolation", "IntegratorDiverged",
+    "JumpCountObservable", "LindbladModel", "NonHermitianModel", "NonPositiveGamma",
+    "NormUnderflow", "NotDistribution", "NotPSD", "NumericalOverflow", "QuadratureDiverged",
+    "SLACK_TOL", "ShapeError", "SimulationError", "StateVector", "Trajectory",
+    "TrajectoryEnsemble", "bounds", "classical_initial_density", "commutator_check", "errors",
+    "evolve_lindblad", "fid_ml", "fid_ml_open", "fid_mt", "fid_mt_open", "fidelity",
+    "generalized_std", "ground_energy", "jump_count_moments", "linalg", "liouvillian",
+    "make_classical", "make_dephasing", "make_refrigerator", "metrics", "models", "normalize",
+    "propagation", "propagator", "pure_density", "qsl_classical", "qsl_ml", "qsl_ml_open",
+    "qsl_mt", "qsl_mt_open", "random_commuting", "random_density",
+    "random_diagonal_jump_lindblad", "random_pure_state", "renyi_half", "sample_trajectory",
+    "states", "sweep", "trajectory_ensemble", "tur_classical", "tur_ml", "tur_ml_open",
+    "tur_mt", "tur_mt_open",
+]
+
+
+def test_public_surface_is_pinned():
+    """Adding or removing an export is a deliberate change to this list."""
+    assert len(PUBLIC_NAMES) == 66
+    assert sorted(nhbounds.__all__) == PUBLIC_NAMES

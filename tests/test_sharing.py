@@ -24,8 +24,7 @@ from nhbounds import (
     fid_ml_open,
     make_dephasing,
     make_refrigerator,
-    normalized_overlap,
-    open_overlap,
+    propagator,
     pure_density,
     qsl_mt,
     random_commuting,
@@ -41,7 +40,7 @@ from nhbounds import cli, linalg, metrics, serialize
 from nhbounds.errors import BadParameter, SimulationError
 from nhbounds.states import as_density_matrix
 
-from conftest import noncommuting_model
+from conftest import noncommuting_model, timed_model
 
 def count_calls(monkeypatch, *names):
     """Count calls made through the names ``bounds`` imports."""
@@ -201,16 +200,23 @@ def test_changed_argument_misses(closed_case, change, monkeypatch):
 
 @pytest.mark.parametrize("case", range(20))
 def test_ml_overlaps_equal_the_reference(case):
-    """The ML rows read the shared point; the public overlaps compute it
-    straight from ``propagator``, and both agree exactly."""
+    """The ML rows read the sweep's shared window ends; the reference computes
+    the same overlaps straight from ``propagator``, and both agree exactly."""
     rng = np.random.default_rng(4_000 + case)
     dim = int(rng.integers(2, 5))
     state = random_pure_state(dim, rng) if case % 2 else random_density(dim, rng)
     tau = float(rng.uniform(0.0, 2.0))
+    rho0 = as_density_matrix(state)
     closed = random_commuting(dim, 5_000 + case, gamma_scale=1.5)
-    assert fid_ml(closed, state, tau).lhs == normalized_overlap(closed, state, 0.0, tau)
+    m = propagator(closed, tau)
+    # Tr M rho0 M^dag, of the symmetrized state as the normalized path takes it
+    raw = m @ rho0 @ np.conj(np.swapaxes(m, -1, -2))
+    tr = np.trace(0.5 * (raw + np.conj(np.swapaxes(raw, -1, -2)))).real
+    overlap = abs(complex(np.trace(m @ rho0))) / math.sqrt(np.trace(rho0).real * tr)
+    assert fid_ml(closed, state, tau).lhs == overlap
     lindblad = random_diagonal_jump_lindblad(dim, 6_000 + case)
-    assert fid_ml_open(lindblad, state, tau).lhs == open_overlap(lindblad, state, tau)
+    record = abs(complex(np.trace(propagator(lindblad.no_jump_model(), tau) @ rho0)))
+    assert fid_ml_open(lindblad, state, tau).lhs == record
 
 
 @pytest.mark.parametrize("kind", ["vector", "density", "array"])
@@ -472,13 +478,6 @@ def chain():
 
 def rows_by_kind(pairs):
     return {report.kind: report for _, report in pairs}
-
-
-def timed_model():
-    """A time-dependent model: its paths run through midpoint products."""
-    base = random_commuting(2, 11, gamma_scale=0.6)
-    return NonHermitianModel(base.h, base.gamma, time_dependence=lambda t: (
-        base.h * (1.0 + 0.5 * math.sin(3.0 * t)), base.gamma * (1.0 + 0.3 * t)))
 
 
 GRID_CASES = {

@@ -7,10 +7,10 @@ from nhbounds import (
     evolve_lindblad,
     jump_count_moments,
     make_dephasing,
-    no_jump_state,
     normalize,
     pure_density,
     qsl_mt_open,
+    sweep,
     tur_ml,
 )
 from nhbounds.errors import BadParameter, HermiticityViolation, NormUnderflow, NotPSD
@@ -74,8 +74,8 @@ def test_pure_density_matches_outer():
 PUBLIC_ENTRIES = {
     "evolve_lindblad": lambda rho: evolve_lindblad(make_dephasing(1.0), rho, 0.5),
     "jump_count_moments": lambda rho: jump_count_moments(make_dephasing(1.0), rho, 0.5),
-    "no_jump_state": lambda rho: no_jump_state(make_dephasing(1.0), rho, 0.5),
     "qsl_mt_open": lambda rho: qsl_mt_open(make_dephasing(1.0), rho, 0.5),
+    "sweep": lambda rho: sweep(make_dephasing(1.0), rho, [0.5], ["ml-open", "mt-open"]),
     "tur_ml": lambda rho: tur_ml(random_commuting(2, 1), rho, 0.5, np.diag([0.0, 1.0])),
 }
 

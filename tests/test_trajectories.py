@@ -10,9 +10,9 @@ from nhbounds import (
     ShapeError,
     StateVector,
     evolve_lindblad,
+    fid_mt_open,
     make_dephasing,
     make_refrigerator,
-    no_jump_state,
     pure_density,
     random_density,
     sample_trajectory,
@@ -263,7 +263,7 @@ class TestTrajectoryEnsemble:
         n = 20_000
         ens = trajectory_ensemble(model, PLUS, tau, n, seed=31)
         frac = float(np.mean(ens.jump_counts == 0))
-        weight = no_jump_state(model, pure_density(PLUS), tau).weight
+        weight = fid_mt_open(model, PLUS, tau).params["survival_weight"]
         se = math.sqrt(weight * (1.0 - weight) / n)
         assert abs(frac - weight) <= 5.0 * se
 
